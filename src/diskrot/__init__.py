@@ -53,15 +53,7 @@ from .maps import (
     PlaneExtension,
     RigidRotation,
     from_config,
-    make_conjugated_rotation,
-    make_plane_extension,
 )
-from .winding import (
-    AngleLedger,
-    TangentPair,
-    winding,
-    winding_iterate,
-    winding_tangent,
-)
+from .winding import winding, winding_tangent
 
 __version__ = "0.1.0"

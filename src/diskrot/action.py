@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWOPI, as_xy, angles_of, radii_of, uniform_disk
+from .geometry import TWOPI, as_xy, angles_of, radii_of, resample, uniform_disk
 from .maps import IteratedIsotopy
 from .quadrature import adaptive_gl, adaptive_segments
 from .winding import pair_windings_iterated
@@ -221,6 +221,25 @@ def _calabi_gauss(field, samples, seed):
     return CalabiResult(fine, abs(fine - coarse), "gauss", m * m, seed)
 
 
+def off_orbit_samples(rng, orbit, count):
+    """count uniform disk points, each redrawn while within 1e-6 of an
+    orbit point (the Monte Carlo partners of the orbit's base point)."""
+    ys = uniform_disk(rng, count)
+
+    def near_orbit():
+        d = np.min(
+            np.hypot(ys[:, 0] - orbit[:, None, 0], ys[:, 1] - orbit[:, None, 1]),
+            axis=0,
+        )
+        return d <= 1e-6
+
+    def redraw(bad):
+        ys[bad] = uniform_disk(rng, int(bad.sum()))
+
+    resample(near_orbit, redraw, 64)
+    return ys
+
+
 def action_winding_gap(field, iso, x, n, mc_samples=100_000, seed=0, merge_eps=1e-9):
     """|a_{f^n}(x) - integral of W_{f^n}(x, .) d omega| with its MC error.
 
@@ -232,18 +251,7 @@ def action_winding_gap(field, iso, x, n, mc_samples=100_000, seed=0, merge_eps=1
     iterated = IteratedIsotopy(iso, n)
     a_n = ActionField(iterated, beta=field.beta, path_tol=field.path_tol).action(x)
 
-    orbit = iso.orbit(x, n)
-    ys = uniform_disk(rng, mc_samples)
-    # resample any Monte Carlo point colliding with the reference orbit
-    for _ in range(64):
-        d = np.min(
-            np.hypot(ys[:, 0] - orbit[:, None, 0], ys[:, 1] - orbit[:, None, 1]),
-            axis=0,
-        )
-        bad = d <= 1e-6
-        if not bad.any():
-            break
-        ys[bad] = uniform_disk(rng, int(bad.sum()))
+    ys = off_orbit_samples(rng, iso.orbit(x, n), mc_samples)
     X = np.broadcast_to(x, ys.shape)
     w = pair_windings_iterated(iso, X, ys, n, merge_eps=merge_eps)
     integral = float(w.mean())

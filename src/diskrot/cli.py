@@ -105,7 +105,7 @@ def cmd_winding(args):
     from .geometry import uniform_disk
     from .maps import ConjugatedRotation, from_config
     from .report import write_csv
-    from .winding import winding
+    from .winding import _pair_track, pair_windings
 
     cfg = _load_config(args)
     iso = from_config(cfg)
@@ -124,19 +124,16 @@ def cmd_winding(args):
     if args.cross_check and isinstance(iso, ConjugatedRotation) and not iso.deform:
         alt = ConjugatedRotation(iso.alpha, iso.g, deform=True)
 
-    out_rows = []
-    max_dev = 0.0
-    for x1, y1, x2, y2 in pairs:
-        ledger, w = winding(iso, (x1, y1), (x2, y2), with_ledger=True)
-        row = [x1, y1, x2, y2, w, ledger.refinements]
-        if alt is not None:
-            w2 = winding(alt, (x1, y1), (x2, y2))
-            max_dev = max(max_dev, abs(w - w2))
-            row.append(w2)
-        out_rows.append(row)
+    # the refinements column is each pair's bisection depth
+    w, depth = _pair_track(iso, pairs[:, :2], pairs[:, 2:])
     header = ["x1", "y1", "x2", "y2", "W", "refinements"]
+    cols = [*pairs.T, w, depth.tolist()]
     if alt is not None:
+        w_alt = pair_windings(alt, pairs[:, :2], pairs[:, 2:])
+        max_dev = float(np.max(np.abs(w - w_alt)))
         header.append("W_alt_isotopy")
+        cols.append(w_alt)
+    out_rows = [list(row) for row in zip(*cols)]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "windings.csv")
     write_csv(path, header, out_rows)
@@ -247,7 +244,7 @@ def cmd_foliation_check(args):
     import numpy as np
 
     from .foliation import annulus_sums, big_lambda_sequence, displacement_table
-    from .geometry import uniform_disk
+    from .geometry import resample, uniform_disk
     from .maps import from_config
     from .winding import pair_windings_iterated
 
@@ -257,14 +254,17 @@ def cmd_foliation_check(args):
     nmax = args.nmax
     Z = uniform_disk(rng, count, 0.9)
     Zp = uniform_disk(rng, count, 0.9)
-    for _ in range(32):
-        bad = (np.hypot(*(Zp - Z).T) < 1e-3) | (np.hypot(*Z.T) < 0.05) | (
+
+    def too_close():
+        return (np.hypot(*(Zp - Z).T) < 1e-3) | (np.hypot(*Z.T) < 0.05) | (
             np.hypot(*Zp.T) < 0.05
         )
-        if not bad.any():
-            break
+
+    def redraw(bad):
         Z[bad] = uniform_disk(rng, int(bad.sum()), 0.9)
         Zp[bad] = uniform_disk(rng, int(bad.sum()), 0.9)
+
+    resample(too_close, redraw, 32)
 
     ineq21_slack = 0.0  # tau_bar - |lambda|, must stay >= 0
     for z, zp in zip(Z, Zp):

@@ -204,11 +204,12 @@ def linearized_rotation_average(iso, n, direction=(1.0, 0.0)):
     d = np.asarray(direction, dtype=float)
     d = d / np.hypot(d[0], d[1])
     J1 = iso.jac(1.0, np.zeros(2))
-    vals = []
-    for _ in range(n):
-        vals.append(winding_tangent(iso, np.zeros(2), d))
+    dirs = np.empty((n, 2))
+    for i in range(n):
+        dirs[i] = d
         d = J1 @ d
         d = d / np.hypot(d[0], d[1])
+    vals = winding_tangent(iso, np.zeros(2), dirs).tolist()
     return math.fsum(vals) / n, vals
 
 

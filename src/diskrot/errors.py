@@ -50,8 +50,8 @@ class TailNotCertified(DiskrotError):
     """Deck-copy sum truncation could not certify a vanishing tail."""
 
 
-class LeafCoincidence(DiskrotError):
-    """Pair lies within tolerance of a leaf coincidence; resample the pair."""
+class ResampleExhausted(DiskrotError):
+    """Rejection resampling still had rejected samples after its last round."""
 
 
 class OrbitEscapesCompact(DiskrotError):

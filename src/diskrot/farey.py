@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FoliationNotTransverse, RationalInput
 from .foliation import RadialFoliation, displacement_table
-from .geometry import TWOPI, angles_of, as_xy, uniform_disk
+from .geometry import TWOPI, angles_of, as_xy, resample, uniform_disk
 from .maps import IteratedIsotopy
 from .winding import MERGE_EPS, pair_windings, position_angle_tracks
 
@@ -253,13 +253,13 @@ def product_integral_winding(
     rng = np.random.default_rng(seed)
     X = sampler1(rng, samples)
     Y = sampler2(rng, samples)
-    for _ in range(64):
-        close = np.hypot(*(Y - X).T) <= max(merge_eps, 1e-7)
-        if not close.any():
-            break
+
+    def redraw(close):
         k = int(close.sum())
         X[close] = sampler1(rng, k)
         Y[close] = sampler2(rng, k)
+
+    resample(lambda: np.hypot(*(Y - X).T) <= max(merge_eps, 1e-7), redraw, 64)
     w = np.empty(samples)
     for lo in range(0, samples, _CHUNK):
         w[lo : lo + _CHUNK] = pair_windings(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    LeafCoincidence,
     OrbitEscapesCompact,
     SamePoint,
     StepTooCoarse,
@@ -26,7 +25,7 @@ from .errors import (
     ZeroPoint,
 )
 from .geometry import TWOPI, angles_of, as_xy, radii_of
-from .winding import INIT_STEPS, _certified_track, orbit_angle_tracks
+from .winding import INIT_STEPS, orbit_angle_tracks, track
 
 TIE_TOL = 1e-12
 K_MAX = 8
@@ -102,12 +101,11 @@ class RadialFoliation:
         pts = as_xy(pts)
         if self.is_euclidean:
             return np.zeros(pts.shape[:-1])
-
-        def vec_at(u):
-            return self.chart.inverse(pts, u)
-
-        _, ang, _ = _certified_track(vec_at)
-        return ang[-1] - ang[0]
+        flat = pts.reshape(-1, 2)
+        turn, _ = track(
+            lambda u, idx: self.chart.inverse(flat[idx], u), len(flat), INIT_STEPS
+        )
+        return turn.reshape(pts.shape[:-1])
 
     def leaf_lift(self, theta_lift, pts):
         """Lifted leaf coordinate of a cover point (theta_lift, pts)."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroPoint
+from .errors import ResampleExhausted, ZeroPoint
 
 TWOPI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -138,6 +138,25 @@ def rotation_matrices(angle, shape=None):
 def wrap_to_pi(a):
     """Wrap angles to the principal interval (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(a), TWOPI)
+
+
+def resample(bad_of, redraw, rounds):
+    """Redraw rejected samples until none is left.
+
+    bad_of() flags the rejected samples and redraw(bad) replaces them.
+    Raises ResampleExhausted when samples are still rejected after
+    `rounds` redraws.
+    """
+    for _ in range(rounds):
+        bad = bad_of()
+        if not bad.any():
+            return
+        redraw(bad)
+    bad = bad_of()
+    if bad.any():
+        raise ResampleExhausted(
+            f"{int(bad.sum())} samples still rejected after {rounds} redraws"
+        )
 
 
 def uniform_disk(rng, n, radius=1.0):

@@ -115,6 +115,7 @@ class TwistStep:
         c = np.asarray(self.center)
         w = pts - c
         rho = radii_of(w)
+        scale = np.broadcast_to(scale, rho.shape)  # one scale per point
         psi = scale * self.angle(rho)
         J = np.broadcast_to(np.eye(2), rho.shape + (2, 2)).copy()
         m = psi != 0.0
@@ -122,7 +123,7 @@ class TwistStep:
             wm = w[m]
             pm = psi[m]
             Jm = rotation_matrices(pm, shape=pm.shape)
-            k = scale * self.dangle(rho[m]) / rho[m]
+            k = scale[m] * self.dangle(rho[m]) / rho[m]
             rw = rot90(rotate(wm, pm))
             Jm += rw[..., :, None] * (k[..., None, None] * wm[..., None, :])
             J[m] = Jm
@@ -512,55 +513,54 @@ class IteratedIsotopy(Isotopy):
         self.boundary_rot = n * base.boundary_rot
         self.domain_radius = base.domain_radius
 
-    def _split(self, t):
-        s = t * self.n
-        k = min(int(math.floor(s)), self.n - 1)
-        return k, s - k
+    def _by_iterate(self, t, pts, fn):
+        """fn(k, sigma, pts) for the points whose time t lies in iterate k,
+        at local time sigma; t is a scalar or one time per point."""
+        pts = as_xy(pts)
+        if not np.ndim(t):
+            s = t * self.n
+            k = min(int(math.floor(s)), self.n - 1)
+            return fn(k, s - k, pts)
+        # per-entry times: group by iterate index, evaluate each group
+        s = np.asarray(t, dtype=float) * self.n
+        k = np.minimum(np.floor(s).astype(int), self.n - 1)
+        sigma = s - k
+        out = None
+        for kv in np.unique(k):
+            m = k == kv
+            val = fn(int(kv), sigma[m], pts[m])
+            if out is None:
+                out = np.empty(k.shape + val.shape[1:])
+            out[m] = val
+        return out
 
     def eval(self, t, pts):
-        if np.ndim(t):
-            # per-entry times: group by iterate index, evaluate each group
-            s = np.asarray(t, dtype=float) * self.n
-            k = np.minimum(np.floor(s).astype(int), self.n - 1)
-            sigma = s - k
-            pts = as_xy(pts)
-            out = np.empty_like(pts, dtype=float)
-            for kv in np.unique(k):
-                m = k == kv
-                out[m] = self.base.eval(sigma[m], self.base.iterate(pts[m], int(kv)))
-            return out
-        k, sigma = self._split(t)
-        pts = self.base.iterate(as_xy(pts), k)
-        return self.base.eval(sigma, pts)
+        return self._by_iterate(
+            t, pts, lambda k, sigma, p: self.base.eval(sigma, self.base.iterate(p, k))
+        )
 
     def jac(self, t, pts):
-        k, sigma = self._split(t)
-        pts = as_xy(pts)
-        J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
-        for _ in range(k):
-            J = self.base.jac(1.0, pts) @ J
-            pts = self.base.map(pts)
-        return self.base.jac(sigma, pts) @ J
+        def jac_k(k, sigma, pts):
+            J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
+            for _ in range(k):
+                J = self.base.jac(1.0, pts) @ J
+                pts = self.base.map(pts)
+            return self.base.jac(sigma, pts) @ J
+
+        return self._by_iterate(t, pts, jac_k)
 
     def velocity(self, t, pts):
-        k, sigma = self._split(t)
-        pts = self.base.iterate(as_xy(pts), k)
-        return self.n * self.base.velocity(sigma, pts)
+        return self._by_iterate(
+            t,
+            pts,
+            lambda k, sigma, p: self.n * self.base.velocity(sigma, self.base.iterate(p, k)),
+        )
 
     def action_closed_form(self, pts, n=1):
         return self.base.action_closed_form(pts, n * self.n)
 
     def config(self):
         return {"family": "iterated", "n": self.n, "base": self.base.config()}
-
-
-def make_conjugated_rotation(alpha, g, deform=False):
-    """Isotopy t -> g o R_{2 pi t alpha} o g^{-1}; see ConjugatedRotation."""
-    return ConjugatedRotation(alpha, g, deform=deform)
-
-
-def make_plane_extension(alpha, beta, core=None):
-    return PlaneExtension(alpha, beta, core=core)
 
 
 def _resolve_alpha(value, pointer):

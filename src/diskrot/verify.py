@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .action import ActionField, calabi
+from .action import ActionField, calabi, off_orbit_samples
 from .ergodic import (
     double_sum_incremental,
     double_sum_naive,
@@ -32,13 +32,14 @@ from .farey import (
 )
 from .foliation import (
     RadialFoliation,
+    _contributing_decks,
     _leaf_tracks,
     _lift_path,
     displacement_table,
     lambda_int,
     lambda_sequence,
 )
-from .geometry import GOLDEN, TWOPI, uniform_disk
+from .geometry import GOLDEN, TWOPI, resample, uniform_disk
 from .maps import (
     ConjugacyMap,
     ConjugatedRotation,
@@ -58,11 +59,11 @@ def conjugated_rotation(name="twist-a", alpha=GOLDEN, steps=2):
 def _admissible_pairs(rng, count, radius=0.95, min_sep=1e-3):
     X = uniform_disk(rng, count, radius)
     Y = uniform_disk(rng, count, radius)
-    for _ in range(64):
-        bad = np.hypot(*(Y - X).T) < min_sep
-        if not bad.any():
-            break
+
+    def redraw(bad):
         Y[bad] = uniform_disk(rng, int(bad.sum()), radius)
+
+    resample(lambda: np.hypot(*(Y - X).T) < min_sep, redraw, 64)
     return X, Y
 
 
@@ -237,9 +238,7 @@ def _lambda_batch(iso, Z, Zp, n, ns, k_max, steps):
     lam = np.zeros((len(ns), N))
     for j in range(N):
         dj = d[:, j]
-        lo = int(math.floor(-dj.max() / TWOPI))
-        hi = int(math.ceil(-dj.min() / TWOPI))
-        for k in range(max(lo, -k_max), min(hi, k_max) + 1):
+        for k in _contributing_decks(dj, k_max):
             ks = _lift_path(dj + TWOPI * k, ds[:, j])
             at_int = ks[int_idx]
             for i, n_ in enumerate(ns):
@@ -282,12 +281,15 @@ def criterion_6(seed=0, fast=False):
     Zp = uniform_disk(rng, N, 0.92)
     r = np.hypot(Z[:, 0], Z[:, 1])
     Z[r < 0.05] *= 5.0  # keep sample points off the fixed origin
-    for _ in range(32):
-        bad = np.hypot(*(Zp - Z).T) < 1e-3
-        bad |= np.hypot(Zp[:, 0], Zp[:, 1]) < 0.05
-        if not bad.any():
-            break
+
+    def redraw(bad):
         Zp[bad] = uniform_disk(rng, int(bad.sum()), 0.92)
+
+    resample(
+        lambda: (np.hypot(*(Zp - Z).T) < 1e-3) | (np.hypot(Zp[:, 0], Zp[:, 1]) < 0.05),
+        redraw,
+        32,
+    )
 
     # displacement prefixes and W(0, z) from one shared Euclidean track
     _, l, _, int_idx = _leaf_tracks(iso, Z, n_max, RadialFoliation())
@@ -349,17 +351,7 @@ def criterion_7(seed=0, fast=False):
     violations = 0
     rows = []
     for x in xs:
-        orbit = iso.orbit(x, n_max + 1)
-        ys = uniform_disk(rng, mc)
-        for _ in range(64):
-            d = np.min(
-                np.hypot(ys[:, 0] - orbit[:, None, 0], ys[:, 1] - orbit[:, None, 1]),
-                axis=0,
-            )
-            bad = d <= 1e-6
-            if not bad.any():
-                break
-            ys[bad] = uniform_disk(rng, int(bad.sum()))
+        ys = off_orbit_samples(rng, iso.orbit(x, n_max + 1), mc)
         X = np.broadcast_to(x, ys.shape).copy()
         Y = ys.copy()
         totals = np.zeros(mc)

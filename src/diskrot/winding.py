@@ -1,14 +1,16 @@
 """Winding numbers of point pairs along an isotopy, and tangent extensions.
 
-Angles are tracked with a two-argument arctangent and branch continuation
-against the previous sample.  Every computation carries a no-aliasing
-certificate: consecutive unwrapped samples must differ by less than pi/2,
-enforced by doubling the time grid (up to a refinement cap).
+Every angle the package follows over time is unwrapped by one engine,
+`track`: the angle of a batch of vectors is sampled on a uniform time grid
+and continued against the previous sample.  Every result carries a
+no-aliasing certificate: each unwrapped step moves the angle by less than
+pi/2.  A grid step that fails is bisected for its entry alone, and each
+failing half again, until every sub-step passes (up to a depth cap), so a
+few fast-swinging entries do not force the whole batch onto a finer grid.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,101 +22,103 @@ MERGE_EPS = 1e-9
 INIT_STEPS = 64
 MAX_REFINEMENTS = 24
 _TINY = 1e-13
+ALL = slice(None)
 
 
-@dataclass(frozen=True)
-class AngleLedger:
-    """Unwrapped-angle trajectory theta(t) with its certification record."""
-
-    times: np.ndarray
-    angles: np.ndarray
-    refinements: int
-
-    def __post_init__(self):
-        if self.times[0] != 0.0 or self.times[-1] != 1.0:
-            raise ValueError("ledger must span [0, 1]")
-        if np.any(np.abs(np.diff(self.angles)) >= ALIAS_BOUND):
-            raise ValueError("no-aliasing certificate violated")
-
-    @property
-    def winding(self):
-        return (self.angles[-1] - self.angles[0]) / TWOPI
+def _angles(v):
+    x, y = v[:, 0], v[:, 1]
+    if np.min(x * x + y * y) < _TINY * _TINY:
+        raise CoincidentPoints("zero vector along the track")
+    return np.arctan2(y, x)
 
 
-@dataclass(frozen=True)
-class TangentPair:
-    """A base point together with a unit tangent direction."""
+def track(vec_at, n, steps, grid=False):
+    """Certified unwrapped angles of n vectors over t in [0, 1].
 
-    base: object
-    direction: np.ndarray
+    vec_at(t, idx) returns the (len(idx), 2) vectors of the entries idx at
+    time t: a scalar t with idx = ALL on the uniform grid of `steps` steps,
+    and an array of per-entry times with an index array inside failing
+    steps.  Raises RefinementExhausted when a step still fails after
+    MAX_REFINEMENTS bisections.
 
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-
-
-def _track(vec_at, steps, t0=0.0, t1=1.0):
-    """Unwrap the angle of vec_at(t) over a uniform grid.
-
-    vec_at(t) -> (..., 2).  Returns (times, angles (steps+1, ...), ok) where
-    ok flags the entries whose every step satisfied the aliasing bound.
+    Returns (turn, depth): the angle change over [0, 1] in radians and the
+    deepest bisection of each entry, both (n,).  With grid=True returns
+    (vecs, theta, depth) instead: the vectors (steps+1, n, 2) and the
+    unwrapped angles (steps+1, n) at the grid times.
     """
-    times = np.linspace(t0, t1, steps + 1)
-    v0 = vec_at(times[0])
-    ang = np.empty((steps + 1,) + v0.shape[:-1])
-    nrm = np.hypot(v0[..., 0], v0[..., 1])
-    if np.any(nrm < _TINY):
-        raise CoincidentPoints("zero separation vector at t=%g" % times[0])
-    ang[0] = np.arctan2(v0[..., 1], v0[..., 0])
-    ok = np.ones(v0.shape[:-1], dtype=bool)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    v = vec_at(times[0], ALL)
+    prev = _angles(v)
+    if grid:
+        vecs = np.empty((steps + 1, n, 2))
+        vecs[0] = v
+        # row 0 holds the start angles, so the cumulative sum unwraps
+        dtheta = np.empty((steps + 1, n))
+        dtheta[0] = prev
+    else:
+        total = np.zeros(n)
+    failed = []
     for k in range(1, steps + 1):
-        v = vec_at(times[k])
-        nrm = np.hypot(v[..., 0], v[..., 1])
-        if np.any(nrm < _TINY):
-            raise CoincidentPoints("zero separation vector at t=%g" % times[k])
-        raw = np.arctan2(v[..., 1], v[..., 0])
-        delta = wrap_to_pi(raw - ang[k - 1])
-        ok &= np.abs(delta) < ALIAS_BOUND
-        ang[k] = ang[k - 1] + delta
-    return times, ang, ok
+        v = vec_at(times[k], ALL)
+        raw = _angles(v)
+        d = wrap_to_pi(raw - prev)
+        bad = np.abs(d) >= ALIAS_BOUND
+        if bad.any():
+            ii = np.nonzero(bad)[0]
+            failed.append((np.full(len(ii), k), ii, prev[ii], raw[ii]))
+            d[bad] = 0.0
+        if grid:
+            vecs[k] = v
+            dtheta[k] = d
+        else:
+            total += d
+        prev = raw
+
+    depth = np.zeros(n, dtype=int)
+    if failed:
+        # bisect each failing (entry, step) pair; pid lists the pairs still
+        # failing, sub collects each pair's certified sub-steps
+        step, ent, a0, a1 = (np.concatenate(c) for c in zip(*failed))
+        t0, t1 = times[step - 1], times[step]
+        sub = np.zeros(len(ent))
+        pid = np.arange(len(ent))
+        for level in range(1, MAX_REFINEMENTS + 1):
+            depth[ent[pid]] = level
+            tm = 0.5 * (t0 + t1)
+            am = _angles(vec_at(tm, ent[pid]))
+            d1 = wrap_to_pi(am - a0)
+            d2 = wrap_to_pi(a1 - am)
+            ok1 = np.abs(d1) < ALIAS_BOUND
+            ok2 = np.abs(d2) < ALIAS_BOUND
+            np.add.at(sub, pid[ok1], d1[ok1])
+            np.add.at(sub, pid[ok2], d2[ok2])
+            b1, b2 = ~ok1, ~ok2
+            if not (b1.any() or b2.any()):
+                break
+            pid = np.concatenate([pid[b1], pid[b2]])
+            t0, t1 = np.concatenate([t0[b1], tm[b2]]), np.concatenate([tm[b1], t1[b2]])
+            a0, a1 = np.concatenate([a0[b1], am[b2]]), np.concatenate([am[b1], a1[b2]])
+        else:
+            raise RefinementExhausted(
+                f"no-aliasing bound not certified after {MAX_REFINEMENTS} bisections"
+            )
+        if grid:
+            dtheta[step, ent] = sub
+        else:
+            np.add.at(total, ent, sub)
+    if grid:
+        return vecs, np.cumsum(dtheta, axis=0), depth
+    return total, depth
 
 
-def _certified_track(vec_at, init_steps=INIT_STEPS, max_refinements=MAX_REFINEMENTS):
-    steps = init_steps
-    for refinement in range(max_refinements + 1):
-        times, ang, ok = _track(vec_at, steps)
-        if np.all(ok):
-            return times, ang, refinement
-        steps *= 2
-    raise RefinementExhausted(
-        f"no-aliasing bound not certified after {max_refinements} doublings"
-    )
-
-
-def _sep_angle(iso, t, X, Y):
-    """Angle of the separation vector f_t(Y) - f_t(X); t scalar or (N,)."""
-    n = len(X)
+def _separation(iso, t, X, Y):
+    """f_t(Y) - f_t(X) from one evaluation; t scalar or per pair."""
     q = iso.eval(np.concatenate([t, t]) if np.ndim(t) else t, np.concatenate([X, Y]))
-    v = q[n:] - q[:n]
-    if np.hypot(v[:, 0], v[:, 1]).min() < _TINY:
-        raise CoincidentPoints("zero separation vector along the track")
-    return np.arctan2(v[:, 1], v[:, 0])
+    return q[len(X):] - q[: len(X)]
 
-def pair_windings(
-    iso,
-    X,
-    Y,
-    merge_eps=MERGE_EPS,
-    init_steps=INIT_STEPS,
-    max_refinements=MAX_REFINEMENTS,
-):
-    """Windings of paired point arrays X[i] with Y[i] under the isotopy.
 
-    Steps of the uniform time grid that fail the aliasing certificate are
-    bisected per pair until every sub-step passes, so a few fast-swinging
-    pairs do not force the whole batch onto a finer grid.
-    """
+def _pair_track(iso, X, Y, merge_eps=MERGE_EPS, init_steps=INIT_STEPS):
+    """(windings, bisection depths) of paired point arrays X[i], Y[i]."""
     X = as_xy(X)
     Y = as_xy(Y)
     shape = np.broadcast_shapes(X.shape, Y.shape)
@@ -122,109 +126,51 @@ def pair_windings(
     Y = np.ascontiguousarray(np.broadcast_to(Y, shape), dtype=float).reshape(-1, 2)
     if np.hypot(*(Y - X).T).min() <= merge_eps:
         raise CoincidentPoints(f"pair separation <= merge_eps={merge_eps}")
-
-    n = len(X)
-    times = np.linspace(0.0, 1.0, init_steps + 1)
-    total = np.zeros(n)
-    prev = _sep_angle(iso, 0.0, X, Y)
-    pend = []
-    for t0_, t1_ in zip(times[:-1], times[1:]):
-        raw = _sep_angle(iso, t1_, X, Y)
-        d = wrap_to_pi(raw - prev)
-        bad = np.abs(d) >= ALIAS_BOUND
-        total += np.where(bad, 0.0, d)
-        if bad.any():
-            ii = np.nonzero(bad)[0]
-            pend.append((ii, np.full(len(ii), t0_), np.full(len(ii), t1_),
-                         prev[ii], raw[ii]))
-        prev = raw
-
-    if pend:
-        idx = np.concatenate([p[0] for p in pend])
-        t0 = np.concatenate([p[1] for p in pend])
-        t1 = np.concatenate([p[2] for p in pend])
-        a0 = np.concatenate([p[3] for p in pend])
-        a1 = np.concatenate([p[4] for p in pend])
-        for _ in range(max_refinements):
-            tm = 0.5 * (t0 + t1)
-            am = _sep_angle(iso, tm, X[idx], Y[idx])
-            d1 = wrap_to_pi(am - a0)
-            d2 = wrap_to_pi(a1 - am)
-            ok1 = np.abs(d1) < ALIAS_BOUND
-            ok2 = np.abs(d2) < ALIAS_BOUND
-            np.add.at(total, idx[ok1], d1[ok1])
-            np.add.at(total, idx[ok2], d2[ok2])
-            b1, b2 = ~ok1, ~ok2
-            idx = np.concatenate([idx[b1], idx[b2]])
-            if len(idx) == 0:
-                break
-            t0 = np.concatenate([t0[b1], tm[b2]])
-            t1 = np.concatenate([tm[b1], t1[b2]])
-            a0 = np.concatenate([a0[b1], am[b2]])
-            a1 = np.concatenate([am[b1], a1[b2]])
-        else:
-            raise RefinementExhausted(
-                f"no-aliasing bound not certified after {max_refinements} bisections"
-            )
-    return total.reshape(shape[:-1]) / TWOPI
+    turn, depth = track(
+        lambda t, idx: _separation(iso, t, X[idx], Y[idx]), len(X), init_steps
+    )
+    return turn.reshape(shape[:-1]) / TWOPI, depth.reshape(shape[:-1])
 
 
-def winding(iso, x, y, merge_eps=MERGE_EPS, with_ledger=False):
+def pair_windings(iso, X, Y, merge_eps=MERGE_EPS, init_steps=INIT_STEPS):
+    """Windings of paired point arrays X[i] with Y[i] under the isotopy."""
+    return _pair_track(iso, X, Y, merge_eps, init_steps)[0]
+
+
+def winding(iso, x, y, merge_eps=MERGE_EPS):
     """Winding number of the vector from f_t(x) to f_t(y), in turns.
 
-    Symmetric in its arguments exactly: the connecting vector and its
-    negation wind identically, and the value is computed once.
+    Symmetric in its arguments: the connecting vector and its negation
+    wind identically.
     """
-    X = as_xy(x)
-    Y = as_xy(y)
-    if np.hypot(*(Y - X)) <= merge_eps:
-        raise CoincidentPoints(f"|x - y| <= merge_eps={merge_eps}")
-
-    def vec_at(t):
-        return iso.eval(t, Y) - iso.eval(t, X)
-
-    times, ang, refinements = _certified_track(vec_at)
-    ledger = AngleLedger(times=times, angles=ang, refinements=refinements)
-    return (ledger, ledger.winding) if with_ledger else ledger.winding
+    return float(pair_windings(iso, x, y, merge_eps))
 
 
-def winding_tangent(iso, base, direction=None):
-    """Winding of t -> jac(t, base) . xi, the blow-up value on the diagonal."""
-    if isinstance(base, TangentPair):
-        direction = base.direction
-        base = base.base
+def winding_tangent(iso, base, direction):
+    """Winding of t -> jac(t, base) . xi, the blow-up value on the diagonal.
+
+    direction is one vector (2,) or K vectors (K, 2) at the same base; the
+    K directions are tracked as one batch and K windings returned.
+    """
     b = as_xy(base)
     xi = np.asarray(direction, dtype=float)
+    dirs = xi.reshape(-1, 2)
 
-    def vec_at(t):
-        J = iso.jac(t, b)
-        v = J @ xi
+    def vec_at(t, idx):
+        J = iso.jac(t, np.broadcast_to(b, np.shape(t) + (2,)))
+        v = (J @ dirs[idx][..., None])[..., 0]
         if np.hypot(v[..., 0], v[..., 1]).min() < 1e-14:
             raise SingularJacobian("jacobian image too small to normalize")
         return v
 
-    _, ang, _ = _certified_track(vec_at)
-    return (ang[-1] - ang[0]) / TWOPI
-
-
-def winding_iterate(iso, x, y, n, merge_eps=MERGE_EPS):
-    """Winding of the pair under the n-fold concatenated isotopy.
-
-    The unwrapped angle is continued across iterate boundaries, so the
-    value telescopes exactly over the per-iterate windings.
-    """
-    X = as_xy(x)
-    Y = as_xy(y)
-    total = 0.0
-    for _ in range(n):
-        total += pair_windings(iso, X, Y, merge_eps=merge_eps)
-        X = iso.map(X)
-        Y = iso.map(Y)
-    return total
+    turn, _ = track(vec_at, len(dirs), INIT_STEPS)
+    w = turn / TWOPI
+    return w if xi.ndim > 1 else w[0]
 
 
 def pair_windings_iterated(iso, X, Y, n, merge_eps=MERGE_EPS):
-    """Vectorized winding_iterate over paired arrays; returns (N,) turns."""
+    """Windings of paired arrays under the n-fold concatenated isotopy,
+    summed over the iterates; returns (N,) turns."""
     X = as_xy(X).copy()
     Y = as_xy(Y).copy()
     total = np.zeros(X.shape[:-1])
@@ -235,19 +181,12 @@ def pair_windings_iterated(iso, X, Y, n, merge_eps=MERGE_EPS):
     return total
 
 
-def winding_matrix(
-    iso,
-    xs,
-    ys,
-    merge_eps=MERGE_EPS,
-    init_steps=INIT_STEPS,
-    max_refinements=MAX_REFINEMENTS,
-):
+def winding_matrix(iso, xs, ys, merge_eps=MERGE_EPS):
     """All cross windings W[i, j] = winding(xs[i], ys[j]) in one sweep.
 
-    Trajectories of the two point sets are evaluated once per time sample;
-    the (n, m) relative angles are accumulated with global grid doubling on
-    aliasing violations.
+    Each grid sample evaluates the two point sets once and forms all n*m
+    separation vectors; a cell whose step fails the certificate is bisected
+    alone, from its own pair of points.
     """
     xs = as_xy(xs)
     ys = as_xy(ys)
@@ -257,53 +196,30 @@ def winding_matrix(
     if sep.min() <= merge_eps:
         i, j = np.unravel_index(np.argmin(sep), sep.shape)
         raise CoincidentPoints(f"points xs[{i}] and ys[{j}] within merge_eps")
+    n, m = len(xs), len(ys)
 
-    times = np.linspace(0.0, 1.0, init_steps + 1)
-    fx = iso.eval(0.0, xs)
-    fy = iso.eval(0.0, ys)
-    d = (fy[:, 0] + 1j * fy[:, 1])[None, :] - (fx[:, 0] + 1j * fx[:, 1])[:, None]
-    prev = np.angle(d)
-    total = np.zeros_like(prev)
-    certified = np.ones(prev.shape, dtype=bool)
-    for t in times[1:]:
-        fx = iso.eval(t, xs)
-        fy = iso.eval(t, ys)
-        d = (fy[:, 0] + 1j * fy[:, 1])[None, :] - (fx[:, 0] + 1j * fx[:, 1])[:, None]
-        raw = np.angle(d)
-        delta = wrap_to_pi(raw - prev)
-        certified &= np.abs(delta) < ALIAS_BOUND
-        total += delta
-        prev = raw
-    total /= TWOPI
-    if not certified.all():
-        # redo only the entries whose track failed the certificate
-        i, j = np.nonzero(~certified)
-        total[i, j] = pair_windings(
-            iso, xs[i], ys[j],
-            merge_eps=merge_eps,
-            init_steps=2 * init_steps,
-            max_refinements=max_refinements,
-        )
-    return total
+    def vec_at(t, idx):
+        if idx is ALL:
+            return (iso.eval(t, ys)[None, :] - iso.eval(t, xs)[:, None]).reshape(-1, 2)
+        i, j = np.divmod(idx, m)
+        return _separation(iso, t, xs[i], ys[j])
+
+    turn, _ = track(vec_at, n * m, INIT_STEPS)
+    return turn.reshape(n, m) / TWOPI
 
 
 def position_angle_tracks(iso, pts, steps=INIT_STEPS, theta0=None):
-    """Certified tracks of f_t(z): positions, radii, and unwrapped angles.
+    """Certified tracks of f_t(z) on the uniform grid of `steps` steps.
 
     Returns (times, pos (T+1, N, 2), theta (T+1, N)).  theta0, when given,
     fixes the branch of the initial angle (per-point deck shifts).
     """
     pts = as_xy(pts)
-
-    def vec_at(t):
-        return iso.eval(t, pts)
-
-    times, ang, _ = _certified_track(vec_at, init_steps=steps)
+    pos, ang, _ = track(lambda t, idx: iso.eval(t, pts[idx]), len(pts), steps, grid=True)
     if theta0 is not None:
         shift = np.round((np.asarray(theta0) - ang[0]) / TWOPI) * TWOPI
         ang = ang + shift
-    pos = np.stack([iso.eval(t, pts) for t in times])
-    return times, pos, ang
+    return np.linspace(0.0, 1.0, steps + 1), pos, ang
 
 
 def orbit_angle_tracks(iso, pts, n, steps=INIT_STEPS, theta0=None):

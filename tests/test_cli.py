@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _run(args, cwd):
+    # the child runs in a temporary directory, so a relative PYTHONPATH
+    # inherited from the caller would not find the package
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "diskrot.cli", *args],
         cwd=cwd,
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -185,6 +185,30 @@ def test_iterated_isotopy_concatenates():
     assert abs(it.boundary_rot - 3 * GOLDEN) < 1e-15
 
 
+PER_ENTRY_FAMILIES = {
+    "rigid": lambda: RigidRotation(GOLDEN),
+    "conjugated": lambda: ConjugatedRotation(GOLDEN, _g()),
+    "deformed": lambda: ConjugatedRotation(GOLDEN, _g(), deform=True),
+    "plane-extension": lambda: PlaneExtension(
+        GOLDEN, GOLDEN + 0.3, core=ConjugatedRotation(GOLDEN, _g())
+    ),
+    "iterated": lambda: IteratedIsotopy(ConjugatedRotation(GOLDEN, _g(), deform=True), 3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PER_ENTRY_FAMILIES))
+def test_per_entry_times_match_scalar_calls(family):
+    iso = PER_ENTRY_FAMILIES[family]()
+    rng = np.random.default_rng(7)
+    pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
+    t = rng.random(40)
+    t[:3] = (0.0, 1.0 / 3.0, 1.0)
+    ev = np.stack([iso.eval(ti, p[None])[0] for ti, p in zip(t, pts)])
+    jac = np.stack([iso.jac(ti, p[None])[0] for ti, p in zip(t, pts)])
+    assert np.array_equal(iso.eval(t, pts), ev)
+    assert np.array_equal(iso.jac(t, pts), jac)
+
+
 def test_closed_form_action_is_constant_for_rigid():
     iso = RigidRotation(GOLDEN)
     pts = uniform_disk(np.random.default_rng(10), 20)

@@ -5,21 +5,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diskrot.errors import CoincidentPoints
+from diskrot.errors import CoincidentPoints, RefinementExhausted
 from diskrot.geometry import GOLDEN, TWOPI, uniform_disk, wrap_to_pi
-from diskrot.maps import ConjugacyMap, ConjugatedRotation, IteratedIsotopy, RigidRotation
+from diskrot.maps import (
+    ConjugacyMap,
+    ConjugatedRotation,
+    IteratedIsotopy,
+    RigidRotation,
+    TwistStep,
+)
 from diskrot.winding import (
-    AngleLedger,
+    _pair_track,
     pair_windings,
     pair_windings_iterated,
+    position_angle_tracks,
     winding,
-    winding_iterate,
     winding_matrix,
+    track,
     winding_tangent,
 )
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
+# a strong twist: pairs in its annulus swing through many turns per unit time
+FAST = ConjugatedRotation(
+    GOLDEN, ConjugacyMap((TwistStep((0.2, 0.08), 20.0, 0.25, 0.5),), repeats=1)
+)
 
 
 def _pairs(rng, count, radius=0.95, min_sep=1e-3):
@@ -72,18 +83,6 @@ def test_winding_is_symmetric():
     assert abs(w - wr) < 1e-12
 
 
-def test_winding_ledger_certificate():
-    ledger, w = winding(CONJ, (0.5, 0.1), (-0.2, 0.4), with_ledger=True)
-    assert ledger.times[0] == 0.0 and ledger.times[-1] == 1.0
-    assert abs(ledger.winding - w) == 0.0
-    with pytest.raises(ValueError):
-        AngleLedger(
-            times=np.array([0.0, 0.5, 1.0]),
-            angles=np.array([0.0, 3.0, 0.0]),
-            refinements=0,
-        )
-
-
 def test_coincident_pair_rejected():
     with pytest.raises(CoincidentPoints):
         winding(CONJ, (0.3, 0.2), (0.3, 0.2))
@@ -97,7 +96,6 @@ def test_iterated_winding_telescopes():
     per_iter = pair_windings_iterated(CONJ, X, Y, n)
     concat = pair_windings(IteratedIsotopy(CONJ, n), X, Y)
     assert np.max(np.abs(per_iter - concat)) < 1e-8
-    assert abs(winding_iterate(CONJ, X[0], Y[0], n) - per_iter[0]) < 1e-10
 
 
 def test_winding_matrix_matches_pairwise_values():
@@ -109,6 +107,48 @@ def test_winding_matrix_matches_pairwise_values():
     i, j = np.meshgrid(np.arange(12), np.arange(15), indexing="ij")
     direct = pair_windings(CONJ, xs[i.ravel()], ys[j.ravel()]).reshape(12, 15)
     assert np.max(np.abs(W - direct)) < 1e-10
+
+
+def test_bisected_matrix_cells_equal_pair_windings():
+    rng = np.random.default_rng(8)
+    xs = uniform_disk(rng, 6, 0.6)
+    ys = uniform_disk(rng, 7, 0.6)
+    i, j = np.meshgrid(np.arange(6), np.arange(7), indexing="ij")
+    w, depth = _pair_track(FAST, xs[i.ravel()], ys[j.ravel()])
+    assert depth.max() > 0
+    W = winding_matrix(FAST, xs, ys)
+    assert np.max(np.abs(W.ravel() - w)) < 1e-12
+
+
+def test_bisected_position_tracks_stay_on_the_requested_grid():
+    pts = uniform_disk(np.random.default_rng(9), 50, 0.95)
+    _, _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4, grid=True)
+    assert depth.max() > 0
+    times, pos, theta = position_angle_tracks(CONJ, pts, steps=4)
+    assert np.array_equal(times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    _, pos_ref, theta_ref = position_angle_tracks(CONJ, pts, steps=1024)
+    assert np.array_equal(pos, pos_ref[::256])
+    assert np.max(np.abs(theta - theta_ref[::256])) < 1e-9
+
+
+def test_discontinuous_vector_exhausts_the_refinement():
+    # the vector flips at t = 1/2, so the step holding it aliases at every depth
+    def flip(t, idx):
+        late = np.atleast_1d(t) >= 0.5
+        return np.where(late[:, None], [[-1.0, 0.0]], [[1.0, 0.0]])
+
+    with pytest.raises(RefinementExhausted):
+        track(flip, 1, 64)
+
+
+@pytest.mark.parametrize("iso", [CONJ, FAST], ids=["conjugated", "fast-twist"])
+def test_batched_tangent_windings_equal_single_directions(iso):
+    ang = np.linspace(0.0, TWOPI, 9)[:-1]
+    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    for base in (np.zeros(2), np.array([0.5, 0.3])):
+        batch = winding_tangent(iso, base, dirs)
+        single = [winding_tangent(iso, base, d) for d in dirs]
+        assert np.max(np.abs(batch - single)) < 1e-12
 
 
 def test_tangent_winding_at_the_fixed_origin():
