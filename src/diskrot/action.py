@@ -252,8 +252,7 @@ def action_winding_gap(field, iso, x, n, mc_samples=100_000, seed=0, merge_eps=1
     a_n = ActionField(iterated, beta=field.beta, path_tol=field.path_tol).action(x)
 
     ys = off_orbit_samples(rng, iso.orbit(x, n), mc_samples)
-    X = np.broadcast_to(x, ys.shape)
-    w = pair_windings_iterated(iso, X, ys, n, merge_eps=merge_eps)
+    w = pair_windings_iterated(iso, x, ys, n, merge_eps=merge_eps)
     integral = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(len(w)))
     gap = abs(float(a_n) - integral)

@@ -272,7 +272,7 @@ def cmd_foliation_check(args):
         ineq21_slack = max(ineq21_slack, abs(lam) - tb)
 
     _, m_tot = displacement_table(iso, Z, n=nmax)
-    w0 = pair_windings_iterated(iso, np.zeros_like(Z), Z, nmax)
+    w0 = pair_windings_iterated(iso, np.zeros(2), Z, nmax)
     prop1_slack = float(np.max(np.abs(m_tot - w0)))
 
     L_worst = 0.0

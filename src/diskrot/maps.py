@@ -294,6 +294,16 @@ class Isotopy:
     def velocity(self, t, pts):
         raise NotImplementedError(f"{self.family_tag} has no analytic velocity")
 
+    def trajectory(self, pts):
+        """at(t, idx) = f_t(pts[idx]), for tracking a fixed batch over time.
+
+        t is a scalar (with idx a slice, usually all entries) or one time
+        per entry of an index array.  Families whose evaluation has a
+        time-independent part compute it once here.
+        """
+        pts = as_xy(pts)
+        return lambda t, idx: self.eval(t, pts[idx])
+
     def map(self, pts):
         return self.eval(1.0, pts)
 
@@ -372,6 +382,12 @@ class ConjugatedRotation(Isotopy):
         w = self.g.inverse(as_xy(pts), s)
         w = rotate(w, TWOPI * t * self.alpha)
         return self.g.forward(w, s)
+
+    def trajectory(self, pts):
+        if self.deform:  # g_t depends on t
+            return super().trajectory(pts)
+        w = self.g.inverse(as_xy(pts))
+        return lambda t, idx: self.g.forward(rotate(w[idx], TWOPI * t * self.alpha))
 
     def jac(self, t, pts):
         pts = as_xy(pts)

@@ -352,8 +352,7 @@ def criterion_7(seed=0, fast=False):
     rows = []
     for x in xs:
         ys = off_orbit_samples(rng, iso.orbit(x, n_max + 1), mc)
-        X = np.broadcast_to(x, ys.shape).copy()
-        Y = ys.copy()
+        X, Y = x, ys
         totals = np.zeros(mc)
         for k in range(n_max):
             totals += pair_windings(iso, X, Y, init_steps=32)

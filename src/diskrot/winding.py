@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import CoincidentPoints, RefinementExhausted, SingularJacobian
-from .geometry import TWOPI, as_xy, wrap_to_pi
+from .geometry import TWOPI, as_xy, radii_of, wrap_to_pi
 
 ALIAS_BOUND = 0.5 * math.pi
 MERGE_EPS = 1e-9
@@ -111,23 +111,28 @@ def track(vec_at, n, steps, grid=False):
     return total, depth
 
 
-def _separation(iso, t, X, Y):
-    """f_t(Y) - f_t(X) from one evaluation; t scalar or per pair."""
-    q = iso.eval(np.concatenate([t, t]) if np.ndim(t) else t, np.concatenate([X, Y]))
-    return q[len(X):] - q[: len(X)]
+def _entry_trajectory(iso, P, shape):
+    """Trajectory of the pair entries' points P broadcast to `shape`.  One
+    point (2,) shared by every entry is evaluated once per grid time."""
+    if P.ndim == 1:
+        at = iso.trajectory(P[None])
+        return lambda t, idx: at(t, idx if idx is ALL else np.zeros_like(idx))
+    P = np.ascontiguousarray(np.broadcast_to(P, shape), dtype=float).reshape(-1, 2)
+    return iso.trajectory(P)
 
 
 def _pair_track(iso, X, Y, merge_eps=MERGE_EPS, init_steps=INIT_STEPS):
-    """(windings, bisection depths) of paired point arrays X[i], Y[i]."""
+    """(windings, bisection depths) of paired point arrays X[i], Y[i]; either
+    side may be one point (2,) paired with every point of the other."""
     X = as_xy(X)
     Y = as_xy(Y)
     shape = np.broadcast_shapes(X.shape, Y.shape)
-    X = np.ascontiguousarray(np.broadcast_to(X, shape), dtype=float).reshape(-1, 2)
-    Y = np.ascontiguousarray(np.broadcast_to(Y, shape), dtype=float).reshape(-1, 2)
-    if np.hypot(*(Y - X).T).min() <= merge_eps:
+    if radii_of(Y - X).min() <= merge_eps:
         raise CoincidentPoints(f"pair separation <= merge_eps={merge_eps}")
+    fx = _entry_trajectory(iso, X, shape)
+    fy = _entry_trajectory(iso, Y, shape)
     turn, depth = track(
-        lambda t, idx: _separation(iso, t, X[idx], Y[idx]), len(X), init_steps
+        lambda t, idx: fy(t, idx) - fx(t, idx), math.prod(shape[:-1]), init_steps
     )
     return turn.reshape(shape[:-1]) / TWOPI, depth.reshape(shape[:-1])
 
@@ -170,10 +175,11 @@ def winding_tangent(iso, base, direction):
 
 def pair_windings_iterated(iso, X, Y, n, merge_eps=MERGE_EPS):
     """Windings of paired arrays under the n-fold concatenated isotopy,
-    summed over the iterates; returns (N,) turns."""
-    X = as_xy(X).copy()
-    Y = as_xy(Y).copy()
-    total = np.zeros(X.shape[:-1])
+    summed over the iterates; returns (N,) turns.  A single point (2,)
+    stays one point through the iterates."""
+    X = as_xy(X)
+    Y = as_xy(Y)
+    total = np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1])
     for _ in range(n):
         total += pair_windings(iso, X, Y, merge_eps=merge_eps)
         X = iso.map(X)
@@ -197,12 +203,13 @@ def winding_matrix(iso, xs, ys, merge_eps=MERGE_EPS):
         i, j = np.unravel_index(np.argmin(sep), sep.shape)
         raise CoincidentPoints(f"points xs[{i}] and ys[{j}] within merge_eps")
     n, m = len(xs), len(ys)
+    fx, fy = iso.trajectory(xs), iso.trajectory(ys)
 
     def vec_at(t, idx):
         if idx is ALL:
-            return (iso.eval(t, ys)[None, :] - iso.eval(t, xs)[:, None]).reshape(-1, 2)
+            return (fy(t, ALL)[None, :] - fx(t, ALL)[:, None]).reshape(-1, 2)
         i, j = np.divmod(idx, m)
-        return _separation(iso, t, xs[i], ys[j])
+        return fy(t, j) - fx(t, i)
 
     turn, _ = track(vec_at, n * m, INIT_STEPS)
     return turn.reshape(n, m) / TWOPI
@@ -215,7 +222,7 @@ def position_angle_tracks(iso, pts, steps=INIT_STEPS, theta0=None):
     fixes the branch of the initial angle (per-point deck shifts).
     """
     pts = as_xy(pts)
-    pos, ang, _ = track(lambda t, idx: iso.eval(t, pts[idx]), len(pts), steps, grid=True)
+    pos, ang, _ = track(iso.trajectory(pts), len(pts), steps, grid=True)
     if theta0 is not None:
         shift = np.round((np.asarray(theta0) - ang[0]) / TWOPI) * TWOPI
         ang = ang + shift

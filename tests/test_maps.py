@@ -17,6 +17,7 @@ from diskrot.maps import (
     TwistStep,
     from_config,
 )
+from diskrot.winding import ALL
 
 STEP = TwistStep(center=(0.2, 0.1), amp=1.1, inner=0.3, outer=0.6)
 
@@ -207,6 +208,20 @@ def test_per_entry_times_match_scalar_calls(family):
     jac = np.stack([iso.jac(ti, p[None])[0] for ti, p in zip(t, pts)])
     assert np.array_equal(iso.eval(t, pts), ev)
     assert np.array_equal(iso.jac(t, pts), jac)
+
+
+@pytest.mark.parametrize("family", sorted(PER_ENTRY_FAMILIES))
+def test_trajectory_matches_eval(family):
+    iso = PER_ENTRY_FAMILIES[family]()
+    rng = np.random.default_rng(8)
+    pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
+    at = iso.trajectory(pts)
+    for t in (0.0, 1.0 / 3.0, 0.7, 1.0):
+        assert np.array_equal(at(t, ALL), iso.eval(t, pts))
+    idx = rng.integers(0, 40, 25)
+    t_arr = rng.random(25)
+    t_arr[:2] = (0.0, 1.0)
+    assert np.array_equal(at(t_arr, idx), iso.eval(t_arr, pts[idx]))
 
 
 def test_closed_form_action_is_constant_for_rigid():

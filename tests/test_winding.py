@@ -120,6 +120,44 @@ def test_bisected_matrix_cells_equal_pair_windings():
     assert np.max(np.abs(W.ravel() - w)) < 1e-12
 
 
+def test_shared_reference_point_equals_its_broadcast_copies():
+    rng = np.random.default_rng(10)
+    xs = uniform_disk(rng, 3, 0.6)
+    Y = uniform_disk(rng, 200, 0.6)
+    W = winding_matrix(FAST, xs, Y)
+    for x, row in zip(xs, W):
+        w, depth = _pair_track(FAST, x, Y)
+        assert depth.max() > 0
+        assert np.array_equal(w, pair_windings(FAST, np.broadcast_to(x, Y.shape), Y))
+        assert np.array_equal(row, w)
+
+
+@pytest.mark.parametrize("steps", [64, 256])
+def test_conjugacy_inverse_runs_once_per_tracked_side(monkeypatch, steps):
+    calls = []
+    inverse = ConjugacyMap.inverse
+
+    def counted(self, pts, scale=1.0):
+        calls.append(1)
+        return inverse(self, pts, scale)
+
+    monkeypatch.setattr(ConjugacyMap, "inverse", counted)
+    X, Y = _pairs(np.random.default_rng(11), 300, radius=0.6)
+    _, depth = _pair_track(FAST, X, Y, init_steps=steps)
+    assert depth.max() > 0 and len(calls) <= 2
+    calls.clear()
+    pair_windings(FAST, X[0], Y, init_steps=steps)
+    assert len(calls) <= 2
+    # the deformed isotopy's g_t depends on t: it keeps evaluating f_t
+    calls.clear()
+    deformed = ConjugatedRotation(GOLDEN, FAST.g, deform=True)
+    turn, _ = track(
+        lambda t, idx: deformed.eval(t, Y[idx]) - deformed.eval(t, X[idx]), len(X), steps
+    )
+    assert np.array_equal(pair_windings(deformed, X, Y, init_steps=steps), turn / TWOPI)
+    assert len(calls) > steps
+
+
 def test_bisected_position_tracks_stay_on_the_requested_grid():
     pts = uniform_disk(np.random.default_rng(9), 50, 0.95)
     _, _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4, grid=True)
