@@ -266,20 +266,17 @@ def cmd_foliation_check(args):
 
     resample(too_close, redraw, 32)
 
-    ineq21_slack = 0.0  # tau_bar - |lambda|, must stay >= 0
-    for z, zp in zip(Z, Zp):
-        tb, _, lam = annulus_sums(iso, z, zp, n=1)
-        ineq21_slack = max(ineq21_slack, abs(lam) - tb)
+    # |lambda| - tau_bar, must stay <= 0
+    tau_bar, _, lam = annulus_sums(iso, Z, Zp, n=1)
+    ineq21_slack = max(0.0, float(np.max(np.abs(lam) - tau_bar)))
 
     _, m_tot = displacement_table(iso, Z, n=nmax)
     w0 = pair_windings_iterated(iso, np.zeros(2), Z, nmax)
     prop1_slack = float(np.max(np.abs(m_tot - w0)))
 
-    L_worst = 0.0
-    for z, zp in zip(Z[:20], Zp[:20]):
-        _, L_tot = big_lambda_sequence(iso, z, zp, n=nmax)
-        w = float(pair_windings_iterated(iso, z[None], zp[None], nmax)[0])
-        L_worst = max(L_worst, abs(L_tot - w))
+    _, L_tot = big_lambda_sequence(iso, Z[:20], Zp[:20], n=nmax)
+    w = pair_windings_iterated(iso, Z[:20], Zp[:20], nmax)
+    L_worst = max(0.0, float(np.max(np.abs(L_tot - w))))
 
     ok = ineq21_slack <= 0.0 and prop1_slack <= 1.0 + 1e-9 and L_worst <= 2.0 + 1e-9
     bundle = _bundle(args, "foliation-check", iso)
@@ -406,12 +403,8 @@ _COMMANDS = {
 
 def main(argv=None):
     _apply_thread_cap()
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors already
-        raise e
+    # argparse exits 2 on usage errors
+    args = build_parser().parse_args(argv)
 
     from .errors import DiskrotError, SchemaError
 

@@ -124,19 +124,22 @@ class EmpiricalMeasure:
 
 
 def mean_action(field, x, n_max, schedule=None, tol=DEFAULT_TOL):
-    """Partial Birkhoff averages (1/n) sum a(f^i x) of the action."""
+    """Partial Birkhoff averages (1/n) sum a(f^i x) of the action; N points
+    (N, 2) give a list of N reports from one batched orbit."""
     schedule = schedule or pow2_schedule(n_max)
-    orbit = field.iso.orbit(as_xy(x), n_max)
-    a = field.action(orbit)
-    csum = np.cumsum(a)
-    avgs = tuple(float(csum[n - 1] / n) for n in schedule)
-    return ConvergenceReport(
-        n_values=tuple(schedule),
-        partial_averages=avgs,
-        target=field.iso.boundary_rot,
-        tol=tol,
-        label="mean-action",
-    )
+    x = as_xy(x)
+    csum = np.cumsum(field.action(field.iso.orbit(x, n_max)), axis=0)
+    reports = [
+        ConvergenceReport(
+            n_values=tuple(schedule),
+            partial_averages=tuple(float(c[n - 1] / n) for n in schedule),
+            target=field.iso.boundary_rot,
+            tol=tol,
+            label="mean-action",
+        )
+        for c in csum.reshape(n_max, -1).T
+    ]
+    return reports[0] if x.ndim == 1 else reports
 
 
 def admissibility_check(X, Y, merge_eps=MERGE_EPS):

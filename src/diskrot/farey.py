@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FoliationNotTransverse, RationalInput
-from .foliation import RadialFoliation, displacement_table
+from .foliation import RadialFoliation, displacement_table, displacements
 from .geometry import TWOPI, angles_of, as_xy, resample, uniform_disk
 from .maps import IteratedIsotopy
-from .winding import MERGE_EPS, pair_windings, position_angle_tracks
+from .winding import MERGE_EPS, OrbitTrack, pair_windings, position_angle_tracks
 
 _CHUNK = 1 << 15
 
@@ -226,8 +226,10 @@ def rotation_of_measure(iso, sampler=None, samples=100_000, seed=0, F=None, leaf
     sampler = sampler or lebesgue_disk()
     rng = np.random.default_rng(seed)
     pts = sampler(rng, samples)
-    w = origin_windings(iso, pts)
-    m_seq, _ = displacement_table(iso, pts, n=1, F=F, leaf=leaf)
+    # one track: windings from its angles, displacements from their lifts
+    track = OrbitTrack(iso, pts, 1)
+    w = (track.ang[0, -1] - track.ang[0, 0]) / TWOPI
+    m_seq, _ = displacements(track, F=F, leaf=leaf)
     m = m_seq[0].astype(float)
     out = {
         "winding_value": float(w.mean()),

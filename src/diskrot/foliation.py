@@ -25,10 +25,11 @@ from .errors import (
     ZeroPoint,
 )
 from .geometry import TWOPI, angles_of, as_xy, radii_of
-from .winding import INIT_STEPS, orbit_angle_tracks, track
+from .winding import INIT_STEPS, OrbitTrack, track
 
 TIE_TOL = 1e-12
 K_MAX = 8
+MAX_DOUBLINGS = 7
 
 
 def lambda_int(k, l):
@@ -221,57 +222,54 @@ def _lift_path(d, ds, tie_tol=TIE_TOL):
     return k0 + np.cumsum(inc)
 
 
-def _leaf_tracks(iso, pts, n, F, steps=INIT_STEPS, theta0=None):
-    """Orbit tracks of lifted leaf and along coordinates over [0, n].
+def _leaf_tracks(theta, pts, F):
+    """Lifted leaf and along coordinates (l, s) at track samples pts
+    (..., 2) whose lifted angles are theta."""
+    if F.is_euclidean:
+        return theta, radii_of(pts)
+    flat = pts.reshape(-1, 2)
+    l = theta + F.angle_shift(flat).reshape(theta.shape)
+    return l, radii_of(F.inverse_points(flat)).reshape(theta.shape)
 
-    Returns (times, l (T, N), s (T, N), int_idx) where int_idx are the
-    sample indices of the integer times 0..n.  theta0 fixes the initial
-    lifted angles (principal branch by default).
-    """
-    pts = as_xy(pts)
+
+def _orbit_track(iso, pts, n, steps=INIT_STEPS):
     if np.any(radii_of(pts) == 0.0):
         raise ZeroPoint("the origin has no leaf coordinate")
-    if theta0 is None:
-        theta0 = angles_of(pts) % TWOPI
-    times, pos, theta = orbit_angle_tracks(iso, pts, n, steps=steps, theta0=theta0)
-    if F.is_euclidean:
-        l = theta
-        s = radii_of(pos)
-    else:
-        flat = pos.reshape(-1, 2)
-        l = theta + F.angle_shift(flat).reshape(theta.shape)
-        s = radii_of(F.inverse_points(flat)).reshape(theta.shape)
-    int_idx = np.nonzero(times % 1.0 == 0.0)[0]
-    return times, l, s, int_idx
+    return OrbitTrack(iso, pts, n, steps)
 
 
-def displacement_table(iso, pts, n=1, F=None, leaf=0.0):
-    """Per-iterate displacement integers m(f^i z) and their exact total.
+def leaf_lifts(track, F=None):
+    """Lifted leaf coordinates l(f^k z), k = 0..n, of an orbit track's
+    points, (n+1, N), starting from the principal lift."""
+    shift = track.shifts(angles_of(track.pts) % TWOPI)
+    theta = np.concatenate([track.ang[:1, 0] + shift[:1], track.ang[:, -1] + shift])
+    pos = np.concatenate([track.pos[:1, 0], track.pos[:, -1]])
+    return _leaf_tracks(theta, pos, F or RadialFoliation())[0]
 
-    Returns (m_seq (n, N), m_total (N,)).  Both come from one shared
-    lifted-leaf track, so the Birkhoff identity sum(m_seq) = m_total
-    holds exactly in integer arithmetic (telescoping floors).
-    """
-    F = F or RadialFoliation()
-    pts = as_xy(pts)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    _, l, _, int_idx = _leaf_tracks(iso, pts, n, F)
-    v = l[int_idx]
+
+def displacements(track, F=None, leaf=0.0):
+    """Per-iterate displacements m(f^i z) of an orbit track's points and
+    their total, (m_seq (n, N), m_total (N,)), from the same lifted leaf
+    values, so sum(m_seq) = m_total exactly (telescoping floors)."""
+    v = leaf_lifts(track, F)
     # normalize the starting lift into the fundamental sector [leaf, leaf+2pi)
     v = v - TWOPI * np.floor((v[0] - leaf) / TWOPI)
     floors = np.floor((v - leaf) / TWOPI).astype(int)
-    m_seq = floors[1:] - floors[:-1]
-    m_total = floors[-1] - floors[0]
-    if single:
+    return floors[1:] - floors[:-1], floors[-1] - floors[0]
+
+
+def displacement_table(iso, pts, n=1, F=None, leaf=0.0):
+    """`displacements` of the orbits of pts (N, 2), or of one point (2,)."""
+    pts = as_xy(pts)
+    m_seq, m_total = displacements(_orbit_track(iso, pts.reshape(-1, 2), n), F, leaf)
+    if pts.ndim == 1:
         return m_seq[:, 0], int(m_total[0])
     return m_seq, m_total
 
 
 def displacement(iso, z, F=None, leaf=0.0, n=1):
     """m_{f^n, leaf}(z): deck copies of the reference leaf crossed."""
-    _, total = displacement_table(iso, z, n=n, F=F, leaf=leaf)
-    return total
+    return displacement_table(iso, z, n=n, F=F, leaf=leaf)[1]
 
 
 def tau(iso, tilde_z, tilde_zp, F=None, tie_tol=TIE_TOL, steps=INIT_STEPS):
@@ -285,18 +283,11 @@ def tau(iso, tilde_z, tilde_zp, F=None, tie_tol=TIE_TOL, steps=INIT_STEPS):
     thp, zp = _cover_data(tilde_zp)
     prev = None
     for attempt in range(8):
-        _, l, s, _ = _leaf_tracks(
-            iso,
-            np.stack([z, zp]),
-            1,
-            F,
-            steps=steps * 2**attempt,
-            theta0=np.array([th, thp]),
-        )
-        d = l[:, 1] - l[:, 0]
-        ds = s[:, 1] - s[:, 0]
+        track = _orbit_track(iso, np.stack([z, zp]), 1, steps * 2**attempt)
+        theta = track.ang[0] + track.shifts(np.array([th, thp]))[0]
+        l, s = _leaf_tracks(theta, track.pos[0], F)
         try:
-            ks = _lift_path(d, ds, tie_tol)
+            ks = _lift_path(l[:, 1] - l[:, 0], s[:, 1] - s[:, 0], tie_tol)
         except StepTooCoarse:
             prev = None
             continue
@@ -308,10 +299,10 @@ def tau(iso, tilde_z, tilde_zp, F=None, tie_tol=TIE_TOL, steps=INIT_STEPS):
     raise StepTooCoarse("quarter-turn path not resolved after refinement")
 
 
-def _contributing_decks(d, k_max, margin=0.0):
+def _contributing_decks(d, k_max):
     """Deck shifts k for which d + 2 pi k can change sign along the path."""
-    lo = int(math.floor(-d.max() / TWOPI - margin))
-    hi = int(math.ceil(-d.min() / TWOPI + margin))
+    lo = int(math.floor(-d.max() / TWOPI))
+    hi = int(math.ceil(-d.min() / TWOPI))
     if lo < -k_max or hi > k_max:
         raise TailNotCertified(
             f"contributing deck shifts [{lo}, {hi}] exceed k_max={k_max}"
@@ -319,104 +310,128 @@ def _contributing_decks(d, k_max, margin=0.0):
     return range(lo, hi + 1)
 
 
-def _annulus_once(iso, z, zp, n, F, k_max, tie_tol, steps):
-    _, l, s, int_idx = _leaf_tracks(iso, np.stack([z, zp]), n, F, steps=steps)
-    d = l[:, 1] - l[:, 0]
-    ds = s[:, 1] - s[:, 0]
-    tau_bar = 0
-    tau_sum = 0
-    lambda_sum = 0.0
-    lifts = {}
-    for k in _contributing_decks(d, k_max):
-        ks = _lift_path(d + TWOPI * k, ds, tie_tol)
-        lifts[k] = ks[int_idx]
-        t = int(ks[-1] - ks[0])
-        tau_bar += abs(t)
-        tau_sum += t
-        lambda_sum += lambda_int(int(ks[0]), int(ks[-1]))
-    return {
-        "tau_bar": tau_bar,
-        "tau_sum": tau_sum,
-        "lambda_sum": lambda_sum,
-        "lifts": lifts,
-        "int_idx": int_idx,
-    }
-
-
-def annulus_table(
-    iso, z, zp, n=1, F=None, k_max=K_MAX, tie_tol=TIE_TOL,
-    steps=INIT_STEPS, max_doublings=7,
-):
-    """Deck-summed lift data for one pair of disk points over n iterates.
-
-    Returns a dict with tau_bar, tau_sum, lambda_sum and the per-step
-    integer tables lift_at_integer_times[k] used by the Birkhoff
-    identities.  Deck shifts outside the contributing window are locked
-    in an open state for the whole path and contribute zero; the window
-    must fit inside [-k_max, k_max] or the tail is not certified.  The
-    integer tables must agree between two successive time resolutions
-    (pairs hovering near a shared leaf need fine sampling to catch every
-    crossing), otherwise the step count keeps doubling.
-    """
-    F = F or RadialFoliation()
-    z = as_xy(z)
-    zp = as_xy(zp)
-    if np.hypot(*(zp - z)) <= tie_tol:
-        raise SamePoint("pair projects to one point")
-    prev = None
-    for _ in range(max_doublings + 1):
+def _pair_lifts(track, F, k_max, tie_tol):
+    """Per pair (i, M + i) of an orbit track over Z and Z', the digital-line
+    lifts at the integer times {deck shift: lifts} of the contributing
+    decks (the others stay open and contribute zero; the window must fit
+    in [-k_max, k_max]), or None where a tie needs finer steps."""
+    n, T, M = len(track.ang), track.steps, len(track.pts) // 2
+    shift = track.shifts(angles_of(track.pts) % TWOPI)
+    # pair differences on the iterate grids joined at integer times (row k*T)
+    d, ds = np.empty((2, n * T + 1, M))
+    for k in range(n):
+        l, s = _leaf_tracks(track.ang[k] + shift[k], track.pos[k], F)
+        j = min(k, 1)
+        d[k * T + j : (k + 1) * T + 1] = l[j:, M:] - l[j:, :M]
+        ds[k * T + j : (k + 1) * T + 1] = s[j:, M:] - s[j:, :M]
+    out = []
+    for dj, sj in zip(d.T, ds.T):
         try:
-            table = _annulus_once(iso, z, zp, n, F, k_max, tie_tol, steps)
+            decks = _contributing_decks(dj, k_max)
+            lifts = (_lift_path(dj + TWOPI * k, sj, tie_tol)[::T].copy() for k in decks)
+            out.append(dict(zip(decks, lifts)))
         except StepTooCoarse:
-            steps *= 2
-            prev = None
-            continue
-        key = {k: v.tobytes() for k, v in table["lifts"].items()}
-        if prev is not None and key == prev:
-            return table
-        prev = key
-        steps *= 2
-    raise StepTooCoarse(
-        f"integer lift tables did not stabilize within {max_doublings} doublings"
+            out.append(None)
+    return out
+
+
+def _settled_lifts(track, F, k_max, tie_tol, report):
+    """`_pair_lifts` of each pair, accepted once report(lifts) agrees
+    between two successive resolutions: pairs near a shared leaf need fine
+    steps to catch every crossing, so the unsettled ones alone are refined
+    in place, MAX_DOUBLINGS times at most."""
+    settled = [None] * (len(track.pts) // 2)
+    prev = list(settled)
+    pending = np.arange(len(settled))
+    for doubling in range(MAX_DOUBLINGS + 1):
+        still = []
+        lifts_of = _pair_lifts(track, F, k_max, tie_tol)
+        for j, (p, lifts) in enumerate(zip(pending, lifts_of)):
+            key = None if lifts is None else report(lifts)
+            if key is not None and key == prev[p]:
+                settled[p] = lifts
+            else:
+                prev[p] = key
+                still.append(j)
+        if not still:
+            return settled
+        if doubling < MAX_DOUBLINGS:
+            still = np.asarray(still)
+            track.refine(np.concatenate([still, len(pending) + still]))
+            pending = pending[still]
+    raise StepTooCoarse(f"lift tables of {len(still)} pairs did not settle")
+
+
+def _lambda_sum(lifts, i, j):
+    """Deck-summed lambda between the integer times i and j."""
+    return sum(lambda_int(int(ks[i]), int(ks[j])) for ks in lifts.values())
+
+
+def lambda_prefixes(track, ns, F=None, k_max=K_MAX):
+    """Deck-summed lambda(z_i, z'_i) of f^n, n in ns, (len(ns), M), for the
+    pairs (i, M + i) of an orbit track over Z and Z'.  A pair settles once
+    these agree between two successive resolutions; refines the track."""
+
+    def values(lifts):
+        return tuple(_lambda_sum(lifts, 0, n) for n in ns)
+
+    tables = _settled_lifts(track, F or RadialFoliation(), k_max, TIE_TOL, values)
+    return np.array([values(t) for t in tables], dtype=float).T
+
+
+def annulus_table(iso, z, zp, n=1, F=None, k_max=K_MAX, tie_tol=TIE_TOL, leaf=0.0):
+    """Deck-summed lift data of pairs (z_i, z'_i) over n iterates, from one
+    orbit track of z and z' ((N, 2) arrays or one pair (2,)): per pair
+    tau_bar, tau_sum, lambda_seq (n values), lambda_sum and the
+    displacements m_seq, m_total of z.  A pair settles once its lift
+    tables agree between two successive resolutions."""
+    F = F or RadialFoliation()
+    z, zp = as_xy(z), as_xy(zp)
+    if radii_of(zp - z).min() <= tie_tol:
+        raise SamePoint("pair projects to one point")
+    M = z.size // 2
+    track = _orbit_track(iso, np.concatenate([z.reshape(-1, 2), zp.reshape(-1, 2)]), n)
+    m_seq, m_total = displacements(track, F, leaf)
+    tables = _settled_lifts(
+        track, F, k_max, tie_tol, lambda t: {k: v.tobytes() for k, v in t.items()}
     )
+    taus = [[int(ks[-1] - ks[0]) for ks in t.values()] for t in tables]
+    out = {
+        "tau_bar": np.array([sum(map(abs, ts)) for ts in taus]),
+        "tau_sum": np.array([sum(ts) for ts in taus]),
+        "lambda_seq": np.array(
+            [[_lambda_sum(t, i, i + 1) for t in tables] for i in range(n)], dtype=float
+        ),
+        "lambda_sum": np.array([_lambda_sum(t, 0, -1) for t in tables], dtype=float),
+        "m_seq": m_seq[:, :M],
+        "m_total": m_total[:M],
+    }
+    return {key: v[..., 0] for key, v in out.items()} if z.ndim == 1 else out
 
 
 def annulus_sums(iso, z, zp, F=None, n=1, k_max=K_MAX):
-    """(tau_bar, tau_sum, lambda_sum) of a pair, summed over deck copies."""
+    """(tau_bar, tau_sum, lambda_sum) of pairs, summed over deck copies."""
     t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max)
     return t["tau_bar"], t["tau_sum"], t["lambda_sum"]
 
 
-def lambda_pair(iso, z, zp, F=None, n=1, k_max=K_MAX):
-    """lambda_{f^n, F}(z, z'): the deck-summed crossing count."""
-    return annulus_table(iso, z, zp, n=n, F=F, k_max=k_max)["lambda_sum"]
-
-
 def lambda_sequence(iso, z, zp, F=None, n=1, k_max=K_MAX):
-    """Per-iterate lambda values from one shared track, and their total.
-
-    The cocycle law of lambda_int makes sum(seq) = total exact.
-    """
+    """Per-iterate lambda values and their total; the cocycle law of
+    lambda_int makes sum(seq) = total exact."""
     t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max)
-    seq = np.zeros(n)
-    for ks in t["lifts"].values():
-        for i in range(n):
-            seq[i] += lambda_int(int(ks[i]), int(ks[i + 1]))
-    return seq, t["lambda_sum"]
+    return t["lambda_seq"], t["lambda_sum"]
 
 
 def big_lambda(iso, z, zp, F=None, leaf=0.0, n=1, k_max=K_MAX):
     """Lambda = lambda + m, the winding surrogate of the pair."""
-    lam = lambda_pair(iso, z, zp, F=F, n=n, k_max=k_max)
-    m = displacement(iso, z, F=F, leaf=leaf, n=n)
-    return lam + m
+    t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max, leaf=leaf)
+    return t["lambda_sum"] + t["m_total"]
 
 
 def big_lambda_sequence(iso, z, zp, F=None, leaf=0.0, n=1, k_max=K_MAX):
     """Per-iterate Lambda values and their exact total."""
-    lam_seq, lam_total = lambda_sequence(iso, z, zp, F=F, n=n, k_max=k_max)
-    m_seq, m_total = displacement_table(iso, z, n=n, F=F, leaf=leaf)
-    return lam_seq + m_seq, lam_total + m_total
+    t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max, leaf=leaf)
+    return t["lambda_seq"] + t["m_seq"], t["lambda_sum"] + t["m_total"]
 
 
 def rotation_number(

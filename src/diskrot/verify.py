@@ -21,7 +21,7 @@ from .ergodic import (
     mean_action,
     right_handedness_certificate,
 )
-from .errors import NearRationalWarning, OrbitCollision, StepTooCoarse
+from .errors import NearRationalWarning, OrbitCollision
 from .farey import (
     convergents,
     invariant_circle,
@@ -30,15 +30,7 @@ from .farey import (
     rotation_of_measure,
     strip_measure,
 )
-from .foliation import (
-    RadialFoliation,
-    _contributing_decks,
-    _leaf_tracks,
-    _lift_path,
-    displacement_table,
-    lambda_int,
-    lambda_sequence,
-)
+from .foliation import annulus_table, lambda_int, lambda_prefixes, leaf_lifts
 from .geometry import GOLDEN, TWOPI, resample, uniform_disk
 from .maps import (
     ConjugacyMap,
@@ -47,7 +39,7 @@ from .maps import (
     PlaneExtension,
     RigidRotation,
 )
-from .winding import pair_windings, winding_matrix, winding_tangent
+from .winding import OrbitTrack, pair_windings, winding_matrix, winding_tangent
 
 _HAMILTONIANS = ("twist-a", "twist-b", "twist-c")
 
@@ -134,8 +126,7 @@ def criterion_3(seed=0, fast=False):
     xs = uniform_disk(rng, count, 0.95)
     max_defect = 0.0
     monotone = True
-    for x in xs:
-        rep = mean_action(field, x, n_max)
+    for rep in mean_action(field, xs, n_max):
         max_defect = max(max_defect, abs(rep.final - alpha))
         avgs = rep.partial_averages
         # Cauchy window at n: diameter of the tail of partial averages
@@ -228,48 +219,6 @@ def criterion_5(seed=0, fast=False):
     }
 
 
-def _lambda_batch(iso, Z, Zp, n, ns, k_max, steps):
-    N = len(Z)
-    _, l, s, int_idx = _leaf_tracks(
-        iso, np.concatenate([Z, Zp]), n, RadialFoliation(), steps=steps
-    )
-    d = l[:, N:] - l[:, :N]
-    ds = s[:, N:] - s[:, :N]
-    lam = np.zeros((len(ns), N))
-    for j in range(N):
-        dj = d[:, j]
-        for k in _contributing_decks(dj, k_max):
-            ks = _lift_path(dj + TWOPI * k, ds[:, j])
-            at_int = ks[int_idx]
-            for i, n_ in enumerate(ns):
-                lam[i, j] += lambda_int(int(at_int[0]), int(at_int[n_]))
-    return lam
-
-
-def _lambda_prefixes(iso, Z, Zp, n, ns, k_max=10, steps=64, max_doublings=7):
-    """Deck-summed lambda values at the requested iterate counts.
-
-    Tracks both batches on one shared grid; per pair, every contributing
-    deck shift is lifted through the digital line and lambda endpoints
-    are read off at integer times.  Pairs whose values change under a
-    doubled time resolution are recomputed until stable (near-aligned
-    pairs cross a shared leaf many times between coarse samples).
-    """
-    lam = _lambda_batch(iso, Z, Zp, n, ns, k_max, steps)
-    pending = np.arange(len(Z))
-    for _ in range(max_doublings):
-        steps *= 2
-        finer = _lambda_batch(iso, Z[pending], Zp[pending], n, ns, k_max, steps)
-        stable = np.all(finer == lam[:, pending], axis=0)
-        lam[:, pending] = finer
-        pending = pending[~stable]
-        if len(pending) == 0:
-            return lam
-    raise StepTooCoarse(
-        f"lambda tables of {len(pending)} pairs did not stabilize"
-    )
-
-
 def criterion_6(seed=0, fast=False):
     """Displacement and Lambda stay within 1 and 2 of the windings."""
     iso = conjugated_rotation("twist-a")
@@ -291,21 +240,14 @@ def criterion_6(seed=0, fast=False):
         32,
     )
 
-    # displacement prefixes and W(0, z) from one shared Euclidean track
-    _, l, _, int_idx = _leaf_tracks(iso, Z, n_max, RadialFoliation())
-    v = l[int_idx]
+    # one track of Z and Z': displacement prefixes and W(0, z) from Z's lifted
+    # angles, pairwise windings per iterate from the grids, the lambda tables
+    track = OrbitTrack(iso, np.concatenate([Z, Zp]), n_max)
+    v = leaf_lifts(track)[:, :N]
     floors = np.floor(v / TWOPI).astype(int)
     w0 = (v - v[0]) / TWOPI
-
-    # pairwise winding prefixes by per-iterate additivity
-    wp = np.zeros((n_max + 1, N))
-    A, B = Z.copy(), Zp.copy()
-    for i in range(n_max):
-        wp[i + 1] = wp[i] + pair_windings(iso, A, B)
-        A = iso.map(A)
-        B = iso.map(B)
-
-    lam = _lambda_prefixes(iso, Z, Zp, n_max, ns)
+    wp = np.vstack([np.zeros(N), np.cumsum(track.pair_windings(), axis=0)])
+    lam = lambda_prefixes(track, ns, k_max=10)
 
     gap_m = 0.0
     gap_L = 0.0
@@ -438,16 +380,15 @@ def criterion_9(seed=0, fast=False):
     rng = np.random.default_rng(seed)
     pairs = 3 if fast else 10
     n = 8 if fast else 32
-    exact = True
-    for _ in range(pairs):
-        X, Y = _admissible_pairs(rng, 1, radius=0.9)
-        m_seq, m_total = displacement_table(iso, X[0], n=n)
-        exact = exact and int(m_seq.sum()) == m_total
-        lam_seq, lam_total = lambda_sequence(iso, X[0], Y[0], n=n)
-        exact = exact and math.fsum(lam_seq) == lam_total
-        # the combined sequence is what big_lambda_sequence returns
-        L_seq, L_total = lam_seq + m_seq, lam_total + m_total
-        exact = exact and math.fsum(L_seq) == L_total
+    drawn = [_admissible_pairs(rng, 1, radius=0.9) for _ in range(pairs)]
+    t = annulus_table(iso, *(np.concatenate(c) for c in zip(*drawn)), n=n)
+    lam_seq, lam_total = t["lambda_seq"], t["lambda_sum"]
+    # the combined sequence is what big_lambda_sequence returns
+    L_seq, L_total = lam_seq + t["m_seq"], lam_total + t["m_total"]
+    exact = np.array_equal(t["m_seq"].sum(axis=0), t["m_total"]) and all(
+        math.fsum(seq) == total
+        for seq, total in zip([*lam_seq.T, *L_seq.T], [*lam_total, *L_total])
+    )
     passed = cocycle_ok and exact
     return {
         "criterion": 9,

@@ -47,7 +47,14 @@ def track(vec_at, n, steps, grid=False):
     unwrapped angles (steps+1, n) at the grid times.
     """
     times = np.linspace(0.0, 1.0, steps + 1)
-    v = vec_at(times[0], ALL)
+    return _track(lambda k: vec_at(times[k], ALL), vec_at, n, steps, grid)
+
+
+def _track(row, vec_at, n, steps, grid):
+    """`track` with the grid vectors of step k given by row(k), so a grid
+    already evaluated is not evaluated again; vec_at serves bisections."""
+    times = np.linspace(0.0, 1.0, steps + 1)
+    v = row(0)
     prev = _angles(v)
     if grid:
         vecs = np.empty((steps + 1, n, 2))
@@ -59,7 +66,7 @@ def track(vec_at, n, steps, grid=False):
         total = np.zeros(n)
     failed = []
     for k in range(1, steps + 1):
-        v = vec_at(times[k], ALL)
+        v = row(k)
         raw = _angles(v)
         d = wrap_to_pi(raw - prev)
         bad = np.abs(d) >= ALIAS_BOUND
@@ -215,46 +222,85 @@ def winding_matrix(iso, xs, ys, merge_eps=MERGE_EPS):
     return turn.reshape(n, m) / TWOPI
 
 
-def position_angle_tracks(iso, pts, steps=INIT_STEPS, theta0=None):
+def position_angle_tracks(iso, pts, steps=INIT_STEPS):
     """Certified tracks of f_t(z) on the uniform grid of `steps` steps.
 
-    Returns (times, pos (T+1, N, 2), theta (T+1, N)).  theta0, when given,
-    fixes the branch of the initial angle (per-point deck shifts).
+    Returns (times, pos (T+1, N, 2), theta (T+1, N)).
     """
-    pts = as_xy(pts)
-    pos, ang, _ = track(iso.trajectory(pts), len(pts), steps, grid=True)
-    if theta0 is not None:
-        shift = np.round((np.asarray(theta0) - ang[0]) / TWOPI) * TWOPI
-        ang = ang + shift
-    return np.linspace(0.0, 1.0, steps + 1), pos, ang
+    trk = OrbitTrack(iso, pts, 1, steps)
+    return np.linspace(0.0, 1.0, steps + 1), trk.pos[0], trk.ang[0]
 
 
-def orbit_angle_tracks(iso, pts, n, steps=INIT_STEPS, theta0=None):
-    """Concatenated tracks over n iterates of the isotopy.
+class OrbitTrack:
+    """Certified tracks of f_t(f^k z), t in [0, 1], k < n, of a batch of
+    points, each iterate on its own uniform grid of T steps: one track that
+    every consumer reads instead of tracking the same orbits again.
 
-    Returns (times (n*T+1,), pos, theta) with times in [0, n]; the angle is
-    continued across iterate boundaries so integer-time values are the
-    lifted angles of f^k(z).
+    pos (n, T+1, N, 2): row 0 is iterate k's own start sample f_0(f^k z),
+    row T is f^(k+1) z.  ang (n, T+1, N): each iterate's unwrapped angles
+    from its own row-0 angle.  depth (N,): each entry's deepest bisection.
     """
-    pts = as_xy(pts)
-    all_times, all_pos, all_ang = [], [], []
-    cur = pts
-    prev_end = None
-    for k in range(n):
-        times, pos, ang = position_angle_tracks(
-            iso, cur, steps=steps, theta0=theta0 if k == 0 else None
+
+    def __init__(self, iso, pts, n, steps=INIT_STEPS):
+        self.pts = as_xy(pts)
+        self._at = []
+        self._alloc(n, steps, np.arange(len(self.pts)))
+        times = np.linspace(0.0, 1.0, steps + 1)
+        for k in range(n):
+            start = self.pos[k - 1, -1].copy() if k else self.pts
+            self._at.append(iso.trajectory(start))
+            self._track(k, lambda j: self._at[k](times[j], ALL))
+
+    def _alloc(self, n, steps, ent):
+        # ent maps the entries into the batch the trajectories were built for
+        self.steps, self._ent = steps, ent
+        self.pos = np.empty((n, steps + 1, len(ent), 2))
+        self.ang = np.empty((n, steps + 1, len(ent)))
+        self.depth = np.zeros(len(ent), dtype=int)
+
+    def _track(self, k, row):
+        at, ent = self._at[k], self._ent
+        self.pos[k], self.ang[k], depth = _track(
+            row, lambda t, idx: at(t, ent[idx]), len(ent), self.steps, grid=True
         )
-        if prev_end is not None:
-            # continue the branch across the iterate boundary
-            ang = ang + (prev_end - ang[0])
-        prev_end = ang[-1]
-        sl = slice(None) if k == 0 else slice(1, None)
-        all_times.append(times[sl] + k)
-        all_pos.append(pos[sl])
-        all_ang.append(ang[sl])
-        cur = pos[-1]
-    return (
-        np.concatenate(all_times),
-        np.concatenate(all_pos, axis=0),
-        np.concatenate(all_ang, axis=0),
-    )
+        np.maximum(self.depth, depth, out=self.depth)
+
+    def refine(self, idx):
+        """Keep the entries idx and double their steps, in place.  The even
+        rows are the current grid and only the midpoint times are
+        evaluated, so the result equals a fresh track bit for bit."""
+        old = self.pos
+        self.pts = self.pts[idx]
+        self._alloc(len(self._at), 2 * self.steps, self._ent[idx])
+        times = np.linspace(0.0, 1.0, self.steps + 1)
+        for k, at in enumerate(self._at):
+            self._track(
+                k, lambda j: at(times[j], self._ent) if j % 2 else old[k, j // 2, idx]
+            )
+
+    def shifts(self, theta0):
+        """Branch shifts (n, N) continuing the angles across iterates:
+        ang[k] + shifts[k] starts where iterate k-1 ended, and iterate 0
+        is moved onto the branch of theta0 at t = 0."""
+        shift = np.empty((len(self.ang), len(self._ent)))
+        shift[0] = np.round((np.asarray(theta0) - self.ang[0, 0]) / TWOPI) * TWOPI
+        for k in range(1, len(shift)):
+            shift[k] = (self.ang[k - 1, -1] + shift[k - 1]) - self.ang[k, 0]
+        return shift
+
+    def pair_windings(self):
+        """Windings (n, M) of the entry pairs (i, M + i), M = N/2, over each
+        iterate, equal to `pair_windings` of the iterates' start points; a
+        failing step is bisected through the iterate's trajectory."""
+        ent, M = self._ent, len(self._ent) // 2
+        out = np.empty((len(self._at), M))
+        start = self.pts
+        for k, (at, P) in enumerate(zip(self._at, self.pos)):
+            if radii_of(start[M:] - start[:M]).min() <= MERGE_EPS:
+                raise CoincidentPoints(f"pair separation <= merge_eps={MERGE_EPS}")
+            rows = lambda j: P[j, M:] - P[j, :M]
+            vec_at = lambda t, idx: at(t, ent[M + idx]) - at(t, ent[idx])
+            turn, _ = _track(rows, vec_at, M, self.steps, grid=False)
+            out[k] = turn / TWOPI
+            start = P[-1]
+        return out

@@ -74,6 +74,15 @@ def test_mean_action_of_rigid_rotation_is_constant():
     assert rep.target == GOLDEN
 
 
+def test_batched_mean_action_equals_single_points():
+    field = ActionField(CONJ)
+    xs = uniform_disk(np.random.default_rng(4), 5, 0.95)
+    reports = mean_action(field, xs, 128)
+    assert len(reports) == 5
+    for x, rep in zip(xs, reports):
+        assert rep.partial_averages == mean_action(field, x, 128).partial_averages
+
+
 def test_linking_average_rigid_is_exact():
     rep = linking_average(RIGID, (0.5, 0.0), (-0.3, 0.45), 32)
     assert max(abs(v - GOLDEN) for v in rep.partial_averages) < 1e-12

@@ -21,6 +21,7 @@ from diskrot.farey import (
     rotation_of_measure,
     strip_measure,
 )
+from diskrot.foliation import displacement_table
 from diskrot.geometry import GOLDEN, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
 
@@ -118,6 +119,15 @@ def test_rotation_of_measure_routes_agree():
     assert abs(rot["winding_value"] - GOLDEN) <= 3.0 * rot["winding_stderr"]
     assert abs(rot["displacement_value"] - GOLDEN) <= 3.0 * rot["displacement_stderr"]
     assert abs(rot["difference"]) <= 3.0 * rot["combined_stderr"]
+
+
+def test_rotation_of_measure_reads_both_routes_off_one_track():
+    iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
+    rot = rotation_of_measure(iso, samples=500, seed=3)
+    pts = lebesgue_disk()(np.random.default_rng(3), 500)
+    m_seq, _ = displacement_table(iso, pts, n=1)
+    assert rot["winding_value"] == float(origin_windings(iso, pts).mean())
+    assert rot["displacement_value"] == float(m_seq[0].astype(float).mean())
 
 
 def test_product_integral_estimates_the_rotation():

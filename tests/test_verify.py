@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from diskrot.errors import ResampleExhausted, TailNotCertified
+from diskrot.foliation import lambda_prefixes
 from diskrot.geometry import GOLDEN
 from diskrot.maps import PlaneExtension
-from diskrot.verify import _admissible_pairs, _lambda_prefixes
+from diskrot.verify import _admissible_pairs
+from diskrot.winding import OrbitTrack
 
 
 def test_resampling_that_cannot_succeed_raises():
@@ -24,6 +26,6 @@ def test_lambda_deck_window_beyond_k_max_raises():
     Z = np.array([[0.5, 0.0]])
     Zp = np.array([[1.25, 0.0]])
     ns = (1, 8)
-    _lambda_prefixes(iso, Z, Zp, 8, ns)
+    lambda_prefixes(OrbitTrack(iso, np.concatenate([Z, Zp]), 8), ns, k_max=10)
     with pytest.raises(TailNotCertified):
-        _lambda_prefixes(iso, Z, Zp, 8, ns, k_max=1)
+        lambda_prefixes(OrbitTrack(iso, np.concatenate([Z, Zp]), 8), ns, k_max=1)

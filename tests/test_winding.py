@@ -15,6 +15,7 @@ from diskrot.maps import (
     TwistStep,
 )
 from diskrot.winding import (
+    OrbitTrack,
     _pair_track,
     pair_windings,
     pair_windings_iterated,
@@ -199,3 +200,44 @@ def test_two_isotopies_of_one_map_wind_identically():
     X, Y = _pairs(np.random.default_rng(6), 50, radius=0.9)
     dev = np.abs(pair_windings(CONJ, X, Y) - pair_windings(alt, X, Y))
     assert np.max(dev) < 1e-8
+
+
+def test_refined_track_equals_a_fresh_track():
+    # fast-twist orbits bisect at 64 and at 128 steps; refining evaluates only
+    # the midpoints yet reproduces the fresh finer track bit for bit
+    pts = uniform_disk(np.random.default_rng(3), 40, 0.6)
+    idx = np.arange(0, 40, 2)
+    trk = OrbitTrack(FAST, pts, 2)
+    assert trk.depth.max() > 0
+    for steps in (128, 256):
+        trk.refine(idx if steps == 128 else np.arange(len(idx)))
+        fresh = OrbitTrack(FAST, pts[idx], 2, steps)
+        assert trk.steps == steps and fresh.depth.max() > 0
+        assert np.array_equal(trk.pts, fresh.pts)
+        assert np.array_equal(trk.pos, fresh.pos)
+        assert np.array_equal(trk.ang, fresh.ang)
+        assert np.array_equal(trk.depth, fresh.depth)
+
+
+def test_track_grid_times_nest_exactly():
+    for steps in (64, 128, 1024):
+        fine = np.linspace(0.0, 1.0, 2 * steps + 1)
+        assert np.array_equal(fine[::2], np.linspace(0.0, 1.0, steps + 1))
+
+
+def test_orbit_track_pair_windings_equal_iterated_pair_windings():
+    X, Y = _pairs(np.random.default_rng(12), 60, radius=0.6)
+    trk = OrbitTrack(FAST, np.concatenate([X, Y]), 3)
+    per_iterate = trk.pair_windings()
+    for k in range(3):
+        turn, depth = _pair_track(FAST, X, Y)
+        assert depth.max() > 0
+        assert np.array_equal(per_iterate[k], turn)
+        X, Y = FAST.map(X), FAST.map(Y)
+
+
+def test_orbit_track_rejects_merged_pairs():
+    X = np.array([[0.3, 0.1], [0.5, -0.2]])
+    trk = OrbitTrack(CONJ, np.concatenate([X, X + [[1e-10, 0.0], [0.1, 0.0]]]), 1)
+    with pytest.raises(CoincidentPoints):
+        trk.pair_windings()
