@@ -243,10 +243,10 @@ def cmd_righthand(args):
 def cmd_foliation_check(args):
     import numpy as np
 
-    from .foliation import annulus_sums, big_lambda_sequence, displacement_table
-    from .geometry import resample, uniform_disk
+    from .foliation import annulus_sums, displacements, leaf_lifts, pair_table
+    from .geometry import TWOPI, resample, uniform_disk
     from .maps import from_config
-    from .winding import pair_windings_iterated
+    from .winding import OrbitTrack
 
     iso = from_config(_load_config(args))
     rng = np.random.default_rng(args.seed)
@@ -270,13 +270,15 @@ def cmd_foliation_check(args):
     tau_bar, _, lam = annulus_sums(iso, Z, Zp, n=1)
     ineq21_slack = max(0.0, float(np.max(np.abs(lam) - tau_bar)))
 
-    _, m_tot = displacement_table(iso, Z, n=nmax)
-    w0 = pair_windings_iterated(iso, np.zeros(2), Z, nmax)
-    prop1_slack = float(np.max(np.abs(m_tot - w0)))
+    track = OrbitTrack(iso, Z, nmax)
+    v = leaf_lifts(track)  # W(0, z) is the change of z's lifted angle
+    prop1_slack = float(np.abs(displacements(track)[1] - (v[-1] - v[0]) / TWOPI).max())
 
-    _, L_tot = big_lambda_sequence(iso, Z[:20], Zp[:20], n=nmax)
-    w = pair_windings_iterated(iso, Z[:20], Zp[:20], nmax)
-    L_worst = max(0.0, float(np.max(np.abs(L_tot - w))))
+    # the pair windings are read before the lift tables refine the track
+    track = OrbitTrack(iso, np.concatenate([Z[:20], Zp[:20]]), nmax)
+    w = track.pair_windings().sum(axis=0)
+    t = pair_table(track)
+    L_worst = max(0.0, float(np.max(np.abs(t["lambda_sum"] + t["m_total"] - w))))
 
     ok = ineq21_slack <= 0.0 and prop1_slack <= 1.0 + 1e-9 and L_worst <= 2.0 + 1e-9
     bundle = _bundle(args, "foliation-check", iso)

@@ -380,23 +380,28 @@ def lambda_prefixes(track, ns, F=None, k_max=K_MAX):
 
 
 def annulus_table(iso, z, zp, n=1, F=None, k_max=K_MAX, tie_tol=TIE_TOL, leaf=0.0):
-    """Deck-summed lift data of pairs (z_i, z'_i) over n iterates, from one
-    orbit track of z and z' ((N, 2) arrays or one pair (2,)): per pair
-    tau_bar, tau_sum, lambda_seq (n values), lambda_sum and the
-    displacements m_seq, m_total of z.  A pair settles once its lift
-    tables agree between two successive resolutions."""
-    F = F or RadialFoliation()
+    """`pair_table` of pairs (z_i, z'_i) ((N, 2) or (2,)) over n iterates."""
     z, zp = as_xy(z), as_xy(zp)
     if radii_of(zp - z).min() <= tie_tol:
         raise SamePoint("pair projects to one point")
-    M = z.size // 2
     track = _orbit_track(iso, np.concatenate([z.reshape(-1, 2), zp.reshape(-1, 2)]), n)
+    out = pair_table(track, F, k_max, tie_tol, leaf)
+    return {key: v[..., 0] for key, v in out.items()} if z.ndim == 1 else out
+
+
+def pair_table(track, F=None, k_max=K_MAX, tie_tol=TIE_TOL, leaf=0.0):
+    """Deck-summed lift data of the pairs (i, M + i) of an orbit track over Z
+    and Z': per pair tau_bar, tau_sum, lambda_seq (one value an iterate),
+    lambda_sum and Z's displacements m_seq, m_total.  A pair settles once its
+    lift tables agree at two successive resolutions; refines the track."""
+    F = F or RadialFoliation()
+    n, M = len(track.ang), len(track.pts) // 2
     m_seq, m_total = displacements(track, F, leaf)
     tables = _settled_lifts(
         track, F, k_max, tie_tol, lambda t: {k: v.tobytes() for k, v in t.items()}
     )
     taus = [[int(ks[-1] - ks[0]) for ks in t.values()] for t in tables]
-    out = {
+    return {
         "tau_bar": np.array([sum(map(abs, ts)) for ts in taus]),
         "tau_sum": np.array([sum(ts) for ts in taus]),
         "lambda_seq": np.array(
@@ -406,7 +411,6 @@ def annulus_table(iso, z, zp, n=1, F=None, k_max=K_MAX, tie_tol=TIE_TOL, leaf=0.
         "m_seq": m_seq[:, :M],
         "m_total": m_total[:M],
     }
-    return {key: v[..., 0] for key, v in out.items()} if z.ndim == 1 else out
 
 
 def annulus_sums(iso, z, zp, F=None, n=1, k_max=K_MAX):

@@ -98,9 +98,9 @@ def angles_of(pts):
 
 
 def radii_of(pts):
-    # hypot, not sqrt(x*x + y*y): 2-4x cheaper below ~64 points, where most
-    # orbit map calls sit (the swap slowed orbit-averages 2.25 -> 2.57 s and
-    # raised verify-all --fast peak RSS 86.7 -> 93.1 MB on a 2-vCPU VM)
+    # hypot, not sqrt(x*x + y*y): 2-4x cheaper below ~64 points, as in bisection
+    # sub-steps and single-point trajectories (the swap slowed orbit-averages 2.25 ->
+    # 2.57 s and raised verify-all --fast peak RSS 86.7 -> 93.1 MB on a 2-vCPU VM)
     pts = np.asarray(pts)
     return np.hypot(pts[..., 0], pts[..., 1])
 

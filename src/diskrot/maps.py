@@ -314,7 +314,7 @@ class Isotopy:
         return pts
 
     def orbit(self, pts, n):
-        """Stack [z, f(z), ..., f^(n-1)(z)] along a new leading axis."""
+        """Stack [z, ..., f^(n-1)(z)] on a new leading axis, one map per step."""
         pts = as_xy(pts)
         out = np.empty((n,) + pts.shape)
         out[0] = pts
@@ -388,6 +388,15 @@ class ConjugatedRotation(Isotopy):
             return super().trajectory(pts)
         w = self.g.inverse(as_xy(pts))
         return lambda t, idx: self.g.forward(rotate(w[idx], TWOPI * t * self.alpha))
+
+    def orbit(self, pts, n):
+        """g R^k g^{-1} in one conjugacy pass; k alpha mod 1 is exact in integers."""
+        pts = as_xy(pts)
+        num, den = self.alpha.as_integer_ratio()
+        angle = TWOPI * np.array([k * num % den / den for k in range(1, n)])
+        w = np.broadcast_to(self.g.inverse(pts), (n - 1,) + pts.shape)
+        rw = rotate(w, angle.reshape((-1,) + (1,) * (pts.ndim - 1)))
+        return np.concatenate([pts[None], self.g.forward(rw)])
 
     def jac(self, t, pts):
         pts = as_xy(pts)

@@ -11,6 +11,7 @@ from diskrot.maps import (
     HAMILTONIANS,
     ConjugacyMap,
     ConjugatedRotation,
+    Isotopy,
     IteratedIsotopy,
     PlaneExtension,
     RigidRotation,
@@ -156,6 +157,43 @@ def test_deformed_isotopy_shares_the_time_one_map():
     pts = uniform_disk(rng, 100, 0.95)
     assert np.max(np.abs(iso.map(pts) - alt.map(pts))) < 1e-12
     assert np.max(np.abs(alt.eval(0.0, pts) - pts)) == 0.0
+
+
+def test_closed_form_orbit_starts_with_the_point_and_its_image():
+    g = _g()
+    iso = ConjugatedRotation(GOLDEN, g)
+    alt = ConjugatedRotation(GOLDEN, g, deform=True)
+    pts = uniform_disk(np.random.default_rng(11), 30, 0.95)
+    for p in (pts[0], pts):
+        orbit = iso.orbit(p, 40)
+        assert orbit.shape == (40,) + p.shape
+        assert np.array_equal(orbit[0], p)
+        assert np.array_equal(orbit[1], iso.map(p))
+        assert np.array_equal(alt.orbit(p, 40), orbit)
+
+
+def test_closed_form_orbit_follows_the_map_without_drift():
+    iso = ConjugatedRotation(GOLDEN, _g())
+    pts = uniform_disk(np.random.default_rng(12), 200, 0.97)
+    orbit = iso.orbit(pts, 4096)
+    # the exact reduction of k*alpha mod 1 keeps every step at one rounding
+    assert np.max(np.abs(iso.map(orbit[:-1]) - orbit[1:])) < 1e-12
+    assert np.max(np.abs(Isotopy.orbit(iso, pts, 4096) - orbit)) < 1e-9
+
+
+def test_closed_form_orbit_makes_one_conjugacy_pass(monkeypatch):
+    calls = {"inverse": 0, "forward": 0}
+    for name in calls:
+        method = getattr(ConjugacyMap, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConjugacyMap, name, counted)
+    iso = ConjugatedRotation(GOLDEN, _g())
+    iso.orbit(uniform_disk(np.random.default_rng(13), 5), 64)
+    assert calls == {"inverse": 1, "forward": 1}
 
 
 def test_plane_extension_profile_bands():
