@@ -9,15 +9,11 @@ from .action import (
     ActionField,
     CalabiResult,
     PrimitiveOneForm,
-    action,
     action_winding_gap,
     calabi,
 )
 from .ergodic import (
     ConvergenceReport,
-    EmpiricalMeasure,
-    OrbitCache,
-    empirical_weak_convergence,
     linking_average,
     mean_action,
     right_handedness_certificate,
@@ -25,26 +21,14 @@ from .ergodic import (
 from .errors import DiskrotError
 from .farey import (
     Convergent,
-    InvariantCircleSpec,
     StripRegion,
     convergents,
     product_integral_winding,
     rotation_of_measure,
     strip_measure,
 )
-from .foliation import (
-    QuarterTurn,
-    RadialFoliation,
-    annulus_sums,
-    big_lambda,
-    displacement,
-    lambda_int,
-    quarter_turn,
-    rotation_number,
-    tau,
-    winding_distance_probe,
-)
-from .geometry import GOLDEN, CoverPoint, DiskPoint, lift
+from .foliation import RadialFoliation, lambda_int
+from .geometry import GOLDEN
 from .maps import (
     ConjugacyMap,
     ConjugatedRotation,
@@ -54,6 +38,6 @@ from .maps import (
     RigidRotation,
     from_config,
 )
-from .winding import winding, winding_tangent
+from .winding import pair_windings, winding_tangent
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWOPI, as_xy, angles_of, radii_of, resample, uniform_disk
+from .geometry import TWOPI, as_xy, angles_of, resample, uniform_disk
 from .maps import IteratedIsotopy
 from .quadrature import adaptive_gl, adaptive_segments
 from .winding import pair_windings_iterated
@@ -155,11 +155,6 @@ class ActionField:
         base = self.boundary_value(np.array([anchor_theta]))[0]
         vals = base + self._segment_integral(x0, flat)
         return vals.reshape(pts.shape[:-1])
-
-
-def action(field, x):
-    """Action of a single point (convenience wrapper)."""
-    return field.action(as_xy(x))
 
 
 @dataclass(frozen=True)

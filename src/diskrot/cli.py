@@ -99,6 +99,30 @@ def _bundle(args, name, iso=None):
     return ReportBundle(args.out, name, config=cfg, seed=args.seed)
 
 
+def _read_pairs(path):
+    """The (N, 4) rows x1,y1,x2,y2 of a pairs CSV; blank lines are skipped."""
+    import csv
+
+    import numpy as np
+
+    from .errors import SchemaError
+
+    rows = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        for row in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 4:
+                raise SchemaError(where, f"expected x1,y1,x2,y2, got {len(row)} fields")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as e:
+                raise SchemaError(where, str(e)) from None
+    if not rows:
+        raise SchemaError(path, "no pairs")
+    return np.asarray(rows)
+
+
 def cmd_winding(args):
     import numpy as np
 
@@ -110,11 +134,7 @@ def cmd_winding(args):
     cfg = _load_config(args)
     iso = from_config(cfg)
     if args.pairs_file:
-        import csv as _csv
-
-        with open(args.pairs_file, newline="") as f:
-            rows = [[float(v) for v in row] for row in _csv.reader(f) if row]
-        pairs = np.asarray(rows)
+        pairs = _read_pairs(args.pairs_file)
     else:
         rng = np.random.default_rng(args.seed)
         count = args.pairs or 100
@@ -243,7 +263,7 @@ def cmd_righthand(args):
 def cmd_foliation_check(args):
     import numpy as np
 
-    from .foliation import annulus_sums, displacements, leaf_lifts, pair_table
+    from .foliation import annulus_table, displacements, leaf_lifts, pair_table
     from .geometry import TWOPI, resample, uniform_disk
     from .maps import from_config
     from .winding import OrbitTrack
@@ -267,8 +287,8 @@ def cmd_foliation_check(args):
     resample(too_close, redraw, 32)
 
     # |lambda| - tau_bar, must stay <= 0
-    tau_bar, _, lam = annulus_sums(iso, Z, Zp, n=1)
-    ineq21_slack = max(0.0, float(np.max(np.abs(lam) - tau_bar)))
+    t = annulus_table(iso, Z, Zp, n=1)
+    ineq21_slack = max(0.0, float(np.max(np.abs(t["lambda_sum"]) - t["tau_bar"])))
 
     track = OrbitTrack(iso, Z, nmax)
     v = leaf_lifts(track)  # W(0, z) is the change of z's lifted angle

@@ -1,5 +1,5 @@
 """Orbit averages: Birkhoff means of the action, double-orbit linking
-averages, right-handedness certificates, and weak* convergence diagnostics.
+averages, and right-handedness certificates.
 
 Double sums are accumulated with correctly rounded summation (math.fsum),
 so the incremental engine that adds the 2n-1 new pairs per increment
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateFailed, OrbitCollision
-from .geometry import TWOPI, angles_of, as_xy, radii_of, uniform_disk
+from .geometry import as_xy, uniform_disk
 from .winding import MERGE_EPS, winding_matrix, winding_tangent
 
 CAUCHY_POINTS = 3
@@ -78,49 +78,6 @@ class ConvergenceReport:
             "tol": self.tol,
             "verdict": {"status": v[0], "limit": v[1] if len(v) > 1 else None},
         }
-
-
-@dataclass(frozen=True)
-class OrbitCache:
-    """Forward orbit z, f(z), ..., f^(n-1)(z) with a spot-check invariant."""
-
-    base: np.ndarray
-    points: np.ndarray
-    map_tag: str
-
-    @classmethod
-    def build(cls, iso, x, n):
-        x = as_xy(x)
-        return cls(base=x, points=iso.orbit(x, n), map_tag=iso.family_tag)
-
-    def recheck(self, iso, rng=None, fraction=0.01):
-        """Re-evaluate f on a random 1% of indices; returns max defect."""
-        rng = rng or np.random.default_rng(0)
-        n = len(self.points)
-        k = max(1, int(fraction * (n - 1)))
-        idx = rng.choice(n - 1, size=min(k, n - 1), replace=False)
-        fresh = iso.map(self.points[idx])
-        return float(np.max(np.abs(fresh - self.points[idx + 1]))) if len(idx) else 0.0
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Atomic probability measure (1/n) sum of deltas at orbit points."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be a probability vector")
-
-    @classmethod
-    def from_orbit(cls, iso, x, n):
-        pts = iso.orbit(as_xy(x), n)
-        return cls(atoms=pts, weights=np.full(n, 1.0 / n))
-
-    def integrate(self, phi):
-        return float(np.dot(self.weights, phi(self.atoms)))
 
 
 def mean_action(field, x, n_max, schedule=None, tol=DEFAULT_TOL):
@@ -265,53 +222,3 @@ def right_handedness_certificate(
         "linearized_rotation": float(tangent_vals[0]),
         "seed": seed,
     }
-
-
-def trig_moment_dictionary(max_p=2, max_q=2):
-    """Test functions r^p cos(q theta), r^p sin(q theta), sup bounded by 1."""
-    phis = {}
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            if p == 0 and q > 0:
-                continue
-
-            def cosphi(pts, p=p, q=q):
-                return radii_of(pts) ** p * np.cos(q * angles_of(pts))
-
-            phis[f"r^{p}cos{q}t"] = cosphi
-            if q > 0:
-
-                def sinphi(pts, p=p, q=q):
-                    return radii_of(pts) ** p * np.sin(q * angles_of(pts))
-
-                phis[f"r^{p}sin{q}t"] = sinphi
-    return phis
-
-def empirical_weak_convergence(iso, x, n_values, phis=None):
-    """Moment sequences of empirical measures with invariance defects.
-
-    The defect |int phi o f dmu_n - int phi dmu_n| telescopes to the
-    one-point difference (phi(f^n x) - phi(x)) / n, so it obeys the bound
-    (2/n) sup|phi| exactly.
-    """
-    phis = phis or trig_moment_dictionary()
-    n_max = max(n_values)
-    orbit = iso.orbit(as_xy(x), n_max + 1)
-    out = {}
-    for name, phi in phis.items():
-        vals = phi(orbit)
-        sup = float(np.max(np.abs(vals)))
-        moments, defects, bounds = [], [], []
-        for n in n_values:
-            moments.append(math.fsum(vals[:n].tolist()) / n)
-            d = abs(math.fsum(vals[1 : n + 1].tolist()) - math.fsum(vals[:n].tolist())) / n
-            defects.append(d)
-            bounds.append(2.0 * sup / n)
-        out[name] = {
-            "n_values": list(n_values),
-            "moments": moments,
-            "invariance_defects": defects,
-            "bounds": bounds,
-            "within_bound": all(d <= b + 1e-12 for d, b in zip(defects, bounds)),
-        }
-    return out

@@ -14,7 +14,7 @@ class CoincidentPoints(DiskrotError):
 
 
 class SamePoint(DiskrotError):
-    """Quarter-turn comparison of a lifted point with itself."""
+    """Lift tables asked for a pair whose two points project to one point."""
 
 
 class RefinementExhausted(DiskrotError):
@@ -52,10 +52,6 @@ class TailNotCertified(DiskrotError):
 
 class ResampleExhausted(DiskrotError):
     """Rejection resampling still had rejected samples after its last round."""
-
-
-class OrbitEscapesCompact(DiskrotError):
-    """Orbit dipped below the radius floor; no rotation number attempted."""
 
 
 class CertificateFailed(DiskrotError):

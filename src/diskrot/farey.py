@@ -19,7 +19,7 @@ from .errors import FoliationNotTransverse, RationalInput
 from .foliation import RadialFoliation, displacement_table, displacements
 from .geometry import TWOPI, angles_of, as_xy, resample, uniform_disk
 from .maps import IteratedIsotopy
-from .winding import MERGE_EPS, OrbitTrack, pair_windings, position_angle_tracks
+from .winding import MERGE_EPS, OrbitTrack, pair_windings
 
 _CHUNK = 1 << 15
 
@@ -77,26 +77,10 @@ def convergents(alpha, count):
     return out
 
 
-@dataclass(frozen=True)
-class InvariantCircleSpec:
-    """The circle S_{a/b} of the plane extension, pointwise periodic."""
-
-    conv: Convergent
-    beta: float
-
-    def __post_init__(self):
-        if not self.conv.alpha < self.conv.value < self.beta:
-            raise ValueError("a/b must lie in (alpha, beta)")
-
-    @property
-    def radius(self):
-        return 1.0 + self.conv.value - self.conv.alpha
-
-
 class StripRegion:
     """The strip O between a lifted leaf and its backward shifted image.
 
-    Membership of a cover point (theta_lift, z): the point lies strictly
+    A cover point (theta_lift, z) lies in it when the point lies strictly
     left of the leaf while its image under f^b o T^(-a) lies weakly to
     the right.  The crossing multiplicity of a disk point counts the
     deck copies of the region containing some lift, which is minus the
@@ -137,17 +121,6 @@ class StripRegion:
                 f"positive shifted displacement {m[bad]} at sample {bad}"
             )
         return -m
-
-    def contains(self, theta_lift, z):
-        """Membership of a single cover point (deck-well-defined test)."""
-        z = as_xy(z)
-        l = float(self.F.leaf_lift(theta_lift, z))
-        m = int(self._shifted_displacement(z[None])[0])
-        # the lift in the sector [leaf, leaf+2pi) has shifted image in
-        # sector m; membership of some deck copy needs m <= -1, and the
-        # specific lift is in the copy indexed by its own sector
-        sector = math.floor((l - self.leaf) / TWOPI)
-        return -m > 0 and 0 <= sector < -m
 
 
 def strip_measure(iso, conv, F=None, samples=1_000_000, seed=0, leaf=0.0):
@@ -192,29 +165,6 @@ def invariant_circle(g, radius):
         return pts if g is None else g.forward(pts)
 
     return sample
-
-
-def mixture(samplers, weights):
-    """Convex mixture of samplers."""
-    w = np.asarray(weights, dtype=float)
-    w = w / w.sum()
-
-    def sample(rng, n):
-        counts = rng.multinomial(n, w)
-        parts = [s(rng, int(c)) for s, c in zip(samplers, counts) if c]
-        return np.concatenate(parts, axis=0)
-
-    return sample
-
-
-def origin_windings(iso, pts):
-    """W(0, z) for a batch: the lifted-angle displacement in turns.
-
-    Valid for isotopies fixing the origin, where the connecting vector
-    from 0 to f_t(z) is f_t(z) itself.
-    """
-    _, _, theta = position_angle_tracks(iso, pts)
-    return (theta[-1] - theta[0]) / TWOPI
 
 
 def rotation_of_measure(iso, sampler=None, samples=100_000, seed=0, F=None, leaf=0.0):

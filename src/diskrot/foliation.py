@@ -6,24 +6,19 @@ h^{-1}(z) and the along-leaf coordinate its radius.  Pair configurations
 are classified by quarter turns in Z/4Z (0: further out on the same
 lifted leaf, 1: leaf strictly to the left, 2: behind on the same leaf,
 3: leaf strictly to the right), and paths of configurations are lifted
-through the digital-line covering Z -> Z/4Z.  All outputs (tau, lambda,
-displacement) are differences of lift values, so the additive constant
-of the lift cancels.
+through the digital-line covering Z -> Z/4Z.  The paths are read off one
+shared orbit track: `pair_table` gives each pair's tau, lambda and
+displacement integers, summed over deck copies, and `displacement_table`
+the displacements of single orbits.  All of them are differences of lift
+values, so the additive constant of the lift cancels.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    OrbitEscapesCompact,
-    SamePoint,
-    StepTooCoarse,
-    TailNotCertified,
-    ZeroPoint,
-)
+from .errors import SamePoint, StepTooCoarse, TailNotCertified, ZeroPoint
 from .geometry import TWOPI, angles_of, as_xy, radii_of
 from .winding import INIT_STEPS, OrbitTrack, track
 
@@ -47,24 +42,6 @@ def lambda_int(k, l):
     return val if k < l else -val
 
 
-@dataclass(frozen=True)
-class QuarterTurn:
-    """An element of Z/4Z classifying a lifted pair configuration."""
-
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % 4)
-
-    def __add__(self, other):
-        o = other.value if isinstance(other, QuarterTurn) else other
-        return QuarterTurn(self.value + o)
-
-    def __sub__(self, other):
-        o = other.value if isinstance(other, QuarterTurn) else other
-        return QuarterTurn(self.value - o)
-
-
 class RadialFoliation:
     """A radial foliation h(F_euclid) for an invertible area chart h.
 
@@ -85,16 +62,8 @@ class RadialFoliation:
         pts = as_xy(pts)
         return pts if self.is_euclidean else self.chart.inverse(pts)
 
-    def along(self, pts):
-        """Along-leaf coordinate s(z): radius of the chart preimage."""
-        return radii_of(self.inverse_points(pts))
-
-    def leaf_coord(self, pts):
-        """Leaf coordinate l(z) in [0, 2*pi)."""
-        return angles_of(self.inverse_points(pts)) % TWOPI
-
     def angle_shift(self, pts):
-        """Continuous shift D(z) with leaf_lift = theta_lift + D(z).
+        """Continuous shift D(z): the lifted leaf coordinate is theta_lift + D(z).
 
         Tracked along the chart's interpolation to the identity, so the
         shift is single-valued and deck-equivariant.
@@ -108,51 +77,12 @@ class RadialFoliation:
         )
         return turn.reshape(pts.shape[:-1])
 
-    def leaf_lift(self, theta_lift, pts):
-        """Lifted leaf coordinate of a cover point (theta_lift, pts)."""
-        return np.asarray(theta_lift) + self.angle_shift(pts)
-
     def leaf_point(self, leaf, s):
         """The point of the leaf with coordinates (leaf, s)."""
         base = np.stack(
             [np.asarray(s) * np.cos(leaf), np.asarray(s) * np.sin(leaf)], axis=-1
         )
         return base if self.is_euclidean else self.chart.forward(base)
-
-    def ray_probe(self, n_leaves=16, s_inner=1e-3, s_outer=1 - 1e-3):
-        """Max radius at s_inner and min radius at s_outer over leaves.
-
-        Every leaf must run from the origin to the boundary; the probe
-        returns (max inner radius, min outer radius).
-        """
-        leaves = np.arange(n_leaves) * TWOPI / n_leaves
-        inner = radii_of(self.leaf_point(leaves, np.full(n_leaves, s_inner)))
-        outer = radii_of(self.leaf_point(leaves, np.full(n_leaves, s_outer)))
-        return float(inner.max()), float(outer.min())
-
-
-def _cover_data(tilde_z):
-    """Coerce a CoverPoint or (theta_lift, point) pair to (theta, xy)."""
-    if hasattr(tilde_z, "theta_lift"):
-        return float(tilde_z.theta_lift), tilde_z.project().as_array()
-    theta, pt = tilde_z
-    return float(theta), as_xy(pt)
-
-
-def quarter_turn(tilde_z, tilde_zp, F=None, tie_tol=TIE_TOL):
-    """The Z/4Z configuration class of an ordered lifted pair."""
-    F = F or RadialFoliation()
-    th, z = _cover_data(tilde_z)
-    thp, zp = _cover_data(tilde_zp)
-    l = float(F.leaf_lift(th, z))
-    lp = float(F.leaf_lift(thp, zp))
-    d = lp - l
-    if abs(d) <= tie_tol:
-        ds = float(F.along(zp)) - float(F.along(z))
-        if abs(ds) <= tie_tol:
-            raise SamePoint("identical lifted points")
-        return QuarterTurn(0 if ds > 0 else 2)
-    return QuarterTurn(1 if d > 0 else 3)
 
 
 def _lift_path_slow(d, ds, tie_tol=TIE_TOL):
@@ -267,38 +197,6 @@ def displacement_table(iso, pts, n=1, F=None, leaf=0.0):
     return m_seq, m_total
 
 
-def displacement(iso, z, F=None, leaf=0.0, n=1):
-    """m_{f^n, leaf}(z): deck copies of the reference leaf crossed."""
-    return displacement_table(iso, z, n=n, F=F, leaf=leaf)[1]
-
-
-def tau(iso, tilde_z, tilde_zp, F=None, tie_tol=TIE_TOL, steps=INIT_STEPS):
-    """tau of a lifted pair between F and its backward image under f.
-
-    The quarter-turn path s -> config(f_s(z~), f_s(z~')) is lifted
-    through the digital line; tau is the lift's end minus start.
-    """
-    F = F or RadialFoliation()
-    th, z = _cover_data(tilde_z)
-    thp, zp = _cover_data(tilde_zp)
-    prev = None
-    for attempt in range(8):
-        track = _orbit_track(iso, np.stack([z, zp]), 1, steps * 2**attempt)
-        theta = track.ang[0] + track.shifts(np.array([th, thp]))[0]
-        l, s = _leaf_tracks(theta, track.pos[0], F)
-        try:
-            ks = _lift_path(l[:, 1] - l[:, 0], s[:, 1] - s[:, 0], tie_tol)
-        except StepTooCoarse:
-            prev = None
-            continue
-        val = int(ks[-1] - ks[0])
-        # accept once two successive resolutions agree
-        if prev is not None and val == prev:
-            return val
-        prev = val
-    raise StepTooCoarse("quarter-turn path not resolved after refinement")
-
-
 def _contributing_decks(d, k_max):
     """Deck shifts k for which d + 2 pi k can change sign along the path."""
     lo = int(math.floor(-d.max() / TWOPI))
@@ -411,70 +309,3 @@ def pair_table(track, F=None, k_max=K_MAX, tie_tol=TIE_TOL, leaf=0.0):
         "m_seq": m_seq[:, :M],
         "m_total": m_total[:M],
     }
-
-
-def annulus_sums(iso, z, zp, F=None, n=1, k_max=K_MAX):
-    """(tau_bar, tau_sum, lambda_sum) of pairs, summed over deck copies."""
-    t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max)
-    return t["tau_bar"], t["tau_sum"], t["lambda_sum"]
-
-
-def lambda_sequence(iso, z, zp, F=None, n=1, k_max=K_MAX):
-    """Per-iterate lambda values and their total; the cocycle law of
-    lambda_int makes sum(seq) = total exact."""
-    t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max)
-    return t["lambda_seq"], t["lambda_sum"]
-
-
-def big_lambda(iso, z, zp, F=None, leaf=0.0, n=1, k_max=K_MAX):
-    """Lambda = lambda + m, the winding surrogate of the pair."""
-    t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max, leaf=leaf)
-    return t["lambda_sum"] + t["m_total"]
-
-
-def big_lambda_sequence(iso, z, zp, F=None, leaf=0.0, n=1, k_max=K_MAX):
-    """Per-iterate Lambda values and their exact total."""
-    t = annulus_table(iso, z, zp, n=n, F=F, k_max=k_max, leaf=leaf)
-    return t["lambda_seq"] + t["m_seq"], t["lambda_sum"] + t["m_total"]
-
-
-def rotation_number(
-    iso, z, n_max, F=None, leaf=0.0, r_floor=1e-3, schedule=None, tol=0.01
-):
-    """Partial averages of the displacement along the orbit of z."""
-    from .ergodic import ConvergenceReport, pow2_schedule
-
-    F = F or RadialFoliation()
-    z = as_xy(z)
-    orbit = iso.orbit(z, n_max)
-    rmin = float(radii_of(orbit).min())
-    if rmin < r_floor:
-        raise OrbitEscapesCompact(f"orbit radius {rmin:.3g} below floor {r_floor}")
-    m_seq, _ = displacement_table(iso, z, n=n_max, F=F, leaf=leaf)
-    csum = np.cumsum(m_seq)
-    schedule = schedule or pow2_schedule(n_max)
-    avgs = tuple(float(csum[n - 1] / n) for n in schedule)
-    return ConvergenceReport(
-        n_values=tuple(schedule),
-        partial_averages=avgs,
-        target=iso.boundary_rot,
-        tol=tol,
-        label="rotation-number",
-    )
-
-
-def winding_distance_probe(iso, F=None, pair_samples=100, seed=0, deck_span=2):
-    """Max |tau| over sampled lifted pairs: a lower bound for the winding
-    distance between F and its backward image under the isotopy's map."""
-    F = F or RadialFoliation()
-    rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(pair_samples):
-        r1, r2 = 0.05 + 0.9 * rng.random(2)
-        t1, t2 = TWOPI * rng.random(2)
-        k = rng.integers(-deck_span, deck_span + 1)
-        z = np.array([r1 * math.cos(t1), r1 * math.sin(t1)])
-        zp = np.array([r2 * math.cos(t2), r2 * math.sin(t2)])
-        val = tau(iso, (t1, z), (t2 + TWOPI * k, zp), F=F)
-        best = max(best, abs(val))
-    return best

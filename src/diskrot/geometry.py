@@ -1,91 +1,23 @@
-"""Points of the closed unit disk and their lifts to the universal cover.
+"""Coordinate helpers for points of the closed unit disk.
 
-The punctured disk has universal cover parametrized by an unbounded angle
-theta_lift and a radius r > 0; the deck transformation shifts theta_lift
-by 2*pi.
+Points are float arrays with a trailing dimension 2; the helpers take
+angles and radii, rotate, wrap angles, resample rejected draws and sample
+the disk by normalized area.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResampleExhausted, ZeroPoint
+from .errors import ResampleExhausted
 
 TWOPI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the closed disk in Cartesian coordinates."""
-
-    x: float
-    y: float
-
-    @property
-    def r(self):
-        return math.hypot(self.x, self.y)
-
-    @property
-    def theta(self):
-        return math.atan2(self.y, self.x) % TWOPI
-
-    @classmethod
-    def from_polar(cls, r, theta):
-        return cls(r * math.cos(theta), r * math.sin(theta))
-
-    def as_array(self):
-        return np.array([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class CoverPoint:
-    """A lift (theta_lift, r) of a punctured-disk point, theta_lift unbounded."""
-
-    theta_lift: float
-    r: float
-
-    def project(self):
-        return DiskPoint.from_polar(self.r, self.theta_lift % TWOPI)
-
-    def deck(self, k=1):
-        return CoverPoint(self.theta_lift + k * TWOPI, self.r)
-
-
-def lift(z, hint=None):
-    """Lift a punctured-disk point to the universal cover.
-
-    With a hint, returns the lift whose theta_lift lies within pi of the
-    hint's; otherwise the principal representative in [0, 2*pi).
-    """
-    z = as_diskpoint(z)
-    if z.r == 0.0:
-        raise ZeroPoint("the origin has no lift")
-    theta = z.theta
-    if hint is None:
-        return CoverPoint(theta, z.r)
-    # nearest-branch rule: shift by the deck multiple closest to the hint
-    k = round((hint.theta_lift - theta) / TWOPI)
-    return CoverPoint(theta + k * TWOPI, z.r)
-
-
-def as_diskpoint(obj):
-    if isinstance(obj, DiskPoint):
-        return obj
-    if isinstance(obj, CoverPoint):
-        return obj.project()
-    x, y = obj
-    return DiskPoint(float(x), float(y))
-
-
 def as_xy(obj):
-    """Coerce a DiskPoint, pair, or (..., 2) array to a float ndarray."""
-    if isinstance(obj, DiskPoint):
-        return obj.as_array()
-    if isinstance(obj, CoverPoint):
-        return obj.project().as_array()
+    """Coerce a pair or (..., 2) array to a float ndarray."""
     a = np.asarray(obj, dtype=float)
     if a.shape[-1] != 2:
         raise ValueError(f"expected trailing dimension 2, got shape {a.shape}")

@@ -21,7 +21,7 @@ from .ergodic import (
     mean_action,
     right_handedness_certificate,
 )
-from .errors import NearRationalWarning, OrbitCollision
+from .errors import NearRationalWarning, OrbitCollision, ResampleExhausted
 from .farey import (
     convergents,
     invariant_circle,
@@ -162,8 +162,13 @@ def criterion_4(seed=0, fast=False):
     count = 5 if fast else 25
     n = 128 if fast else 512
     max_defect = 0.0
-    done = 0
+    done = tried = 0
     while done < count:
+        if tried == 8 * count:
+            raise ResampleExhausted(
+                f"{count - done} linking pairs still collide after {tried} draws"
+            )
+        tried += 1
         X, Y = _admissible_pairs(rng, 1)
         try:
             rep = linking_average(iso, X[0], Y[0], n)
@@ -383,7 +388,7 @@ def criterion_9(seed=0, fast=False):
     drawn = [_admissible_pairs(rng, 1, radius=0.9) for _ in range(pairs)]
     t = annulus_table(iso, *(np.concatenate(c) for c in zip(*drawn)), n=n)
     lam_seq, lam_total = t["lambda_seq"], t["lambda_sum"]
-    # the combined sequence is what big_lambda_sequence returns
+    # the per-iterate Lambda = lambda + m and its total
     L_seq, L_total = lam_seq + t["m_seq"], lam_total + t["m_total"]
     exact = np.array_equal(t["m_seq"].sum(axis=0), t["m_total"]) and all(
         math.fsum(seq) == total

@@ -149,15 +149,6 @@ def pair_windings(iso, X, Y, merge_eps=MERGE_EPS, init_steps=INIT_STEPS):
     return _pair_track(iso, X, Y, merge_eps, init_steps)[0]
 
 
-def winding(iso, x, y, merge_eps=MERGE_EPS):
-    """Winding number of the vector from f_t(x) to f_t(y), in turns.
-
-    Symmetric in its arguments: the connecting vector and its negation
-    wind identically.
-    """
-    return float(pair_windings(iso, x, y, merge_eps))
-
-
 def winding_tangent(iso, base, direction):
     """Winding of t -> jac(t, base) . xi, the blow-up value on the diagonal.
 
@@ -195,7 +186,7 @@ def pair_windings_iterated(iso, X, Y, n, merge_eps=MERGE_EPS):
 
 
 def winding_matrix(iso, xs, ys, merge_eps=MERGE_EPS):
-    """All cross windings W[i, j] = winding(xs[i], ys[j]) in one sweep.
+    """All cross windings W[i, j] of the pairs (xs[i], ys[j]) in one sweep.
 
     Each grid sample evaluates the two point sets once and forms all n*m
     separation vectors; a cell whose step fails the certificate is bisected
@@ -220,15 +211,6 @@ def winding_matrix(iso, xs, ys, merge_eps=MERGE_EPS):
 
     turn, _ = track(vec_at, n * m, INIT_STEPS)
     return turn.reshape(n, m) / TWOPI
-
-
-def position_angle_tracks(iso, pts, steps=INIT_STEPS):
-    """Certified tracks of f_t(z) on the uniform grid of `steps` steps.
-
-    Returns (times, pos (T+1, N, 2), theta (T+1, N)).
-    """
-    trk = OrbitTrack(iso, pts, 1, steps)
-    return np.linspace(0.0, 1.0, steps + 1), trk.pos[0], trk.ang[0]
 
 
 class OrbitTrack:

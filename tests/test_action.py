@@ -7,7 +7,6 @@ import numpy as np
 from diskrot.action import (
     ActionField,
     PrimitiveOneForm,
-    action,
     action_winding_gap,
     calabi,
     exterior_derivative_density,
@@ -38,7 +37,7 @@ def test_rigid_action_is_the_rotation_number():
     field = ActionField(RigidRotation(GOLDEN), method="path")
     pts = uniform_disk(np.random.default_rng(2), 100)
     assert np.max(np.abs(field.action(pts) - GOLDEN)) < 1e-8
-    assert abs(action(field, (0.4, -0.3)) - GOLDEN) < 1e-8
+    assert abs(field.action((0.4, -0.3)) - GOLDEN) < 1e-8
 
 
 def test_closed_form_action_matches_path_integrals():

@@ -86,6 +86,19 @@ def test_winding_command_pairs_file_and_cross_check(tmp_path):
     assert doc["cross_check_max_deviation"] < 1e-6
 
 
+def test_malformed_pairs_file_exits_2_with_row(tmp_path):
+    for body, row in [
+        ("0.5,0.1,-0.2,0.4\n0.3,-0.3,0.1\n", ":2:"),
+        ("0.5,0.1,-0.2,0.4\n\n0.3,-0.3,x,0.6\n", ":3:"),
+    ]:
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(body)
+        res = _run(["winding", "--pairs-file", str(pairs), "--out", "o"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "schema error" in res.stderr and row in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_action_and_calabi_commands(tmp_path):
     cfg = _write_config(tmp_path, {"family": "rigid", "alpha": "golden"})
     res = _run(["action", "--config", cfg, "--samples", "20", "--out", "o"], tmp_path)

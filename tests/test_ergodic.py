@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from diskrot.ergodic import (
     ConvergenceReport,
-    EmpiricalMeasure,
-    OrbitCache,
     admissibility_check,
     double_sum_incremental,
     double_sum_naive,
-    empirical_weak_convergence,
     linearized_rotation_average,
     linking_average,
     mean_action,
@@ -111,22 +106,3 @@ def test_left_handed_mode_for_reversed_rotation():
     cert = right_handedness_certificate(iso, pair_samples=3, n=16, seed=1)
     assert cert["mode"] == "left"
     assert cert["max_S"] < 0.0
-
-
-def test_empirical_invariance_defects_obey_the_bound():
-    out = empirical_weak_convergence(CONJ, (0.45, 0.2), [8, 32, 128])
-    assert out
-    for rec in out.values():
-        assert rec["within_bound"]
-        assert all(
-            d <= b + 1e-12 for d, b in zip(rec["invariance_defects"], rec["bounds"])
-        )
-
-
-def test_empirical_measure_and_orbit_cache():
-    mu = EmpiricalMeasure.from_orbit(CONJ, (0.4, 0.3), 50)
-    assert abs(mu.integrate(lambda p: np.ones(len(p))) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(atoms=np.zeros((2, 2)), weights=np.array([0.7, 0.7]))
-    cache = OrbitCache.build(CONJ, (0.4, 0.3), 200)
-    assert cache.recheck(CONJ) < 1e-12

@@ -10,13 +10,10 @@ import pytest
 from diskrot.errors import FoliationNotTransverse, NearRationalWarning, RationalInput
 from diskrot.farey import (
     Convergent,
-    InvariantCircleSpec,
     StripRegion,
     convergents,
     invariant_circle,
     lebesgue_disk,
-    mixture,
-    origin_windings,
     product_integral_winding,
     rotation_of_measure,
     strip_measure,
@@ -24,6 +21,7 @@ from diskrot.farey import (
 from diskrot.foliation import displacement_table
 from diskrot.geometry import GOLDEN, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
+from diskrot.winding import pair_windings
 
 
 def _plane_extension(beta=0.75):
@@ -56,13 +54,6 @@ def test_convergent_validation():
     assert abs(Convergent(2, 3, GOLDEN).value - 2.0 / 3.0) < 1e-15
 
 
-def test_invariant_circle_spec_radius():
-    spec = InvariantCircleSpec(Convergent(2, 3, GOLDEN), beta=0.75)
-    assert abs(spec.radius - (1.0 + 2.0 / 3.0 - GOLDEN)) < 1e-15
-    with pytest.raises(ValueError):
-        InvariantCircleSpec(Convergent(1, 2, GOLDEN), beta=0.75)
-
-
 def test_strip_measure_matches_the_defect():
     iso = _plane_extension()
     res = strip_measure(iso, Convergent(2, 3, GOLDEN), samples=50_000, seed=0)
@@ -78,10 +69,6 @@ def test_strip_region_counts_and_membership():
     counts = region.crossing_counts(pts)
     assert counts.min() >= 0
     assert counts.max() >= 1  # the strip meets the unit disk
-    hit = pts[np.nonzero(counts > 0)[0][0]]
-    theta = float(np.arctan2(hit[1], hit[0]) % (2 * np.pi))
-    assert region.contains(theta, hit)
-    assert not region.contains(theta - 2 * np.pi * counts.max(), hit)
 
 
 def test_wrong_side_convergent_is_not_transverse():
@@ -99,17 +86,17 @@ def test_invariant_circle_sampler_is_invariant():
     assert np.max(np.abs(r - 0.5)) < 1e-12
 
 
-def test_mixture_and_lebesgue_shapes():
+def test_lebesgue_shapes():
     rng = np.random.default_rng(4)
-    sample = mixture([lebesgue_disk(), lebesgue_disk(0.5)], [0.5, 0.5])
-    pts = sample(rng, 1000)
-    assert pts.shape == (1000, 2)
-    assert np.hypot(*pts.T).max() <= 1.0
+    for radius in (1.0, 0.5):
+        pts = lebesgue_disk(radius)(rng, 1000)
+        assert pts.shape == (1000, 2)
+        assert np.hypot(*pts.T).max() <= radius
 
 
 def test_origin_windings_rigid():
     pts = uniform_disk(np.random.default_rng(5), 100, 0.9)
-    w = origin_windings(RigidRotation(GOLDEN), pts)
+    w = pair_windings(RigidRotation(GOLDEN), np.zeros(2), pts)
     assert np.max(np.abs(w - GOLDEN)) < 1e-12
 
 
@@ -126,7 +113,9 @@ def test_rotation_of_measure_reads_both_routes_off_one_track():
     rot = rotation_of_measure(iso, samples=500, seed=3)
     pts = lebesgue_disk()(np.random.default_rng(3), 500)
     m_seq, _ = displacement_table(iso, pts, n=1)
-    assert rot["winding_value"] == float(origin_windings(iso, pts).mean())
+    # f_t fixes the origin, so W(0, z) is the change of z's lifted angle
+    w = pair_windings(iso, np.zeros(2), pts)
+    assert abs(rot["winding_value"] - float(w.mean())) < 1e-12
     assert rot["displacement_value"] == float(m_seq[0].astype(float).mean())
 
 

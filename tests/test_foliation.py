@@ -7,25 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from diskrot.errors import OrbitEscapesCompact, SamePoint, StepTooCoarse, ZeroPoint
+from diskrot.errors import SamePoint, StepTooCoarse, ZeroPoint
 from diskrot.foliation import (
-    QuarterTurn,
     RadialFoliation,
     _lift_path,
     _lift_path_slow,
-    annulus_sums,
-    big_lambda,
-    big_lambda_sequence,
-    displacement,
+    annulus_table,
     displacement_table,
     lambda_int,
-    lambda_sequence,
-    quarter_turn,
-    rotation_number,
-    tau,
-    winding_distance_probe,
 )
-from diskrot.geometry import GOLDEN, TWOPI, uniform_disk
+from diskrot.geometry import GOLDEN, TWOPI, angles_of, radii_of, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation
 from diskrot.winding import pair_windings_iterated
 
@@ -56,27 +47,6 @@ def test_lambda_int_cocycle_and_antisymmetry():
             assert lambda_int(k, l) == -lambda_int(l, k)
             for m in (-8, -1, 0, 5):
                 assert lambda_int(k, l) + lambda_int(l, m) == lambda_int(k, m)
-
-
-def test_quarter_turn_classification():
-    z = (1.0, np.array([0.5 * math.cos(1.0), 0.5 * math.sin(1.0)]))
-
-    def at(theta, r):
-        return (theta, np.array([r * math.cos(theta), r * math.sin(theta)]))
-
-    assert quarter_turn(z, at(1.0, 0.8)).value == 0  # further out, same leaf
-    assert quarter_turn(z, at(1.2, 0.5)).value == 1  # leaf to the left
-    assert quarter_turn(z, at(1.0, 0.3)).value == 2  # behind, same leaf
-    assert quarter_turn(z, at(0.8, 0.5)).value == 3  # leaf to the right
-    # a deck-shifted lift of the same leaf sits strictly to the left
-    assert quarter_turn(z, (1.0 + TWOPI, z[1] * 1.2)).value == 1
-    with pytest.raises(SamePoint):
-        quarter_turn(z, z)
-
-
-def test_quarter_turn_arithmetic_mod_four():
-    assert (QuarterTurn(3) + 2).value == 1
-    assert (QuarterTurn(0) - QuarterTurn(1)).value == 3
 
 
 def test_lift_path_matches_state_machine():
@@ -116,16 +86,15 @@ def test_displacement_birkhoff_identity():
 
 def test_displacement_rejects_the_origin():
     with pytest.raises(ZeroPoint):
-        displacement(CONJ, (0.0, 0.0))
+        displacement_table(CONJ, (0.0, 0.0))
 
 
 def test_rigid_tau_vanishes_off_shared_leaves():
-    cases = [
-        ((0.3, (0.5, 0.2)), (1.7, (0.1, 0.6))),
-        ((2.0, (-0.4, 0.3)), (2.0 + TWOPI, (-0.5, 0.35))),
-    ]
-    for tz, tzp in cases:
-        assert tau(RIGID, tz, tzp) == 0
+    cases = [((0.5, 0.2), (0.1, 0.6)), ((-0.4, 0.3), (-0.5, 0.35))]
+    for z, zp in cases:
+        assert annulus_table(RIGID, z, zp)["tau_bar"] == 0
+    with pytest.raises(SamePoint):
+        annulus_table(RIGID, (0.5, 0.2), (0.5, 0.2))
 
 
 def test_annulus_sums_crossing_bound():
@@ -135,7 +104,8 @@ def test_annulus_sums_crossing_bound():
         zp = uniform_disk(rng, 1, 0.85)[0]
         if np.hypot(*z) < 0.05 or np.hypot(*zp) < 0.05 or np.hypot(*(zp - z)) < 1e-2:
             continue
-        tau_bar, tau_sum, lam = annulus_sums(CONJ, z, zp)
+        t = annulus_table(CONJ, z, zp)
+        tau_bar, tau_sum, lam = t["tau_bar"], t["tau_sum"], t["lambda_sum"]
         assert abs(lam) <= tau_bar
         assert abs(tau_sum) <= tau_bar
         assert (tau_bar - tau_sum) % 2 == 0
@@ -144,11 +114,10 @@ def test_annulus_sums_crossing_bound():
 def test_lambda_and_big_lambda_sequences_telescope():
     z = np.array([0.52, 0.18])
     zp = np.array([-0.33, 0.47])
-    seq, total = lambda_sequence(CONJ, z, zp, n=6)
-    assert abs(math.fsum(seq) - total) == 0.0
-    L_seq, L_total = big_lambda_sequence(CONJ, z, zp, n=6)
+    t = annulus_table(CONJ, z, zp, n=6)
+    assert abs(math.fsum(t["lambda_seq"]) - t["lambda_sum"]) == 0.0
+    L_seq, L_total = t["lambda_seq"] + t["m_seq"], t["lambda_sum"] + t["m_total"]
     assert abs(math.fsum(L_seq) - L_total) == 0.0
-    assert abs(big_lambda(CONJ, z, zp, n=6) - L_total) == 0.0
 
 
 def test_big_lambda_tracks_the_winding():
@@ -159,17 +128,10 @@ def test_big_lambda_tracks_the_winding():
         if np.hypot(*(zp - z)) < 1e-2:
             continue
         for n in (1, 4):
-            L = big_lambda(CONJ, z, zp, n=n)
+            t = annulus_table(CONJ, z, zp, n=n)
+            L = t["lambda_sum"] + t["m_total"]
             w = float(pair_windings_iterated(CONJ, z[None], zp[None], n)[0])
             assert abs(L - w) <= 2.0 + 1e-9
-
-
-def test_rotation_number_of_orbit_displacements():
-    rep = rotation_number(CONJ, (0.55, 0.2), 256)
-    assert rep.target == GOLDEN
-    assert abs(rep.final - GOLDEN) < 0.05
-    with pytest.raises(OrbitEscapesCompact):
-        rotation_number(RIGID, (1e-4, 0.0), 16)
 
 
 def test_chart_foliation_coordinates_roundtrip():
@@ -177,12 +139,6 @@ def test_chart_foliation_coordinates_roundtrip():
     assert not F.is_euclidean
     leaves = np.array([0.3, 2.1, 4.9])
     s = np.array([0.4, 0.7, 0.9])
-    pts = F.leaf_point(leaves, s)
-    assert np.max(np.abs(F.leaf_coord(pts) - leaves)) < 1e-12
-    assert np.max(np.abs(F.along(pts) - s)) < 1e-12
-    inner, outer = F.ray_probe()
-    assert inner < 0.05 and outer > 0.9
-
-
-def test_winding_distance_probe_rigid_is_zero():
-    assert winding_distance_probe(RIGID, pair_samples=10, seed=0) == 0
+    pre = F.inverse_points(F.leaf_point(leaves, s))
+    assert np.max(np.abs(angles_of(pre) % TWOPI - leaves)) < 1e-12
+    assert np.max(np.abs(radii_of(pre) - s)) < 1e-12

@@ -1,4 +1,4 @@
-"""Coordinate helpers, cover lifts, and disk sampling."""
+"""Coordinate helpers and disk sampling."""
 
 from __future__ import annotations
 
@@ -7,15 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from diskrot.errors import ZeroPoint
 from diskrot.geometry import (
     GOLDEN,
-    TWOPI,
-    CoverPoint,
-    DiskPoint,
     as_xy,
     angles_of,
-    lift,
     radii_of,
     rot90,
     rotate,
@@ -30,36 +25,7 @@ def test_golden_mean_value():
     assert abs(GOLDEN * (GOLDEN + 1.0) - 1.0) < 1e-15
 
 
-def test_diskpoint_polar_roundtrip():
-    p = DiskPoint.from_polar(0.7, 2.3)
-    assert abs(p.r - 0.7) < 1e-15
-    assert abs(p.theta - 2.3) < 1e-15
-
-
-def test_lift_principal_branch_and_hint():
-    z = DiskPoint.from_polar(0.5, 5.9)
-    assert abs(lift(z).theta_lift - 5.9) < 1e-12
-    hint = CoverPoint(5.9 + 3 * TWOPI, 0.5)
-    assert abs(lift(z, hint).theta_lift - (5.9 + 3 * TWOPI)) < 1e-12
-    # hint on the far side of the branch cut still picks the nearest lift
-    near = CoverPoint(5.9 + TWOPI - 0.3, 0.5)
-    assert abs(lift(z, near).theta_lift - (5.9 + TWOPI)) < 1e-12
-
-
-def test_lift_origin_raises():
-    with pytest.raises(ZeroPoint):
-        lift((0.0, 0.0))
-
-
-def test_deck_shifts_angle_only():
-    c = CoverPoint(1.0, 0.4)
-    d = c.deck(-2)
-    assert d.r == c.r
-    assert abs(d.theta_lift - (1.0 - 2 * TWOPI)) < 1e-15
-
-
 def test_as_xy_coercions():
-    assert np.allclose(as_xy(DiskPoint(0.3, -0.2)), [0.3, -0.2])
     assert np.allclose(as_xy((1.0, 2.0)), [1.0, 2.0])
     a = np.zeros((4, 3, 2))
     assert as_xy(a).shape == (4, 3, 2)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diskrot.errors import ResampleExhausted, TailNotCertified
+from diskrot import verify
+from diskrot.errors import OrbitCollision, ResampleExhausted, TailNotCertified
 from diskrot.foliation import lambda_prefixes
 from diskrot.geometry import GOLDEN
 from diskrot.maps import PlaneExtension
@@ -17,6 +18,20 @@ def test_resampling_that_cannot_succeed_raises():
     # no two points of the disk are 10 apart
     with pytest.raises(ResampleExhausted):
         _admissible_pairs(np.random.default_rng(0), 5, min_sep=10)
+
+
+def test_criterion_4_stops_redrawing_colliding_pairs(monkeypatch):
+    draws = []
+
+    def collide(*args, **kwargs):
+        draws.append(1)
+        raise OrbitCollision("orbits pass within merge_eps")
+
+    monkeypatch.setattr(verify, "linking_average", collide)
+    with pytest.raises(ResampleExhausted):
+        verify.criterion_4(fast=True)
+    # fast mode wants 5 pairs and gives up after 8 draws per pair
+    assert len(draws) == 40
 
 
 def test_lambda_deck_window_beyond_k_max_raises():

@@ -19,8 +19,6 @@ from diskrot.winding import (
     _pair_track,
     pair_windings,
     pair_windings_iterated,
-    position_angle_tracks,
-    winding,
     winding_matrix,
     track,
     winding_tangent,
@@ -74,19 +72,17 @@ def test_scalar_winding_agrees_with_batch():
     X, Y = _pairs(np.random.default_rng(2), 20)
     w = pair_windings(CONJ, X, Y)
     for i in range(len(X)):
-        assert abs(winding(CONJ, X[i], Y[i]) - w[i]) < 1e-10
+        assert abs(float(pair_windings(CONJ, X[i], Y[i])) - w[i]) < 1e-10
 
 
 def test_winding_is_symmetric():
     X, Y = _pairs(np.random.default_rng(3), 30)
     assert np.max(np.abs(pair_windings(CONJ, X, Y) - pair_windings(CONJ, Y, X))) < 1e-12
-    w, wr = winding(CONJ, X[0], Y[0]), winding(CONJ, Y[0], X[0])
-    assert abs(w - wr) < 1e-12
 
 
 def test_coincident_pair_rejected():
     with pytest.raises(CoincidentPoints):
-        winding(CONJ, (0.3, 0.2), (0.3, 0.2))
+        pair_windings(CONJ, (0.3, 0.2), (0.3, 0.2))
     with pytest.raises(CoincidentPoints):
         pair_windings(CONJ, np.array([[0.3, 0.2]]), np.array([[0.3, 0.2]]))
 
@@ -163,11 +159,11 @@ def test_bisected_position_tracks_stay_on_the_requested_grid():
     pts = uniform_disk(np.random.default_rng(9), 50, 0.95)
     _, _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4, grid=True)
     assert depth.max() > 0
-    times, pos, theta = position_angle_tracks(CONJ, pts, steps=4)
-    assert np.array_equal(times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    _, pos_ref, theta_ref = position_angle_tracks(CONJ, pts, steps=1024)
-    assert np.array_equal(pos, pos_ref[::256])
-    assert np.max(np.abs(theta - theta_ref[::256])) < 1e-9
+    coarse = OrbitTrack(CONJ, pts, 1, 4)
+    assert coarse.pos.shape == (1, 5, 50, 2)
+    fine = OrbitTrack(CONJ, pts, 1, 1024)
+    assert np.array_equal(coarse.pos[0], fine.pos[0][::256])
+    assert np.max(np.abs(coarse.ang[0] - fine.ang[0][::256])) < 1e-9
 
 
 def test_discontinuous_vector_exhausts_the_refinement():
