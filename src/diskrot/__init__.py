@@ -27,7 +27,7 @@ from .farey import (
     rotation_of_measure,
     strip_measure,
 )
-from .foliation import RadialFoliation, lambda_int
+from .foliation import lambda_int
 from .geometry import GOLDEN
 from .maps import (
     ConjugacyMap,

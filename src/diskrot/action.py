@@ -235,7 +235,7 @@ def off_orbit_samples(rng, orbit, count):
     return ys
 
 
-def action_winding_gap(field, iso, x, n, mc_samples=100_000, seed=0, merge_eps=1e-9):
+def action_winding_gap(field, iso, x, n, mc_samples=100_000, seed=0):
     """|a_{f^n}(x) - integral of W_{f^n}(x, .) d omega| with its MC error.
 
     The gap obeys a uniform-in-n bound of 8; the check adds a 3-sigma
@@ -247,7 +247,7 @@ def action_winding_gap(field, iso, x, n, mc_samples=100_000, seed=0, merge_eps=1
     a_n = ActionField(iterated, beta=field.beta, path_tol=field.path_tol).action(x)
 
     ys = off_orbit_samples(rng, iso.orbit(x, n), mc_samples)
-    w = pair_windings_iterated(iso, x, ys, n, merge_eps=merge_eps)
+    w = pair_windings_iterated(iso, x, ys, n)
     integral = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(len(w)))
     gap = abs(float(a_n) - integral)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,6 +34,35 @@ def _apply_thread_cap():
         os.environ.setdefault(var, cap)
 
 
+def _count(least):
+    """argparse type: an integer >= least (2 for a standard error's samples)."""
+
+    def count(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"need an integer >= {least}, got {text}")
+        return int(text)
+
+    return count
+
+
+def rotation_number(text):
+    """argparse type: "golden" or a rotation number in (0, 1)."""
+    from .geometry import GOLDEN
+
+    alpha = GOLDEN if text == "golden" else float(text)
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"need 'golden' or 0 < alpha < 1, got {text}")
+    return alpha
+
+
+def fraction(text):
+    """argparse type: a/b in lowest terms with b >= 1, as (a, b)."""
+    a, b = map(int, text.split("/"))
+    if b < 1 or math.gcd(a, b) != 1:
+        raise argparse.ArgumentTypeError(f"need a/b in lowest terms, got {text}")
+    return a, b
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="diskrot",
@@ -42,39 +72,49 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
-        sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--config", help="JSON map config file")
-        sp.add_argument("--seed", type=int, default=0)
+    def add(name, help_, config=True):
+        fmt = argparse.ArgumentDefaultsHelpFormatter
+        sp = sub.add_parser(name, help=help_, formatter_class=fmt)
+        if config:
+            sp.add_argument("--config", help="JSON map config file")
+        sp.add_argument("--seed", type=int, default=0, help="random seed")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--samples", type=int, help="sample count")
-        sp.add_argument("--n", type=int, help="iterate count")
-        sp.add_argument("--pairs", type=int, help="pair count")
         return sp
 
     sp = add("winding", "pairwise winding numbers")
+    sp.add_argument("--pairs", type=_count(1), default=100, help="random pair count")
     sp.add_argument("--pairs-file", help="CSV of pairs x1,y1,x2,y2")
     sp.add_argument(
         "--cross-check",
         action="store_true",
         help="recompute along a second isotopy of the same map",
     )
-    add("action", "action values on sampled points")
-    add("calabi", "Calabi invariant with error estimate")
-    add("mean-action", "Birkhoff averages of the action along an orbit")
-    add("linking", "double Birkhoff linking averages of a pair")
-    add("righthand", "right-handedness certificate")
+    sp = add("action", "action values on sampled points")
+    sp.add_argument("--samples", type=_count(1), default=100, help="sample count")
+    sp = add("calabi", "Calabi invariant with error estimate")
+    sp.add_argument("--samples", type=_count(1), default=1_000_000, help="sample count")
+    sp = add("mean-action", "Birkhoff averages of the action along an orbit")
+    sp.add_argument("--n", type=_count(1), default=4096, help="iterate count")
+    sp = add("linking", "double Birkhoff linking averages of a pair")
+    sp.add_argument("--n", type=_count(1), default=512, help="iterate count")
+    sp = add("righthand", "right-handedness certificate")
+    sp.add_argument("--pairs", type=_count(1), default=100, help="sampled pair count")
+    sp.add_argument("--n", type=_count(1), default=256, help="iterate count")
     sp = add("foliation-check", "topological-angle inequalities and identities")
-    sp.add_argument("--nmax", type=int, default=32)
-    sp = add("strip-measure", "invariant mass of a leaf strip")
-    sp.add_argument("--alpha", default="golden")
-    sp.add_argument("--beta", type=float, default=0.75)
-    sp.add_argument("--conv", default="2/3", help="convergent a/b")
-    sp = add("convergents", "continued-fraction convergents")
-    sp.add_argument("--alpha", default="golden")
-    sp.add_argument("--count", type=int, default=10)
-    add("thm41-bound", "action/winding gap against the uniform bound")
-    sp = add("verify-all", "run the full acceptance suite")
+    sp.add_argument("--pairs", type=_count(1), default=100, help="sampled pair count")
+    sp.add_argument("--nmax", type=_count(1), default=32, help="iterate count")
+    sp = add("strip-measure", "invariant mass of a leaf strip", config=False)
+    sp.add_argument("--samples", type=_count(2), default=1_000_000, help="sample count")
+    sp.add_argument("--alpha", type=rotation_number, default="golden", help="in (0, 1)")
+    sp.add_argument("--beta", type=float, default=0.75, help="outer rotation number")
+    sp.add_argument("--conv", type=fraction, default="2/3", help="convergent a/b")
+    sp = add("convergents", "continued-fraction convergents", config=False)
+    sp.add_argument("--alpha", type=rotation_number, default="golden", help="in (0, 1)")
+    sp.add_argument("--count", type=_count(1), default=10, help="convergent count")
+    sp = add("thm41-bound", "action/winding gap against the uniform bound")
+    sp.add_argument("--n", type=_count(1), default=4, help="iterate count")
+    sp.add_argument("--samples", type=_count(2), default=100_000, help="sample count")
+    sp = add("verify-all", "run the full acceptance suite", config=False)
     sp.add_argument("--fast", action="store_true", help="reduced sample counts")
     return p
 
@@ -84,12 +124,6 @@ def _load_config(args):
         with open(args.config) as f:
             return json.load(f)
     return dict(DEFAULT_CONFIG)
-
-
-def _resolve_alpha_arg(text):
-    from .geometry import GOLDEN
-
-    return GOLDEN if text == "golden" else float(text)
 
 
 def _bundle(args, name, iso=None):
@@ -137,8 +171,7 @@ def cmd_winding(args):
         pairs = _read_pairs(args.pairs_file)
     else:
         rng = np.random.default_rng(args.seed)
-        count = args.pairs or 100
-        pairs = np.hstack([uniform_disk(rng, count, 0.95), uniform_disk(rng, count, 0.95)])
+        pairs = np.hstack([uniform_disk(rng, args.pairs, 0.95) for _ in range(2)])
 
     alt = None
     if args.cross_check and isinstance(iso, ConjugatedRotation) and not iso.deform:
@@ -176,7 +209,7 @@ def cmd_action(args):
     iso = from_config(_load_config(args))
     field = ActionField(iso)
     rng = np.random.default_rng(args.seed)
-    pts = uniform_disk(rng, args.samples or 100)
+    pts = uniform_disk(rng, args.samples)
     a = field.action(pts)
     bundle = _bundle(args, "action", iso)
     bundle.add(mean=float(a.mean()), min=float(a.min()), max=float(a.max()))
@@ -194,7 +227,7 @@ def cmd_calabi(args):
 
     iso = from_config(_load_config(args))
     field = ActionField(iso)
-    res = calabi(field, samples=args.samples or 1_000_000, seed=args.seed)
+    res = calabi(field, samples=args.samples, seed=args.seed)
     bundle = _bundle(args, "calabi", iso)
     bundle.add(**res.to_dict(), boundary_rot=iso.boundary_rot)
     path = bundle.write()
@@ -214,7 +247,7 @@ def cmd_mean_action(args):
     field = ActionField(iso)
     rng = np.random.default_rng(args.seed)
     x = uniform_disk(rng, 1, 0.95)[0]
-    rep = mean_action(field, x, args.n or 4096)
+    rep = mean_action(field, x, args.n)
     bundle = _bundle(args, "mean-action", iso)
     bundle.add(x=list(x), verdict=rep.verdict[0], final=rep.final)
     bundle.add_convergence("partial_averages", rep)
@@ -233,7 +266,7 @@ def cmd_linking(args):
     iso = from_config(_load_config(args))
     rng = np.random.default_rng(args.seed)
     x, y = uniform_disk(rng, 2, 0.95)
-    rep = linking_average(iso, x, y, args.n or 512)
+    rep = linking_average(iso, x, y, args.n)
     bundle = _bundle(args, "linking", iso)
     bundle.add(x=list(x), y=list(y), verdict=rep.verdict[0], final=rep.final)
     bundle.add_convergence("partial_averages", rep)
@@ -248,7 +281,7 @@ def cmd_righthand(args):
 
     iso = from_config(_load_config(args))
     cert = right_handedness_certificate(
-        iso, pair_samples=args.pairs or 100, n=args.n or 256, seed=args.seed
+        iso, pair_samples=args.pairs, n=args.n, seed=args.seed
     )
     bundle = _bundle(args, "righthand", iso)
     bundle.add(**cert)
@@ -270,10 +303,8 @@ def cmd_foliation_check(args):
 
     iso = from_config(_load_config(args))
     rng = np.random.default_rng(args.seed)
-    count = args.pairs or 100
-    nmax = args.nmax
-    Z = uniform_disk(rng, count, 0.9)
-    Zp = uniform_disk(rng, count, 0.9)
+    Z = uniform_disk(rng, args.pairs, 0.9)
+    Zp = uniform_disk(rng, args.pairs, 0.9)
 
     def too_close():
         return (np.hypot(*(Zp - Z).T) < 1e-3) | (np.hypot(*Z.T) < 0.05) | (
@@ -290,12 +321,12 @@ def cmd_foliation_check(args):
     t = annulus_table(iso, Z, Zp, n=1)
     ineq21_slack = max(0.0, float(np.max(np.abs(t["lambda_sum"]) - t["tau_bar"])))
 
-    track = OrbitTrack(iso, Z, nmax)
+    track = OrbitTrack(iso, Z, args.nmax)
     v = leaf_lifts(track)  # W(0, z) is the change of z's lifted angle
     prop1_slack = float(np.abs(displacements(track)[1] - (v[-1] - v[0]) / TWOPI).max())
 
     # the pair windings are read before the lift tables refine the track
-    track = OrbitTrack(iso, np.concatenate([Z[:20], Zp[:20]]), nmax)
+    track = OrbitTrack(iso, np.concatenate([Z[:20], Zp[:20]]), args.nmax)
     w = track.pair_windings().sum(axis=0)
     t = pair_table(track)
     L_worst = max(0.0, float(np.max(np.abs(t["lambda_sum"] + t["m_total"] - w))))
@@ -303,8 +334,8 @@ def cmd_foliation_check(args):
     ok = ineq21_slack <= 0.0 and prop1_slack <= 1.0 + 1e-9 and L_worst <= 2.0 + 1e-9
     bundle = _bundle(args, "foliation-check", iso)
     bundle.add(
-        pairs=count,
-        nmax=nmax,
+        pairs=args.pairs,
+        nmax=args.nmax,
         lambda_le_tau_bar_violation=ineq21_slack,
         max_abs_m_minus_W0=prop1_slack,
         max_abs_Lambda_minus_W=L_worst,
@@ -325,13 +356,11 @@ def cmd_strip_measure(args):
     from .farey import Convergent, strip_measure
     from .maps import PlaneExtension
 
-    alpha = _resolve_alpha_arg(args.alpha)
-    a_str, b_str = args.conv.split("/")
-    conv = Convergent(int(a_str), int(b_str), alpha)
+    conv = Convergent(*args.conv, args.alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearRationalWarning)
-        iso = PlaneExtension(alpha, args.beta)
-    res = strip_measure(iso, conv, samples=args.samples or 1_000_000, seed=args.seed)
+        iso = PlaneExtension(args.alpha, args.beta)
+    res = strip_measure(iso, conv, samples=args.samples, seed=args.seed)
     bundle = _bundle(args, "strip-measure", iso)
     bundle.add(**res)
     path = bundle.write()
@@ -345,11 +374,10 @@ def cmd_strip_measure(args):
 def cmd_convergents(args):
     from .farey import convergents
 
-    alpha = _resolve_alpha_arg(args.alpha)
-    convs = convergents(alpha, args.count)
+    convs = convergents(args.alpha, args.count)
     bundle = _bundle(args, "convergents")
     bundle.add(
-        alpha=alpha,
+        alpha=args.alpha,
         convergents=[{"a": c.a, "b": c.b, "defect": c.defect} for c in convs],
     )
     path = bundle.write()
@@ -371,7 +399,7 @@ def cmd_thm41_bound(args):
     rng = np.random.default_rng(args.seed)
     x = uniform_disk(rng, 1, 0.9)[0]
     res = action_winding_gap(
-        field, iso, x, args.n or 4, mc_samples=args.samples or 100_000, seed=args.seed
+        field, iso, x, args.n, mc_samples=args.samples, seed=args.seed
     )
     bundle = _bundle(args, "thm41-bound", iso)
     bundle.add(x=list(x), **res)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateFailed, OrbitCollision
+from .errors import CertificateFailed, OrbitCollision, ResampleExhausted
 from .geometry import as_xy, uniform_disk
 from .winding import MERGE_EPS, winding_matrix, winding_tangent
 
@@ -20,10 +20,10 @@ CAUCHY_POINTS = 3
 DEFAULT_TOL = 0.01
 
 
-def pow2_schedule(n_max, start=1):
+def pow2_schedule(n_max):
     """Powers of two up to and including n_max (n_max appended if absent)."""
     out = []
-    n = start
+    n = 1
     while n < n_max:
         out.append(n)
         n *= 2
@@ -38,7 +38,6 @@ class ConvergenceReport:
     n_values: tuple
     partial_averages: tuple
     target: float | None = None
-    tol: float = DEFAULT_TOL
     label: str = ""
 
     def __post_init__(self):
@@ -54,18 +53,13 @@ class ConvergenceReport:
 
     @property
     def verdict(self):
-        if len(self.partial_averages) >= CAUCHY_POINTS and self.cauchy_window < self.tol:
-            return ("converged", self.partial_averages[-1], self.tol)
+        if len(self.partial_averages) >= CAUCHY_POINTS and self.cauchy_window < DEFAULT_TOL:
+            return ("converged", self.partial_averages[-1], DEFAULT_TOL)
         return ("undecided",)
 
     @property
     def final(self):
         return self.partial_averages[-1]
-
-    def defect(self):
-        if self.target is None:
-            return None
-        return abs(self.final - self.target)
 
     def to_dict(self):
         v = self.verdict
@@ -75,15 +69,15 @@ class ConvergenceReport:
             "partial_averages": list(self.partial_averages),
             "cauchy_window": self.cauchy_window,
             "target": self.target,
-            "tol": self.tol,
+            "tol": DEFAULT_TOL,
             "verdict": {"status": v[0], "limit": v[1] if len(v) > 1 else None},
         }
 
 
-def mean_action(field, x, n_max, schedule=None, tol=DEFAULT_TOL):
+def mean_action(field, x, n_max):
     """Partial Birkhoff averages (1/n) sum a(f^i x) of the action; N points
     (N, 2) give a list of N reports from one batched orbit."""
-    schedule = schedule or pow2_schedule(n_max)
+    schedule = pow2_schedule(n_max)
     x = as_xy(x)
     csum = np.cumsum(field.action(field.iso.orbit(x, n_max)), axis=0)
     reports = [
@@ -91,7 +85,6 @@ def mean_action(field, x, n_max, schedule=None, tol=DEFAULT_TOL):
             n_values=tuple(schedule),
             partial_averages=tuple(float(c[n - 1] / n) for n in schedule),
             target=field.iso.boundary_rot,
-            tol=tol,
             label="mean-action",
         )
         for c in csum.reshape(n_max, -1).T
@@ -99,12 +92,12 @@ def mean_action(field, x, n_max, schedule=None, tol=DEFAULT_TOL):
     return reports[0] if x.ndim == 1 else reports
 
 
-def admissibility_check(X, Y, merge_eps=MERGE_EPS):
-    """min over (i,j) of |f^i(x) - f^j(y)|; raises OrbitCollision if <= eps."""
+def admissibility_check(X, Y):
+    """min over (i,j) of |f^i(x) - f^j(y)|; OrbitCollision if <= MERGE_EPS."""
     dx = X[:, None, 0] - Y[None, :, 0]
     dy = X[:, None, 1] - Y[None, :, 1]
     d = np.hypot(dx, dy)
-    if d.min() <= merge_eps:
+    if d.min() <= MERGE_EPS:
         i, j = np.unravel_index(np.argmin(d), d.shape)
         raise OrbitCollision(
             f"orbits pass within merge_eps at (i={i}, j={j})", int(i), int(j)
@@ -136,21 +129,18 @@ def double_sum_incremental(W, schedule):
     return out
 
 
-def linking_average(
-    iso, x, y, n, schedule=None, merge_eps=MERGE_EPS, tol=DEFAULT_TOL
-):
+def linking_average(iso, x, y, n):
     """Double Birkhoff averages S_n = (1/n^2) sum_ij W(f^i x, f^j y)."""
-    schedule = schedule or pow2_schedule(n)
+    schedule = pow2_schedule(n)
     X = iso.orbit(as_xy(x), n)
     Y = iso.orbit(as_xy(y), n)
-    admissibility_check(X, Y, merge_eps)
-    W = winding_matrix(iso, X, Y, merge_eps=merge_eps)
+    admissibility_check(X, Y)
+    W = winding_matrix(iso, X, Y)
     avgs = tuple(double_sum_incremental(W, schedule))
     return ConvergenceReport(
         n_values=tuple(schedule),
         partial_averages=avgs,
         target=iso.boundary_rot,
-        tol=tol,
         label="linking",
     )
 
@@ -173,16 +163,13 @@ def linearized_rotation_average(iso, n, direction=(1.0, 0.0)):
     return math.fsum(vals) / n, vals
 
 
-def right_handedness_certificate(
-    iso, pair_samples=100, n=256, seed=0, merge_eps=MERGE_EPS, mode=None
-):
+def right_handedness_certificate(iso, pair_samples=100, n=256, seed=0):
     """Positivity of sampled double averages plus the fixed-point condition.
 
-    mode defaults to "right" when boundary_rot > 0 and "left" otherwise;
+    The mode is "right" when boundary_rot > 0 and "left" otherwise;
     left-handed mode certifies all values negative.
     """
-    if mode is None:
-        mode = "right" if iso.boundary_rot > 0 else "left"
+    mode = "right" if iso.boundary_rot > 0 else "left"
     sign = 1.0 if mode == "right" else -1.0
     rng = np.random.default_rng(seed)
     values = []
@@ -193,13 +180,13 @@ def right_handedness_certificate(
         X = iso.orbit(x, n)
         Y = iso.orbit(y, n)
         try:
-            admissibility_check(X, Y, merge_eps)
+            admissibility_check(X, Y)
         except OrbitCollision:
             continue
-        W = winding_matrix(iso, X, Y, merge_eps=merge_eps)
+        W = winding_matrix(iso, X, Y)
         values.append(double_sum_naive(W, n))
     if len(values) < pair_samples:
-        raise CertificateFailed("could not sample enough admissible pairs")
+        raise ResampleExhausted(f"certificate pairs still collide after {tried} draws")
     values = np.asarray(values)
     if np.any(sign * values <= 0.0):
         bad = int(np.argmin(sign * values))

@@ -1,12 +1,12 @@
 """Continued-fraction convergents, invariant circles of the plane
 extension, and the strip-measure identity.
 
-The strip between a lifted reference leaf and its backward image under
+The strip between the lifted ray at angle 0 and its backward image under
 f^b composed with the inverse deck shift T^(-a) carries, per fundamental
 domain, an invariant mass of a - b*alpha.  The mass is estimated by the
 crossing multiplicity of sampled points: minus the displacement integer
-of the shifted lift, which must be nonpositive when the foliation is
-Brouwer for this power.
+of the shifted lift under a radial plane extension, which must be
+nonpositive when the foliation by rays is Brouwer for this power.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FoliationNotTransverse, RationalInput
-from .foliation import RadialFoliation, displacement_table, displacements
+from .foliation import displacements
 from .geometry import TWOPI, angles_of, as_xy, resample, uniform_disk
-from .maps import IteratedIsotopy
-from .winding import MERGE_EPS, OrbitTrack, pair_windings
+from .winding import OrbitTrack, pair_windings
 
 _CHUNK = 1 << 15
 
@@ -84,32 +83,19 @@ class StripRegion:
     left of the leaf while its image under f^b o T^(-a) lies weakly to
     the right.  The crossing multiplicity of a disk point counts the
     deck copies of the region containing some lift, which is minus the
-    displacement of the shifted lift.
+    displacement of the shifted lift under iso, a plane extension without core.
     """
 
-    def __init__(self, iso, conv, F=None, leaf=0.0):
+    def __init__(self, iso, conv):
         self.iso = iso
         self.conv = conv
-        self.F = F or RadialFoliation()
-        self.leaf = float(leaf)
 
     def _shifted_displacement(self, pts):
         """m of f^b o T^(-a) = m of f^b minus a, per sample point."""
         pts = as_xy(pts)
-        b = self.conv.b
-        if self.F.is_euclidean and hasattr(self.iso, "angle_displacement_exact"):
-            theta = angles_of(pts) % TWOPI
-            theta = self.leaf + (theta - self.leaf) % TWOPI
-            delta = self.iso.angle_displacement_exact(pts, b)
-            m_b = np.floor((theta + delta - self.leaf) / TWOPI).astype(int)
-        else:
-            m_b = np.empty(len(pts), dtype=int)
-            iterated = IteratedIsotopy(self.iso, b) if b > 1 else self.iso
-            for lo in range(0, len(pts), _CHUNK):
-                _, tot = displacement_table(
-                    iterated, pts[lo : lo + _CHUNK], n=1, F=self.F, leaf=self.leaf
-                )
-                m_b[lo : lo + _CHUNK] = tot
+        theta = angles_of(pts) % TWOPI
+        delta = self.iso.angle_displacement_exact(pts, self.conv.b)
+        m_b = np.floor((theta + delta) / TWOPI).astype(int)
         return m_b - self.conv.a
 
     def crossing_counts(self, pts):
@@ -123,13 +109,13 @@ class StripRegion:
         return -m
 
 
-def strip_measure(iso, conv, F=None, samples=1_000_000, seed=0, leaf=0.0):
+def strip_measure(iso, conv, samples=1_000_000, seed=0):
     """Monte-Carlo mass of the strip per fundamental domain.
 
     Expected value a - b*alpha for an invariant measure (Lebesgue on the
     unit disk, extended by zero mass outside).
     """
-    region = StripRegion(iso, conv, F=F, leaf=leaf)
+    region = StripRegion(iso, conv)
     rng = np.random.default_rng(seed)
     pts = uniform_disk(rng, samples)
     counts = region.crossing_counts(pts)
@@ -167,19 +153,18 @@ def invariant_circle(g, radius):
     return sample
 
 
-def rotation_of_measure(iso, sampler=None, samples=100_000, seed=0, F=None, leaf=0.0):
-    """Winding-based and displacement-based rotation numbers of a measure.
+def rotation_of_measure(iso, samples=100_000, seed=0):
+    """Winding- and displacement-based rotation numbers of Lebesgue measure.
 
     Both Monte-Carlo integrals estimate the boundary rotation number;
     their difference is reported with the combined standard error.
     """
-    sampler = sampler or lebesgue_disk()
     rng = np.random.default_rng(seed)
-    pts = sampler(rng, samples)
+    pts = uniform_disk(rng, samples)
     # one track: windings from its angles, displacements from their lifts
     track = OrbitTrack(iso, pts, 1)
     w = (track.ang[0, -1] - track.ang[0, 0]) / TWOPI
-    m_seq, _ = displacements(track, F=F, leaf=leaf)
+    m_seq, _ = displacements(track)
     m = m_seq[0].astype(float)
     out = {
         "winding_value": float(w.mean()),
@@ -197,7 +182,7 @@ def rotation_of_measure(iso, sampler=None, samples=100_000, seed=0, F=None, leaf
 
 
 def product_integral_winding(
-    iso, sampler1=None, sampler2=None, samples=100_000, seed=0, merge_eps=MERGE_EPS
+    iso, sampler1=None, sampler2=None, samples=100_000, seed=0
 ):
     """Monte-Carlo double integral of the winding over independent pairs."""
     sampler1 = sampler1 or lebesgue_disk()
@@ -211,11 +196,11 @@ def product_integral_winding(
         X[close] = sampler1(rng, k)
         Y[close] = sampler2(rng, k)
 
-    resample(lambda: np.hypot(*(Y - X).T) <= max(merge_eps, 1e-7), redraw, 64)
+    resample(lambda: np.hypot(*(Y - X).T) <= 1e-7, redraw, 64)
     w = np.empty(samples)
     for lo in range(0, samples, _CHUNK):
         w[lo : lo + _CHUNK] = pair_windings(
-            iso, X[lo : lo + _CHUNK], Y[lo : lo + _CHUNK], merge_eps=merge_eps
+            iso, X[lo : lo + _CHUNK], Y[lo : lo + _CHUNK]
         )
     return {
         "value": float(w.mean()),

@@ -1,15 +1,14 @@
-"""Radial foliations and the discrete topological-angle calculus.
+"""The radial foliation by rays and the discrete topological-angle calculus.
 
-A radial foliation is encoded by an area chart h pushing forward the
-Euclidean foliation by rays; the leaf coordinate of z is the angle of
-h^{-1}(z) and the along-leaf coordinate its radius.  Pair configurations
+The leaves are the rays from the origin: the leaf coordinate of z is its
+lifted angle and the along-leaf coordinate its radius.  Pair configurations
 are classified by quarter turns in Z/4Z (0: further out on the same
 lifted leaf, 1: leaf strictly to the left, 2: behind on the same leaf,
 3: leaf strictly to the right), and paths of configurations are lifted
 through the digital-line covering Z -> Z/4Z.  The paths are read off one
 shared orbit track: `pair_table` gives each pair's tau, lambda and
-displacement integers, summed over deck copies, and `displacement_table`
-the displacements of single orbits.  All of them are differences of lift
+displacement integers, summed over deck copies, and `displacements` the
+displacements of single orbits.  All of them are differences of lift
 values, so the additive constant of the lift cancels.
 """
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import SamePoint, StepTooCoarse, TailNotCertified, ZeroPoint
 from .geometry import TWOPI, angles_of, as_xy, radii_of
-from .winding import INIT_STEPS, OrbitTrack, track
+from .winding import OrbitTrack
 
 TIE_TOL = 1e-12
 K_MAX = 8
@@ -42,53 +41,10 @@ def lambda_int(k, l):
     return val if k < l else -val
 
 
-class RadialFoliation:
-    """A radial foliation h(F_euclid) for an invertible area chart h.
-
-    chart=None is the Euclidean foliation itself; otherwise chart must
-    expose forward(pts, scale) and inverse(pts, scale) with scale in
-    [0, 1] interpolating from the identity, as the conjugacy maps do.
-    """
-
-    def __init__(self, chart=None, tag=None):
-        self.chart = chart
-        self.tag = tag or ("euclidean" if chart is None else "chart")
-
-    @property
-    def is_euclidean(self):
-        return self.chart is None or getattr(self.chart, "is_identity", False)
-
-    def inverse_points(self, pts):
-        pts = as_xy(pts)
-        return pts if self.is_euclidean else self.chart.inverse(pts)
-
-    def angle_shift(self, pts):
-        """Continuous shift D(z): the lifted leaf coordinate is theta_lift + D(z).
-
-        Tracked along the chart's interpolation to the identity, so the
-        shift is single-valued and deck-equivariant.
-        """
-        pts = as_xy(pts)
-        if self.is_euclidean:
-            return np.zeros(pts.shape[:-1])
-        flat = pts.reshape(-1, 2)
-        turn, _ = track(
-            lambda u, idx: self.chart.inverse(flat[idx], u), len(flat), INIT_STEPS
-        )
-        return turn.reshape(pts.shape[:-1])
-
-    def leaf_point(self, leaf, s):
-        """The point of the leaf with coordinates (leaf, s)."""
-        base = np.stack(
-            [np.asarray(s) * np.cos(leaf), np.asarray(s) * np.sin(leaf)], axis=-1
-        )
-        return base if self.is_euclidean else self.chart.forward(base)
-
-
-def _lift_path_slow(d, ds, tie_tol=TIE_TOL):
+def _lift_path_slow(d, ds):
     """Digital-line lift of a sampled configuration path (state machine).
 
-    Handles samples lying on a leaf coincidence (|d| <= tie_tol, the
+    Handles samples lying on a leaf coincidence (|d| <= TIE_TOL, the
     closed even states of the digital line).  Returns the integer lift at
     every sample.
     """
@@ -100,7 +56,7 @@ def _lift_path_slow(d, ds, tie_tol=TIE_TOL):
         return 0 if s > 0 else 2
 
     ks = np.empty(len(d), dtype=int)
-    if abs(d[0]) <= tie_tol:
+    if abs(d[0]) <= TIE_TOL:
         k = even_val(ds[0])
         state_even = True
     else:
@@ -108,7 +64,7 @@ def _lift_path_slow(d, ds, tie_tol=TIE_TOL):
         state_even = False
     ks[0] = k
     for t in range(1, len(d)):
-        cur_even = abs(d[t]) <= tie_tol
+        cur_even = abs(d[t]) <= TIE_TOL
         if state_even and cur_even:
             if k % 4 != even_val(ds[t]):
                 raise StepTooCoarse("even-to-even jump in one time step")
@@ -129,7 +85,7 @@ def _lift_path_slow(d, ds, tie_tol=TIE_TOL):
     return ks
 
 
-def _lift_path(d, ds, tie_tol=TIE_TOL):
+def _lift_path(d, ds):
     """Vectorized digital-line lift for a path with no even samples.
 
     Crossings are detected as sign flips of d; the even value passed is
@@ -137,8 +93,8 @@ def _lift_path(d, ds, tie_tol=TIE_TOL):
     crossing, and the lift jumps by +-2 accordingly.  Double crossings
     inside one step cancel and leave every output unchanged.
     """
-    if np.any(np.abs(d) <= tie_tol):
-        return _lift_path_slow(d, ds, tie_tol)
+    if np.any(np.abs(d) <= TIE_TOL):
+        return _lift_path_slow(d, ds)
     pos = d > 0
     flips = np.nonzero(pos[1:] != pos[:-1])[0]
     inc = np.zeros(len(d), dtype=int)
@@ -152,49 +108,22 @@ def _lift_path(d, ds, tie_tol=TIE_TOL):
     return k0 + np.cumsum(inc)
 
 
-def _leaf_tracks(theta, pts, F):
-    """Lifted leaf and along coordinates (l, s) at track samples pts
-    (..., 2) whose lifted angles are theta."""
-    if F.is_euclidean:
-        return theta, radii_of(pts)
-    flat = pts.reshape(-1, 2)
-    l = theta + F.angle_shift(flat).reshape(theta.shape)
-    return l, radii_of(F.inverse_points(flat)).reshape(theta.shape)
-
-
-def _orbit_track(iso, pts, n, steps=INIT_STEPS):
-    if np.any(radii_of(pts) == 0.0):
-        raise ZeroPoint("the origin has no leaf coordinate")
-    return OrbitTrack(iso, pts, n, steps)
-
-
-def leaf_lifts(track, F=None):
+def leaf_lifts(track):
     """Lifted leaf coordinates l(f^k z), k = 0..n, of an orbit track's
     points, (n+1, N), starting from the principal lift."""
     shift = track.shifts(angles_of(track.pts) % TWOPI)
-    theta = np.concatenate([track.ang[:1, 0] + shift[:1], track.ang[:, -1] + shift])
-    pos = np.concatenate([track.pos[:1, 0], track.pos[:, -1]])
-    return _leaf_tracks(theta, pos, F or RadialFoliation())[0]
+    return np.concatenate([track.ang[:1, 0] + shift[:1], track.ang[:, -1] + shift])
 
 
-def displacements(track, F=None, leaf=0.0):
+def displacements(track):
     """Per-iterate displacements m(f^i z) of an orbit track's points and
     their total, (m_seq (n, N), m_total (N,)), from the same lifted leaf
     values, so sum(m_seq) = m_total exactly (telescoping floors)."""
-    v = leaf_lifts(track, F)
-    # normalize the starting lift into the fundamental sector [leaf, leaf+2pi)
-    v = v - TWOPI * np.floor((v[0] - leaf) / TWOPI)
-    floors = np.floor((v - leaf) / TWOPI).astype(int)
+    v = leaf_lifts(track)
+    # normalize the starting lift into the fundamental sector [0, 2pi)
+    v = v - TWOPI * np.floor(v[0] / TWOPI)
+    floors = np.floor(v / TWOPI).astype(int)
     return floors[1:] - floors[:-1], floors[-1] - floors[0]
-
-
-def displacement_table(iso, pts, n=1, F=None, leaf=0.0):
-    """`displacements` of the orbits of pts (N, 2), or of one point (2,)."""
-    pts = as_xy(pts)
-    m_seq, m_total = displacements(_orbit_track(iso, pts.reshape(-1, 2), n), F, leaf)
-    if pts.ndim == 1:
-        return m_seq[:, 0], int(m_total[0])
-    return m_seq, m_total
 
 
 def _contributing_decks(d, k_max):
@@ -208,7 +137,7 @@ def _contributing_decks(d, k_max):
     return range(lo, hi + 1)
 
 
-def _pair_lifts(track, F, k_max, tie_tol):
+def _pair_lifts(track, k_max):
     """Per pair (i, M + i) of an orbit track over Z and Z', the digital-line
     lifts at the integer times {deck shift: lifts} of the contributing
     decks (the others stay open and contribute zero; the window must fit
@@ -218,7 +147,7 @@ def _pair_lifts(track, F, k_max, tie_tol):
     # pair differences on the iterate grids joined at integer times (row k*T)
     d, ds = np.empty((2, n * T + 1, M))
     for k in range(n):
-        l, s = _leaf_tracks(track.ang[k] + shift[k], track.pos[k], F)
+        l, s = track.ang[k] + shift[k], radii_of(track.pos[k])
         j = min(k, 1)
         d[k * T + j : (k + 1) * T + 1] = l[j:, M:] - l[j:, :M]
         ds[k * T + j : (k + 1) * T + 1] = s[j:, M:] - s[j:, :M]
@@ -226,14 +155,14 @@ def _pair_lifts(track, F, k_max, tie_tol):
     for dj, sj in zip(d.T, ds.T):
         try:
             decks = _contributing_decks(dj, k_max)
-            lifts = (_lift_path(dj + TWOPI * k, sj, tie_tol)[::T].copy() for k in decks)
+            lifts = (_lift_path(dj + TWOPI * k, sj)[::T].copy() for k in decks)
             out.append(dict(zip(decks, lifts)))
         except StepTooCoarse:
             out.append(None)
     return out
 
 
-def _settled_lifts(track, F, k_max, tie_tol, report):
+def _settled_lifts(track, k_max, report):
     """`_pair_lifts` of each pair, accepted once report(lifts) agrees
     between two successive resolutions: pairs near a shared leaf need fine
     steps to catch every crossing, so the unsettled ones alone are refined
@@ -243,7 +172,7 @@ def _settled_lifts(track, F, k_max, tie_tol, report):
     pending = np.arange(len(settled))
     for doubling in range(MAX_DOUBLINGS + 1):
         still = []
-        lifts_of = _pair_lifts(track, F, k_max, tie_tol)
+        lifts_of = _pair_lifts(track, k_max)
         for j, (p, lifts) in enumerate(zip(pending, lifts_of)):
             key = None if lifts is None else report(lifts)
             if key is not None and key == prev[p]:
@@ -265,7 +194,7 @@ def _lambda_sum(lifts, i, j):
     return sum(lambda_int(int(ks[i]), int(ks[j])) for ks in lifts.values())
 
 
-def lambda_prefixes(track, ns, F=None, k_max=K_MAX):
+def lambda_prefixes(track, ns, k_max=K_MAX):
     """Deck-summed lambda(z_i, z'_i) of f^n, n in ns, (len(ns), M), for the
     pairs (i, M + i) of an orbit track over Z and Z'.  A pair settles once
     these agree between two successive resolutions; refines the track."""
@@ -273,30 +202,31 @@ def lambda_prefixes(track, ns, F=None, k_max=K_MAX):
     def values(lifts):
         return tuple(_lambda_sum(lifts, 0, n) for n in ns)
 
-    tables = _settled_lifts(track, F or RadialFoliation(), k_max, TIE_TOL, values)
+    tables = _settled_lifts(track, k_max, values)
     return np.array([values(t) for t in tables], dtype=float).T
 
 
-def annulus_table(iso, z, zp, n=1, F=None, k_max=K_MAX, tie_tol=TIE_TOL, leaf=0.0):
+def annulus_table(iso, z, zp, n=1):
     """`pair_table` of pairs (z_i, z'_i) ((N, 2) or (2,)) over n iterates."""
     z, zp = as_xy(z), as_xy(zp)
-    if radii_of(zp - z).min() <= tie_tol:
+    if radii_of(zp - z).min() <= TIE_TOL:
         raise SamePoint("pair projects to one point")
-    track = _orbit_track(iso, np.concatenate([z.reshape(-1, 2), zp.reshape(-1, 2)]), n)
-    out = pair_table(track, F, k_max, tie_tol, leaf)
+    pts = np.concatenate([z.reshape(-1, 2), zp.reshape(-1, 2)])
+    if np.any(radii_of(pts) == 0.0):
+        raise ZeroPoint("the origin has no leaf coordinate")
+    out = pair_table(OrbitTrack(iso, pts, n))
     return {key: v[..., 0] for key, v in out.items()} if z.ndim == 1 else out
 
 
-def pair_table(track, F=None, k_max=K_MAX, tie_tol=TIE_TOL, leaf=0.0):
+def pair_table(track):
     """Deck-summed lift data of the pairs (i, M + i) of an orbit track over Z
     and Z': per pair tau_bar, tau_sum, lambda_seq (one value an iterate),
     lambda_sum and Z's displacements m_seq, m_total.  A pair settles once its
     lift tables agree at two successive resolutions; refines the track."""
-    F = F or RadialFoliation()
     n, M = len(track.ang), len(track.pts) // 2
-    m_seq, m_total = displacements(track, F, leaf)
+    m_seq, m_total = displacements(track)
     tables = _settled_lifts(
-        track, F, k_max, tie_tol, lambda t: {k: v.tobytes() for k, v in t.items()}
+        track, K_MAX, lambda t: {k: v.tobytes() for k, v in t.items()}
     )
     taus = [[int(ks[-1] - ks[0]) for ks in t.values()] for t in tables]
     return {

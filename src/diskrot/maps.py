@@ -268,10 +268,6 @@ class ConjugacyMap:
             pts = st.apply(pts, s)
         return S
 
-    @property
-    def is_identity(self):
-        return len(self.steps) == 0
-
 
 class Isotopy:
     """A time-parametrized family of area-preserving disk maps.
@@ -345,10 +341,6 @@ class RigidRotation(Isotopy):
 
     def velocity(self, t, pts):
         return TWOPI * self.alpha * rot90(self.eval(t, pts))
-
-    def angle_displacement_exact(self, pts, n=1):
-        pts = as_xy(pts)
-        return np.full(pts.shape[:-1], TWOPI * n * self.alpha)
 
     def action_closed_form(self, pts, n=1):
         pts = as_xy(pts)
@@ -591,7 +583,7 @@ class IteratedIsotopy(Isotopy):
 def _resolve_alpha(value, pointer):
     if value == "golden":
         return GOLDEN
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise SchemaError(pointer, f"expected a number or 'golden', got {value!r}")
 
@@ -601,7 +593,7 @@ def from_config(cfg):
 
     Schema:
       {"family": "rigid", "alpha": <real | "golden">}
-      {"family": "conjugated", "alpha": ..., "deform": <bool, optional>,
+      {"family": "conjugated", "alpha": ..., "deform": <true | false, optional>,
        "g": {"hamiltonian": <name>, "steps": <int>, "support_radius": <real>}}
       {"family": "plane-extension", "alpha": ..., "beta": <real>,
        "core": <optional nested config>}
@@ -620,17 +612,20 @@ def from_config(cfg):
             raise SchemaError("/g", "must be an object")
         name = gcfg.get("hamiltonian", "twist-a")
         steps = gcfg.get("steps", 2)
-        if not isinstance(steps, int) or steps < 1:
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
             raise SchemaError("/g/steps", f"must be a positive integer, got {steps!r}")
         sr = gcfg.get("support_radius", 0.85)
         if not isinstance(sr, (int, float)) or not 0.1 < sr < 1.0:
             raise SchemaError("/g/support_radius", f"must lie in (0.1, 1), got {sr!r}")
         g = ConjugacyMap.from_named(name, repeats=steps, support_radius=float(sr))
-        return ConjugatedRotation(alpha, g, deform=bool(cfg.get("deform", False)))
+        deform = cfg.get("deform", False)
+        if not isinstance(deform, bool):
+            raise SchemaError("/deform", f"must be true or false, got {deform!r}")
+        return ConjugatedRotation(alpha, g, deform=deform)
     if family == "plane-extension":
         alpha = _resolve_alpha(cfg.get("alpha", "golden"), "/alpha")
         beta = cfg.get("beta")
-        if not isinstance(beta, (int, float)):
+        if isinstance(beta, bool) or not isinstance(beta, (int, float)):
             raise SchemaError("/beta", f"must be a number, got {beta!r}")
         core = from_config(cfg["core"]) if "core" in cfg else None
         return PlaneExtension(alpha, float(beta), core=core)

@@ -128,14 +128,14 @@ def _entry_trajectory(iso, P, shape):
     return iso.trajectory(P)
 
 
-def _pair_track(iso, X, Y, merge_eps=MERGE_EPS, init_steps=INIT_STEPS):
+def _pair_track(iso, X, Y, init_steps=INIT_STEPS):
     """(windings, bisection depths) of paired point arrays X[i], Y[i]; either
     side may be one point (2,) paired with every point of the other."""
     X = as_xy(X)
     Y = as_xy(Y)
     shape = np.broadcast_shapes(X.shape, Y.shape)
-    if radii_of(Y - X).min() <= merge_eps:
-        raise CoincidentPoints(f"pair separation <= merge_eps={merge_eps}")
+    if radii_of(Y - X).min() <= MERGE_EPS:
+        raise CoincidentPoints(f"pair separation <= MERGE_EPS={MERGE_EPS}")
     fx = _entry_trajectory(iso, X, shape)
     fy = _entry_trajectory(iso, Y, shape)
     turn, depth = track(
@@ -144,9 +144,9 @@ def _pair_track(iso, X, Y, merge_eps=MERGE_EPS, init_steps=INIT_STEPS):
     return turn.reshape(shape[:-1]) / TWOPI, depth.reshape(shape[:-1])
 
 
-def pair_windings(iso, X, Y, merge_eps=MERGE_EPS, init_steps=INIT_STEPS):
+def pair_windings(iso, X, Y, init_steps=INIT_STEPS):
     """Windings of paired point arrays X[i] with Y[i] under the isotopy."""
-    return _pair_track(iso, X, Y, merge_eps, init_steps)[0]
+    return _pair_track(iso, X, Y, init_steps)[0]
 
 
 def winding_tangent(iso, base, direction):
@@ -171,7 +171,7 @@ def winding_tangent(iso, base, direction):
     return w if xi.ndim > 1 else w[0]
 
 
-def pair_windings_iterated(iso, X, Y, n, merge_eps=MERGE_EPS):
+def pair_windings_iterated(iso, X, Y, n):
     """Windings of paired arrays under the n-fold concatenated isotopy,
     summed over the iterates; returns (N,) turns.  A single point (2,)
     stays one point through the iterates."""
@@ -179,13 +179,13 @@ def pair_windings_iterated(iso, X, Y, n, merge_eps=MERGE_EPS):
     Y = as_xy(Y)
     total = np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1])
     for _ in range(n):
-        total += pair_windings(iso, X, Y, merge_eps=merge_eps)
+        total += pair_windings(iso, X, Y)
         X = iso.map(X)
         Y = iso.map(Y)
     return total
 
 
-def winding_matrix(iso, xs, ys, merge_eps=MERGE_EPS):
+def winding_matrix(iso, xs, ys):
     """All cross windings W[i, j] of the pairs (xs[i], ys[j]) in one sweep.
 
     Each grid sample evaluates the two point sets once and forms all n*m
@@ -197,7 +197,7 @@ def winding_matrix(iso, xs, ys, merge_eps=MERGE_EPS):
     zx = xs[:, 0] + 1j * xs[:, 1]
     zy = ys[:, 0] + 1j * ys[:, 1]
     sep = np.abs(zy[None, :] - zx[:, None])
-    if sep.min() <= merge_eps:
+    if sep.min() <= MERGE_EPS:
         i, j = np.unravel_index(np.argmin(sep), sep.shape)
         raise CoincidentPoints(f"points xs[{i}] and ys[{j}] within merge_eps")
     n, m = len(xs), len(ys)
@@ -279,7 +279,7 @@ class OrbitTrack:
         start = self.pts
         for k, (at, P) in enumerate(zip(self._at, self.pos)):
             if radii_of(start[M:] - start[:M]).min() <= MERGE_EPS:
-                raise CoincidentPoints(f"pair separation <= merge_eps={MERGE_EPS}")
+                raise CoincidentPoints(f"pair separation <= MERGE_EPS={MERGE_EPS}")
             rows = lambda j: P[j, M:] - P[j, :M]
             vec_at = lambda t, idx: at(t, ent[M + idx]) - at(t, ent[idx])
             turn, _ = _track(rows, vec_at, M, self.steps, grid=False)

@@ -8,6 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from diskrot.cli import build_parser, main
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -160,3 +164,72 @@ def test_verify_all_fast_smoke(tmp_path):
         doc = json.load(f)
     assert doc["passed"] and doc["fast"]
     assert [c["criterion"] for c in doc["criteria"]] == list(range(1, 11))
+
+
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    for argv in (
+        ["verify-all", "--fast", "--samples", "5"],
+        ["verify-all", "--pairs", "3"],
+        ["mean-action", "--pairs", "3"],
+        ["strip-measure", "--n", "3"],
+        ["convergents", "--config", "cfg.json"],
+    ):
+        assert "unrecognized arguments" in _usage_error(argv, capsys), argv
+
+
+def test_count_defaults_live_in_the_parser():
+    defaults = {
+        "winding": {"pairs": 100},
+        "action": {"samples": 100},
+        "calabi": {"samples": 1_000_000},
+        "mean-action": {"n": 4096},
+        "linking": {"n": 512},
+        "righthand": {"pairs": 100, "n": 256},
+        "foliation-check": {"pairs": 100, "nmax": 32},
+        "strip-measure": {"samples": 1_000_000, "conv": (2, 3)},
+        "convergents": {"count": 10},
+        "thm41-bound": {"n": 4, "samples": 100_000},
+    }
+    for command, want in defaults.items():
+        args = vars(build_parser().parse_args([command]))
+        assert {k: args[k] for k in want} == want, command
+
+
+def test_counts_must_be_positive(capsys):
+    for argv in (
+        ["mean-action", "--n", "0"],
+        ["mean-action", "--n", "-3"],
+        ["righthand", "--pairs", "0"],
+        ["foliation-check", "--nmax", "0"],
+        ["winding", "--pairs", "0"],
+        ["convergents", "--count", "0"],
+        ["linking", "--n", "abc"],
+    ):
+        assert "argument --" in _usage_error(argv, capsys), argv
+
+
+def test_standard_errors_need_two_samples(capsys):
+    for argv in (["strip-measure", "--samples", "1"], ["thm41-bound", "--samples", "1"]):
+        assert "need an integer >= 2" in _usage_error(argv, capsys), argv
+
+
+def test_malformed_alpha_and_convergent_are_usage_errors(capsys):
+    for argv in (
+        ["strip-measure", "--conv", "2"],
+        ["strip-measure", "--conv", "2/0"],
+        ["strip-measure", "--conv", "2/4"],
+        ["strip-measure", "--alpha", "1.5"],
+        ["convergents", "--alpha", "1.5"],
+        ["convergents", "--alpha", "abc"],
+        ["convergents", "--alpha", "nan"],
+    ):
+        err = _usage_error(argv, capsys)
+        assert "--conv" in err or "--alpha" in err, argv
+    assert build_parser().parse_args(["convergents", "--alpha", "0.25"]).alpha == 0.25

@@ -18,10 +18,10 @@ from diskrot.farey import (
     rotation_of_measure,
     strip_measure,
 )
-from diskrot.foliation import displacement_table
+from diskrot.foliation import displacements
 from diskrot.geometry import GOLDEN, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
-from diskrot.winding import pair_windings
+from diskrot.winding import OrbitTrack, pair_windings
 
 
 def _plane_extension(beta=0.75):
@@ -112,7 +112,7 @@ def test_rotation_of_measure_reads_both_routes_off_one_track():
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
     rot = rotation_of_measure(iso, samples=500, seed=3)
     pts = lebesgue_disk()(np.random.default_rng(3), 500)
-    m_seq, _ = displacement_table(iso, pts, n=1)
+    m_seq, _ = displacements(OrbitTrack(iso, pts, 1))
     # f_t fixes the origin, so W(0, z) is the change of z's lifted angle
     w = pair_windings(iso, np.zeros(2), pts)
     assert abs(rot["winding_value"] - float(w.mean())) < 1e-12

@@ -1,4 +1,4 @@
-"""Radial foliations, digital-line lifts, and the integer-angle calculus."""
+"""The foliation by rays, digital-line lifts, and the integer-angle calculus."""
 
 from __future__ import annotations
 
@@ -9,16 +9,15 @@ import pytest
 
 from diskrot.errors import SamePoint, StepTooCoarse, ZeroPoint
 from diskrot.foliation import (
-    RadialFoliation,
     _lift_path,
     _lift_path_slow,
     annulus_table,
-    displacement_table,
+    displacements,
     lambda_int,
 )
-from diskrot.geometry import GOLDEN, TWOPI, angles_of, radii_of, uniform_disk
+from diskrot.geometry import GOLDEN, TWOPI, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation
-from diskrot.winding import pair_windings_iterated
+from diskrot.winding import OrbitTrack, pair_windings_iterated
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
@@ -70,7 +69,7 @@ def test_rigid_displacement_matches_floor_formula():
     thetas = np.array([0.1, 1.5, 3.0, 4.4, 6.1])
     pts = 0.6 * np.column_stack([np.cos(thetas), np.sin(thetas)])
     for n in (1, 3, 7):
-        _, m = displacement_table(RIGID, pts, n=n)
+        _, m = displacements(OrbitTrack(RIGID, pts, n))
         want = np.floor((thetas % TWOPI + TWOPI * n * GOLDEN) / TWOPI).astype(int)
         assert np.array_equal(m, want)
 
@@ -79,14 +78,14 @@ def test_displacement_birkhoff_identity():
     rng = np.random.default_rng(0)
     pts = uniform_disk(rng, 20, 0.9)
     pts = pts[np.hypot(*pts.T) > 0.05]
-    m_seq, m_total = displacement_table(CONJ, pts, n=8)
+    m_seq, m_total = displacements(OrbitTrack(CONJ, pts, 8))
     assert np.array_equal(m_seq.sum(axis=0), m_total)
     assert m_total.dtype.kind == "i"
 
 
 def test_displacement_rejects_the_origin():
     with pytest.raises(ZeroPoint):
-        displacement_table(CONJ, (0.0, 0.0))
+        annulus_table(CONJ, (0.0, 0.0), (0.5, 0.2))
 
 
 def test_rigid_tau_vanishes_off_shared_leaves():
@@ -133,12 +132,3 @@ def test_big_lambda_tracks_the_winding():
             w = float(pair_windings_iterated(CONJ, z[None], zp[None], n)[0])
             assert abs(L - w) <= 2.0 + 1e-9
 
-
-def test_chart_foliation_coordinates_roundtrip():
-    F = RadialFoliation(chart=ConjugacyMap.from_named("twist-b"))
-    assert not F.is_euclidean
-    leaves = np.array([0.3, 2.1, 4.9])
-    s = np.array([0.4, 0.7, 0.9])
-    pre = F.inverse_points(F.leaf_point(leaves, s))
-    assert np.max(np.abs(angles_of(pre) % TWOPI - leaves)) < 1e-12
-    assert np.max(np.abs(radii_of(pre) - s)) < 1e-12

@@ -299,6 +299,13 @@ def test_from_config_schema_pointers():
         ({"family": "conjugated", "g": {"support_radius": 2.0}}, "/g/support_radius"),
         ({"family": "conjugated", "g": {"hamiltonian": "nope"}}, "/g/hamiltonian"),
         ({"family": "plane-extension"}, "/beta"),
+        # JSON booleans are not numbers, and strings are not booleans
+        ({"family": "rigid", "alpha": True}, "/alpha"),
+        ({"family": "conjugated", "g": {"steps": True}}, "/g/steps"),
+        ({"family": "conjugated", "g": {"support_radius": True}}, "/g/support_radius"),
+        ({"family": "plane-extension", "beta": True}, "/beta"),
+        ({"family": "conjugated", "deform": "false"}, "/deform"),
+        ({"family": "conjugated", "deform": 0}, "/deform"),
     ]
     for cfg, pointer in cases:
         with pytest.raises(SchemaError) as err:

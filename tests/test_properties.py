@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diskrot.foliation import annulus_table, displacement_table, lambda_int
+from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, TwistStep
 from diskrot.winding import OrbitTrack, pair_windings
@@ -60,7 +60,7 @@ def test_batched_pair_values_equal_single_pair_calls(Z, Zp):
     assume(np.hypot(*(Zp - Z).T).min() > 1e-2)
     n = 2
     batch = annulus_table(CONJ, Z, Zp, n=n)
-    m_seq, m_total = displacement_table(CONJ, Z, n=n)
+    m_seq, m_total = displacements(OrbitTrack(CONJ, Z, n))
     assert np.array_equal(batch["m_seq"], m_seq)
     assert np.array_equal(batch["m_total"], m_total)
     windings = OrbitTrack(CONJ, np.concatenate([Z, Zp]), n).pair_windings()
@@ -68,6 +68,6 @@ def test_batched_pair_values_equal_single_pair_calls(Z, Zp):
         single = annulus_table(CONJ, z, zp, n=n)
         for key, value in single.items():
             assert np.array_equal(batch[key][..., j], value), key
-        m_seq_j, m_total_j = displacement_table(CONJ, z, n=n)
-        assert np.array_equal(m_seq_j, m_seq[:, j]) and m_total_j == m_total[j]
+        m_seq_j, m_total_j = displacements(OrbitTrack(CONJ, z[None], n))
+        assert np.array_equal(m_seq_j[:, 0], m_seq[:, j]) and m_total_j[0] == m_total[j]
         assert windings[0, j] == pair_windings(CONJ, z[None], zp[None])[0]
