@@ -145,14 +145,30 @@ def linking_average(iso, x, y, n):
     )
 
 
-def linearized_rotation_average(iso, n, direction=(1.0, 0.0)):
-    """(1/n) sum of single-step tangent windings at the fixed origin.
+def linking_samples(iso, draw, count, n):
+    """`linking_average` reports of count pairs (x, y) = draw(), skipping
+    pairs whose orbits collide; ResampleExhausted after 8 * count draws."""
+    reports = []
+    for _ in range(8 * count):
+        try:
+            reports.append(linking_average(iso, *draw(), n))
+        except OrbitCollision:
+            continue
+        if len(reports) == count:
+            return reports
+    raise ResampleExhausted(
+        f"{count - len(reports)} linking pairs still collide after {8 * count} draws"
+    )
+
+
+def linearized_rotation_average(iso, n):
+    """(1/n) sum of single-step tangent windings at the fixed origin, from
+    the direction (1, 0).
 
     Directions advance by the unit-normalized Jacobian action, matching the
     tangent pairs (0, df^i xi) of the fixed-point condition.
     """
-    d = np.asarray(direction, dtype=float)
-    d = d / np.hypot(d[0], d[1])
+    d = np.array([1.0, 0.0])
     J1 = iso.jac(1.0, np.zeros(2))
     dirs = np.empty((n, 2))
     for i in range(n):
@@ -172,22 +188,8 @@ def right_handedness_certificate(iso, pair_samples=100, n=256, seed=0):
     mode = "right" if iso.boundary_rot > 0 else "left"
     sign = 1.0 if mode == "right" else -1.0
     rng = np.random.default_rng(seed)
-    values = []
-    tried = 0
-    while len(values) < pair_samples and tried < 8 * pair_samples:
-        tried += 1
-        x, y = uniform_disk(rng, 2, radius=0.97)
-        X = iso.orbit(x, n)
-        Y = iso.orbit(y, n)
-        try:
-            admissibility_check(X, Y)
-        except OrbitCollision:
-            continue
-        W = winding_matrix(iso, X, Y)
-        values.append(double_sum_naive(W, n))
-    if len(values) < pair_samples:
-        raise ResampleExhausted(f"certificate pairs still collide after {tried} draws")
-    values = np.asarray(values)
+    draw = lambda: uniform_disk(rng, 2, radius=0.97)
+    values = np.array([r.final for r in linking_samples(iso, draw, pair_samples, n)])
     if np.any(sign * values <= 0.0):
         bad = int(np.argmin(sign * values))
         raise CertificateFailed(

@@ -7,9 +7,9 @@ lifted leaf, 1: leaf strictly to the left, 2: behind on the same leaf,
 3: leaf strictly to the right), and paths of configurations are lifted
 through the digital-line covering Z -> Z/4Z.  The paths are read off one
 shared orbit track: `pair_table` gives each pair's tau, lambda and
-displacement integers, summed over deck copies, and `displacements` the
-displacements of single orbits.  All of them are differences of lift
-values, so the additive constant of the lift cancels.
+displacement integers, summed over deck copies, `displacements` those of
+single orbits, and `winding_gaps` their distances from the windings.  All
+are differences of lift values, so the additive constant of the lift cancels.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .geometry import TWOPI, angles_of, as_xy, radii_of
 from .winding import OrbitTrack
 
 TIE_TOL = 1e-12
-K_MAX = 8
+K_MAX = 10
 MAX_DOUBLINGS = 7
 
 
@@ -126,22 +126,22 @@ def displacements(track):
     return floors[1:] - floors[:-1], floors[-1] - floors[0]
 
 
-def _contributing_decks(d, k_max):
+def _contributing_decks(d):
     """Deck shifts k for which d + 2 pi k can change sign along the path."""
     lo = int(math.floor(-d.max() / TWOPI))
     hi = int(math.ceil(-d.min() / TWOPI))
-    if lo < -k_max or hi > k_max:
+    if lo < -K_MAX or hi > K_MAX:
         raise TailNotCertified(
-            f"contributing deck shifts [{lo}, {hi}] exceed k_max={k_max}"
+            f"contributing deck shifts [{lo}, {hi}] exceed K_MAX={K_MAX}"
         )
     return range(lo, hi + 1)
 
 
-def _pair_lifts(track, k_max):
+def _pair_lifts(track):
     """Per pair (i, M + i) of an orbit track over Z and Z', the digital-line
     lifts at the integer times {deck shift: lifts} of the contributing
     decks (the others stay open and contribute zero; the window must fit
-    in [-k_max, k_max]), or None where a tie needs finer steps."""
+    in [-K_MAX, K_MAX]), or None where a tie needs finer steps."""
     n, T, M = len(track.ang), track.steps, len(track.pts) // 2
     shift = track.shifts(angles_of(track.pts) % TWOPI)
     # pair differences on the iterate grids joined at integer times (row k*T)
@@ -154,7 +154,7 @@ def _pair_lifts(track, k_max):
     out = []
     for dj, sj in zip(d.T, ds.T):
         try:
-            decks = _contributing_decks(dj, k_max)
+            decks = _contributing_decks(dj)
             lifts = (_lift_path(dj + TWOPI * k, sj)[::T].copy() for k in decks)
             out.append(dict(zip(decks, lifts)))
         except StepTooCoarse:
@@ -162,7 +162,7 @@ def _pair_lifts(track, k_max):
     return out
 
 
-def _settled_lifts(track, k_max, report):
+def _settled_lifts(track, report):
     """`_pair_lifts` of each pair, accepted once report(lifts) agrees
     between two successive resolutions: pairs near a shared leaf need fine
     steps to catch every crossing, so the unsettled ones alone are refined
@@ -172,7 +172,7 @@ def _settled_lifts(track, k_max, report):
     pending = np.arange(len(settled))
     for doubling in range(MAX_DOUBLINGS + 1):
         still = []
-        lifts_of = _pair_lifts(track, k_max)
+        lifts_of = _pair_lifts(track)
         for j, (p, lifts) in enumerate(zip(pending, lifts_of)):
             key = None if lifts is None else report(lifts)
             if key is not None and key == prev[p]:
@@ -194,7 +194,7 @@ def _lambda_sum(lifts, i, j):
     return sum(lambda_int(int(ks[i]), int(ks[j])) for ks in lifts.values())
 
 
-def lambda_prefixes(track, ns, k_max=K_MAX):
+def lambda_prefixes(track, ns):
     """Deck-summed lambda(z_i, z'_i) of f^n, n in ns, (len(ns), M), for the
     pairs (i, M + i) of an orbit track over Z and Z'.  A pair settles once
     these agree between two successive resolutions; refines the track."""
@@ -202,8 +202,24 @@ def lambda_prefixes(track, ns, k_max=K_MAX):
     def values(lifts):
         return tuple(_lambda_sum(lifts, 0, n) for n in ns)
 
-    tables = _settled_lifts(track, k_max, values)
+    tables = _settled_lifts(track, values)
     return np.array([values(t) for t in tables], dtype=float).T
+
+
+def winding_gaps(track, ns):
+    """|m - W(0, z)| and |Lambda - W(z, z')| of f^n, n in ns, both
+    (len(ns), M), for the pairs (i, M + i) of an orbit track over Z and Z':
+    m is z's displacement, Lambda = lambda + m.  Refines the track."""
+    M = len(track.pts) // 2
+    ns = list(ns)
+    # W(0, z) is the change of z's lifted angle; the pair windings are read
+    # before the lambda tables refine the track
+    v = leaf_lifts(track)[:, :M]
+    floors = np.floor(v / TWOPI).astype(int)
+    w0 = (v - v[0]) / TWOPI
+    wp = np.vstack([np.zeros(M), np.cumsum(track.pair_windings(), axis=0)])
+    m = floors[ns] - floors[0]
+    return np.abs(m - w0[ns]), np.abs(lambda_prefixes(track, ns) + m - wp[ns])
 
 
 def annulus_table(iso, z, zp, n=1):
@@ -225,9 +241,7 @@ def pair_table(track):
     lift tables agree at two successive resolutions; refines the track."""
     n, M = len(track.ang), len(track.pts) // 2
     m_seq, m_total = displacements(track)
-    tables = _settled_lifts(
-        track, K_MAX, lambda t: {k: v.tobytes() for k, v in t.items()}
-    )
+    tables = _settled_lifts(track, lambda t: {k: v.tobytes() for k, v in t.items()})
     taus = [[int(ks[-1] - ks[0]) for ks in t.values()] for t in tables]
     return {
         "tau_bar": np.array([sum(map(abs, ts)) for ts in taus]),

@@ -25,10 +25,12 @@ from .geometry import (
     rotation_matrices,
 )
 
+MAX_DEN = 64
 
-def check_irrational(value, name, max_den=64, tol=1e-12):
-    """Warn (never fail) when value is within tol of p/q with q <= max_den."""
-    for q in range(1, max_den + 1):
+
+def check_irrational(value, name, tol=1e-12):
+    """Warn (never fail) when value is within tol of p/q with q <= MAX_DEN."""
+    for q in range(1, MAX_DEN + 1):
         p = round(value * q)
         if abs(value - p / q) < tol:
             warnings.warn(
@@ -580,12 +582,19 @@ class IteratedIsotopy(Isotopy):
         return {"family": "iterated", "n": self.n, "base": self.base.config()}
 
 
+def _finite(value):
+    """value is a JSON number below 1e308 in magnitude, which rules out NaN,
+    the infinities and integers too big for a float; booleans are not
+    numbers."""
+    return type(value) in (int, float) and -1e308 < value < 1e308
+
+
 def _resolve_alpha(value, pointer):
     if value == "golden":
         return GOLDEN
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _finite(value):
         return float(value)
-    raise SchemaError(pointer, f"expected a number or 'golden', got {value!r}")
+    raise SchemaError(pointer, f"expected a finite number or 'golden', got {value!r}")
 
 
 def from_config(cfg):
@@ -625,8 +634,8 @@ def from_config(cfg):
     if family == "plane-extension":
         alpha = _resolve_alpha(cfg.get("alpha", "golden"), "/alpha")
         beta = cfg.get("beta")
-        if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-            raise SchemaError("/beta", f"must be a number, got {beta!r}")
+        if not _finite(beta):
+            raise SchemaError("/beta", f"must be a finite number, got {beta!r}")
         core = from_config(cfg["core"]) if "core" in cfg else None
         return PlaneExtension(alpha, float(beta), core=core)
     raise SchemaError("/family", f"unknown family {family!r}")

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import QuadratureFailure
 
 _NODE_CACHE = {}
+MAX_PANELS = 1 << 20
+MAX_DOUBLINGS = 8
 
 
 def _panel_rule(order, panels):
@@ -31,7 +33,7 @@ def composite_gl(f, order=16, panels=2):
     return np.tensordot(weights, vals, axes=(0, 0))
 
 
-def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30, max_panels=1 << 20):
+def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30):
     """Locally adaptive GL over [0, 1] for `count` independent integrands.
 
     f(ss, idx) evaluates integrand idx[k] at parameter ss[k] (flat arrays of
@@ -66,10 +68,8 @@ def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30, max_panels=1 <
         np.add.at(total, idx[ok], halves[ok])
         np.add.at(err_tot, idx[ok], err[ok])
         bad = ~ok
-        if 2 * int(bad.sum()) > max_panels:
-            raise QuadratureFailure(
-                f"panel budget {max_panels} exhausted at tol={tol}"
-            )
+        if 2 * int(bad.sum()) > MAX_PANELS:
+            raise QuadratureFailure(f"panel budget {MAX_PANELS} exhausted at tol={tol}")
         idx = np.concatenate([idx[bad], idx[bad]])
         a = np.concatenate([a[bad], mid[bad]])
         b = np.concatenate([mid[bad], b[bad]])
@@ -79,7 +79,7 @@ def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30, max_panels=1 <
     )
 
 
-def adaptive_gl(f, tol=1e-7, order=16, max_doublings=8):
+def adaptive_gl(f, tol=1e-7, order=16):
     """Integrate f over [0, 1], doubling panels until convergence.
 
     Returns (value, error_estimate).  The error estimate is the difference
@@ -88,7 +88,7 @@ def adaptive_gl(f, tol=1e-7, order=16, max_doublings=8):
     """
     prev = composite_gl(f, order=order, panels=1)
     panels = 2
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         cur = composite_gl(f, order=order, panels=panels)
         err = np.max(np.abs(cur - prev))
         if err < tol:

@@ -13,15 +13,16 @@ import warnings
 
 import numpy as np
 
-from .action import ActionField, calabi, off_orbit_samples
+from .action import ActionField, action_winding_gap, calabi
 from .ergodic import (
     double_sum_incremental,
     double_sum_naive,
     linking_average,
+    linking_samples,
     mean_action,
     right_handedness_certificate,
 )
-from .errors import NearRationalWarning, OrbitCollision, ResampleExhausted
+from .errors import NearRationalWarning
 from .farey import (
     convergents,
     invariant_circle,
@@ -30,16 +31,10 @@ from .farey import (
     rotation_of_measure,
     strip_measure,
 )
-from .foliation import annulus_table, lambda_int, lambda_prefixes, leaf_lifts
-from .geometry import GOLDEN, TWOPI, resample, uniform_disk
-from .maps import (
-    ConjugacyMap,
-    ConjugatedRotation,
-    IteratedIsotopy,
-    PlaneExtension,
-    RigidRotation,
-)
-from .winding import OrbitTrack, pair_windings, winding_matrix, winding_tangent
+from .foliation import annulus_table, lambda_int, winding_gaps
+from .geometry import GOLDEN, resample, uniform_disk
+from .maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
+from .winding import OrbitTrack, pair_windings, winding_matrix
 
 _HAMILTONIANS = ("twist-a", "twist-b", "twist-c")
 
@@ -161,21 +156,9 @@ def criterion_4(seed=0, fast=False):
     rng = np.random.default_rng(seed)
     count = 5 if fast else 25
     n = 128 if fast else 512
-    max_defect = 0.0
-    done = tried = 0
-    while done < count:
-        if tried == 8 * count:
-            raise ResampleExhausted(
-                f"{count - done} linking pairs still collide after {tried} draws"
-            )
-        tried += 1
-        X, Y = _admissible_pairs(rng, 1)
-        try:
-            rep = linking_average(iso, X[0], Y[0], n)
-        except OrbitCollision:
-            continue
-        max_defect = max(max_defect, abs(rep.final - alpha))
-        done += 1
+    draw = lambda: np.concatenate(_admissible_pairs(rng, 1))
+    reports = linking_samples(iso, draw, count, n)
+    max_defect = max(abs(rep.final - alpha) for rep in reports)
 
     X, Y = _admissible_pairs(rng, 1)
     W = winding_matrix(iso, iso.orbit(X[0], 64), iso.orbit(Y[0], 64))
@@ -208,7 +191,7 @@ def criterion_5(seed=0, fast=False):
         n=64 if fast else 256,
         seed=seed,
     )
-    lin = winding_tangent(iso, np.zeros(2), np.array([1.0, 0.0]))
+    lin = cert["linearized_rotation"]
     lin_err = abs(lin - alpha)
     passed = cert["min_S"] > 0.0 and lin_err < 1e-6
     return {
@@ -230,7 +213,6 @@ def criterion_6(seed=0, fast=False):
     rng = np.random.default_rng(seed)
     N = 100 if fast else 1000
     ns = (1, 2, 4, 8, 16, 32)
-    n_max = ns[-1]
     Z = uniform_disk(rng, N, 0.92)
     Zp = uniform_disk(rng, N, 0.92)
     r = np.hypot(Z[:, 0], Z[:, 1])
@@ -245,91 +227,41 @@ def criterion_6(seed=0, fast=False):
         32,
     )
 
-    # one track of Z and Z': displacement prefixes and W(0, z) from Z's lifted
-    # angles, pairwise windings per iterate from the grids, the lambda tables
-    track = OrbitTrack(iso, np.concatenate([Z, Zp]), n_max)
-    v = leaf_lifts(track)[:, :N]
-    floors = np.floor(v / TWOPI).astype(int)
-    w0 = (v - v[0]) / TWOPI
-    wp = np.vstack([np.zeros(N), np.cumsum(track.pair_windings(), axis=0)])
-    lam = lambda_prefixes(track, ns, k_max=10)
-
-    gap_m = 0.0
-    gap_L = 0.0
-    violations = 0
-    for i, n_ in enumerate(ns):
-        m_n = floors[n_] - floors[0]
-        d1 = np.abs(m_n - (w0[n_] - 0.0))
-        d2 = np.abs(lam[i] + m_n - wp[n_])
-        gap_m = max(gap_m, float(d1.max()))
-        gap_L = max(gap_L, float(d2.max()))
-        violations += int(np.sum(d1 > 1.0 + 1e-9)) + int(np.sum(d2 > 2.0 + 1e-9))
-    passed = violations == 0
+    d_m, d_L = winding_gaps(OrbitTrack(iso, np.concatenate([Z, Zp]), ns[-1]), ns)
+    violations = int(np.sum(d_m > 1.0 + 1e-9)) + int(np.sum(d_L > 2.0 + 1e-9))
     return {
         "criterion": 6,
         "name": "displacement/Lambda winding bounds",
-        "passed": passed,
+        "passed": violations == 0,
         "details": {
             "pairs": N,
             "n_values": list(ns),
-            "max_|m-W0|": gap_m,
-            "max_|Lambda-W|": gap_L,
+            "max_|m-W0|": float(d_m.max()),
+            "max_|Lambda-W|": float(d_L.max()),
             "violations": violations,
         },
     }
 
 
 def criterion_7(seed=0, fast=False):
-    """Action minus winding integral stays within the uniform bound 8.
-
-    For each sampled x one Monte-Carlo batch is tracked through all
-    iterates, so the integrals at every requested n come from prefixes of
-    the same winding accumulation.
-    """
-    iso = conjugated_rotation("twist-a")
-    field = ActionField(iso)
+    """Action minus winding integral stays within the uniform bound 8."""
+    field = ActionField(conjugated_rotation("twist-a"))
     rng = np.random.default_rng(seed)
     count = 2 if fast else 10
     mc = 2000 if fast else 100_000
     ns = (1, 4) if fast else (1, 4, 16)
-    n_max = ns[-1]
     xs = uniform_disk(rng, count, 0.9)
-    worst = 0.0
-    violations = 0
-    rows = []
-    for x in xs:
-        ys = off_orbit_samples(rng, iso.orbit(x, n_max + 1), mc)
-        X, Y = x, ys
-        totals = np.zeros(mc)
-        for k in range(n_max):
-            totals += pair_windings(iso, X, Y, init_steps=32)
-            X = iso.map(X)
-            Y = iso.map(Y)
-            n = k + 1
-            if n not in ns:
-                continue
-            a_n = float(
-                ActionField(
-                    IteratedIsotopy(iso, n), beta=field.beta, path_tol=field.path_tol
-                ).action(x)
-            )
-            integral = float(totals.mean())
-            stderr = float(totals.std(ddof=1) / math.sqrt(mc))
-            gap = abs(a_n - integral)
-            bound = 8.0 + 3.0 * n * stderr
-            worst = max(worst, gap)
-            if gap > bound:
-                violations += 1
-            rows.append({"n": n, "gap": gap, "bound": bound})
+    # half the default grid steps: the windings are most of the criterion's cost
+    rows = [r for x in xs for r in action_winding_gap(field, x, ns, mc, rng, steps=32)]
     return {
         "criterion": 7,
         "name": "action/winding gap bound",
-        "passed": violations == 0,
+        "passed": all(r["within_bound"] for r in rows),
         "details": {
-            "max_gap": worst,
-            "violations": violations,
+            "max_gap": max(r["gap"] for r in rows),
+            "violations": sum(not r["within_bound"] for r in rows),
             "mc_samples": mc,
-            "cases": rows,
+            "cases": [{k: r[k] for k in ("n", "gap", "bound")} for r in rows],
         },
     }
 

@@ -171,18 +171,19 @@ def winding_tangent(iso, base, direction):
     return w if xi.ndim > 1 else w[0]
 
 
-def pair_windings_iterated(iso, X, Y, n):
-    """Windings of paired arrays under the n-fold concatenated isotopy,
-    summed over the iterates; returns (N,) turns.  A single point (2,)
-    stays one point through the iterates."""
+def pair_windings_iterated(iso, X, Y, n, steps):
+    """Windings (n, N) of paired arrays over each of the first n iterates,
+    each tracked from `steps` grid steps; their cumulative sum over axis 0
+    gives the windings under the concatenated isotopies.  A single point
+    (2,) stays one point through the iterates."""
     X = as_xy(X)
     Y = as_xy(Y)
-    total = np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1])
-    for _ in range(n):
-        total += pair_windings(iso, X, Y)
-        X = iso.map(X)
-        Y = iso.map(Y)
-    return total
+    out = []
+    for k in range(n):
+        if k:
+            X, Y = iso.map(X), iso.map(Y)
+        out.append(pair_windings(iso, X, Y, steps))
+    return np.array(out)
 
 
 def winding_matrix(iso, xs, ys):

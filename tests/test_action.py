@@ -101,6 +101,18 @@ def test_iterated_action_adds_boundary_rotations():
 
 def test_action_winding_gap_within_bound():
     field = ActionField(CONJ)
-    res = action_winding_gap(field, CONJ, (0.4, 0.2), n=2, mc_samples=2000, seed=0)
+    rng = np.random.default_rng(0)
+    (res,) = action_winding_gap(field, (0.4, 0.2), [2], 2000, rng)
     assert res["within_bound"]
     assert res["gap"] <= res["bound"]
+
+
+def test_action_winding_gap_rows_are_prefixes_of_one_pass():
+    # the rows of several n from one call equal single-n calls exactly
+    field = ActionField(CONJ)
+    ns = (1, 2, 4)
+    x = (0.4, 0.2)
+    rows = action_winding_gap(field, x, ns, 500, np.random.default_rng(3))
+    for n, row in zip(ns, rows):
+        (single,) = action_winding_gap(field, x, [n], 500, np.random.default_rng(3))
+        assert row == single

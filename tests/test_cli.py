@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,6 +95,8 @@ def test_malformed_pairs_file_exits_2_with_row(tmp_path):
     for body, row in [
         ("0.5,0.1,-0.2,0.4\n0.3,-0.3,0.1\n", ":2:"),
         ("0.5,0.1,-0.2,0.4\n\n0.3,-0.3,x,0.6\n", ":3:"),
+        ("0.1,0.2,nan,0.3\n", ":1:"),
+        ("0.5,0.1,-0.2,0.4\n0.1,inf,0.2,0.3\n", ":2:"),
     ]:
         pairs = tmp_path / "pairs.csv"
         pairs.write_text(body)
@@ -122,6 +125,16 @@ def test_schema_error_exits_2_with_pointer(tmp_path):
     assert res.returncode == 2
     assert "schema error" in res.stderr
     assert "/g/steps" in res.stderr
+    # Python's json reads NaN and Infinity, which are not rotation numbers
+    for cfg, pointer in [
+        ({"family": "rigid", "alpha": math.nan}, "/alpha"),
+        ({"family": "plane-extension", "beta": math.inf}, "/beta"),
+    ]:
+        cfg = _write_config(tmp_path, cfg)
+        res = _run(["action", "--config", cfg, "--out", "o"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "schema error" in res.stderr and pointer in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -229,7 +242,8 @@ def test_malformed_alpha_and_convergent_are_usage_errors(capsys):
         ["convergents", "--alpha", "1.5"],
         ["convergents", "--alpha", "abc"],
         ["convergents", "--alpha", "nan"],
+        ["strip-measure", "--beta", "nan"],
+        ["strip-measure", "--beta", "inf"],
     ):
-        err = _usage_error(argv, capsys)
-        assert "--conv" in err or "--alpha" in err, argv
+        assert f"argument {argv[1]}" in _usage_error(argv, capsys), argv
     assert build_parser().parse_args(["convergents", "--alpha", "0.25"]).alpha == 0.25

@@ -304,6 +304,10 @@ def test_from_config_schema_pointers():
         ({"family": "conjugated", "g": {"steps": True}}, "/g/steps"),
         ({"family": "conjugated", "g": {"support_radius": True}}, "/g/support_radius"),
         ({"family": "plane-extension", "beta": True}, "/beta"),
+        # NaN and infinities are numbers to JSON readers, not rotation numbers
+        ({"family": "rigid", "alpha": float("nan")}, "/alpha"),
+        ({"family": "plane-extension", "beta": float("inf")}, "/beta"),
+        ({"family": "plane-extension", "beta": 10**400}, "/beta"),
         ({"family": "conjugated", "deform": "false"}, "/deform"),
         ({"family": "conjugated", "deform": 0}, "/deform"),
     ]

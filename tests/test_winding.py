@@ -15,6 +15,7 @@ from diskrot.maps import (
     TwistStep,
 )
 from diskrot.winding import (
+    INIT_STEPS,
     OrbitTrack,
     _pair_track,
     pair_windings,
@@ -90,7 +91,7 @@ def test_coincident_pair_rejected():
 def test_iterated_winding_telescopes():
     X, Y = _pairs(np.random.default_rng(4), 10, radius=0.9)
     n = 5
-    per_iter = pair_windings_iterated(CONJ, X, Y, n)
+    per_iter = pair_windings_iterated(CONJ, X, Y, n, INIT_STEPS).sum(axis=0)
     concat = pair_windings(IteratedIsotopy(CONJ, n), X, Y)
     assert np.max(np.abs(per_iter - concat)) < 1e-8
 
