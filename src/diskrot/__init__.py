@@ -8,7 +8,6 @@ continued-fraction strip-measure checks for pseudo-rotation families.
 from .action import (
     ActionField,
     CalabiResult,
-    PrimitiveOneForm,
     action_winding_gap,
     calabi,
 )
@@ -21,7 +20,6 @@ from .ergodic import (
 from .errors import DiskrotError
 from .farey import (
     Convergent,
-    StripRegion,
     convergents,
     product_integral_winding,
     rotation_of_measure,

@@ -9,7 +9,7 @@ comparable with the boundary rotation number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,53 +19,17 @@ from .quadrature import adaptive_gl, adaptive_segments
 from .winding import INIT_STEPS, pair_windings_iterated
 
 _CHUNK = 1 << 16
+# tolerance of every path integral behind an action value
+PATH_TOL = 1e-7
 
 
-class PrimitiveOneForm:
-    """A primitive beta of omega = (r/pi) dr ^ dtheta = (1/pi) dx ^ dy.
-
-    The default is beta = (r^2 / 2 pi) dtheta, written in Cartesian
-    components as (x dy - y dx) / (2 pi) so it stays smooth at the origin.
-    """
-
-    def __init__(self, evaluator=None, label="r^2/2pi dtheta"):
-        self._eval = evaluator
-        self.label = label
-
-    def __call__(self, z, v):
-        if self._eval is not None:
-            return self._eval(z, v)
-        z = np.asarray(z)
-        v = np.asarray(v)
-        return (z[..., 0] * v[..., 1] - z[..., 1] * v[..., 0]) / TWOPI
-
-    def plus_dh(self, h, grad_h, label=None):
-        """beta + dh for a smooth function h with gradient grad_h."""
-
-        def ev(z, v):
-            g = np.asarray(grad_h(z))
-            return self(z, v) + g[..., 0] * v[..., 0] + g[..., 1] * v[..., 1]
-
-        return PrimitiveOneForm(ev, label=label or (self.label + " + dh"))
-
-
-def exterior_derivative_density(beta, pts, h=1e-4):
-    """Finite-difference d(beta) at pts, as a multiple of dx ^ dy.
-
-    Computed from the circulation of beta around a small axis-aligned
-    square; should equal 1/pi for any primitive of omega.
-    """
-    pts = as_xy(pts)
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    # midpoint rule on each edge of the square [0,h]^2 anchored at pts
-    circ = (
-        beta(pts + 0.5 * ex, ex)
-        + beta(pts + ex + 0.5 * ey, ey)
-        - beta(pts + 0.5 * ex + ey, ex)
-        - beta(pts + 0.5 * ey, ey)
-    )
-    return circ / (h * h)
+def beta(z, v):
+    """The primitive beta = (x dy - y dx) / (2 pi) of omega = (1/pi) dx ^ dy,
+    that is (r^2 / 2 pi) dtheta in Cartesian components, so it stays smooth
+    at the origin; applied to tangent vectors v at points z."""
+    z = np.asarray(z)
+    v = np.asarray(v)
+    return (z[..., 0] * v[..., 1] - z[..., 1] * v[..., 0]) / TWOPI
 
 
 class ActionField:
@@ -76,18 +40,15 @@ class ActionField:
     the origin is an ordinary point of the integrand.
     """
 
-    def __init__(self, iso, beta=None, path_tol=1e-7, method="auto"):
+    def __init__(self, iso, method="auto"):
         if method not in ("auto", "path"):
             raise ValueError(f"unknown method {method!r}")
         self.iso = iso
-        self.beta = beta if beta is not None else PrimitiveOneForm()
-        self.path_tol = float(path_tol)
         self.method = method
 
     def _closed_form(self, pts):
-        """Closed-form action when the isotopy provides one and beta is the
-        standard primitive; None otherwise."""
-        if self.method != "auto" or self.beta._eval is not None:
+        """Closed-form action when the isotopy provides one; None otherwise."""
+        if self.method != "auto":
             return None
         try:
             return self.iso.action_closed_form(pts)
@@ -95,17 +56,16 @@ class ActionField:
             return None
 
     def boundary_value(self, thetas):
-        """Integral of beta along t -> f_t(x0) for boundary points x0."""
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        """Integral of beta along t -> f_t(x0) for boundary points x0 at thetas."""
         x0 = np.column_stack([np.cos(thetas), np.sin(thetas)])
 
         def integrand(ts):
             out = np.empty((len(ts), len(thetas)))
             for k, t in enumerate(ts):
-                out[k] = self.beta(self.iso.eval(t, x0), self.iso.velocity(t, x0))
+                out[k] = beta(self.iso.eval(t, x0), self.iso.velocity(t, x0))
             return out
 
-        val, _ = adaptive_gl(integrand, tol=self.path_tol)
+        val, _ = adaptive_gl(integrand, PATH_TOL)
         return val
 
     def pullback_defect(self, pts, v):
@@ -113,19 +73,19 @@ class ActionField:
         f = self.iso.eval(1.0, pts)
         J = self.iso.jac(1.0, pts)
         Jv = (J @ v[..., None])[..., 0]
-        return self.beta(f, Jv) - self.beta(pts, v)
+        return beta(f, Jv) - beta(pts, v)
 
     def _segment_integral(self, start, pts):
-        """Integral of f*beta - beta along straight segments start -> pts."""
-        start = np.broadcast_to(np.asarray(start, dtype=float), pts.shape)
-        s0 = start.reshape(-1, 2)
-        e = (pts - start).reshape(-1, 2)
+        """Integral of f*beta - beta along straight segments start -> pts,
+        for (N, 2) pts and one start point or one per point."""
+        start = np.broadcast_to(start, pts.shape)
+        e = pts - start
 
         def integrand(ss, idx):
-            return self.pullback_defect(s0[idx] + ss[:, None] * e[idx], e[idx])
+            return self.pullback_defect(start[idx] + ss[:, None] * e[idx], e[idx])
 
-        val, _ = adaptive_segments(integrand, len(s0), tol=self.path_tol)
-        return val.reshape(pts.shape[:-1])
+        val, _ = adaptive_segments(integrand, len(pts), PATH_TOL)
+        return val
 
     def action(self, pts):
         """Action values at a batch of points (any shape with trailing 2)."""
@@ -140,45 +100,26 @@ class ActionField:
             chunk = flat[lo : lo + _CHUNK]
             theta = angles_of(chunk)
             x0 = np.column_stack([np.cos(theta), np.sin(theta)])
-            out[lo : lo + _CHUNK] = self.boundary_value(theta) + self._segment_integral(
-                x0, chunk
-            )
+            seg = self._segment_integral(x0, chunk)
+            out[lo : lo + _CHUNK] = self.boundary_value(theta) + seg
         if single:
             return float(out[0])
         return out.reshape(pts.shape[:-1])
-
-    def action_via(self, anchor_theta, pts):
-        """Action via a chord from a different boundary anchor (cross-check)."""
-        pts = as_xy(pts)
-        flat = pts.reshape(-1, 2)
-        x0 = np.array([math.cos(anchor_theta), math.sin(anchor_theta)])
-        base = self.boundary_value(np.array([anchor_theta]))[0]
-        vals = base + self._segment_integral(x0, flat)
-        return vals.reshape(pts.shape[:-1])
 
 
 @dataclass(frozen=True)
 class CalabiResult:
     value: float
     stderr: float
-    method: str
     samples: int
     seed: int
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "method": "stratified"}
 
 
-def calabi(field, samples=1_000_000, seed=0, method="stratified"):
+def calabi(field, samples=1_000_000, seed=0):
     """CAL = integral of the action against omega (a probability measure)."""
-    if method == "gauss":
-        return _calabi_gauss(field, samples, seed)
     k = max(1, int(math.sqrt(samples / 2)))
     rng = np.random.default_rng(seed)
     edges = np.arange(k) / k
@@ -194,26 +135,7 @@ def calabi(field, samples=1_000_000, seed=0, method="stratified"):
     value = float(vals.mean())
     d = vals[1] - vals[0]
     stderr = float(np.sqrt(np.sum(d * d)) / (2 * k * k))
-    return CalabiResult(value, stderr, "stratified", 2 * k * k, seed)
-
-
-def _calabi_gauss(field, samples, seed):
-    def tensor_value(m):
-        x, w = np.polynomial.legendre.leggauss(m)
-        u = 0.5 * (x + 1.0)
-        wu = 0.5 * w
-        r = np.sqrt(u)
-        phi = 0.5 * (x + 1.0) * TWOPI
-        wphi = 0.5 * w  # weights on the normalized angle
-        R, PHI = np.meshgrid(r, phi, indexing="ij")
-        pts = np.stack([R * np.cos(PHI), R * np.sin(PHI)], axis=-1)
-        a = field.action(pts.reshape(-1, 2)).reshape(m, m)
-        return float(np.einsum("i,j,ij->", wu, wphi, a))
-
-    m = max(8, int(math.sqrt(samples)))
-    coarse = tensor_value(m // 2)
-    fine = tensor_value(m)
-    return CalabiResult(fine, abs(fine - coarse), "gauss", m * m, seed)
+    return CalabiResult(value, stderr, 2 * k * k, seed)
 
 
 def off_orbit_samples(rng, orbit, count):
@@ -251,7 +173,7 @@ def action_winding_gap(field, x, ns, mc_samples, rng, steps=INIT_STEPS):
     rows = []
     for n in ns:
         iterated = IteratedIsotopy(iso, n)
-        a_n = ActionField(iterated, beta=field.beta, path_tol=field.path_tol).action(x)
+        a_n = ActionField(iterated).action(x)
         integral = float(totals[n - 1].mean())
         stderr = float(totals[n - 1].std(ddof=1) / math.sqrt(mc_samples))
         gap = abs(float(a_n) - integral)

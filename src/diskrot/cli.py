@@ -127,10 +127,23 @@ def build_parser():
     return p
 
 
+def _read_text(path):
+    """The UTF-8 text of an input file; SchemaError naming the file when it
+    cannot be read."""
+    from .errors import SchemaError
+
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
+    except OSError as e:
+        raise SchemaError(path, f"cannot read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(path, f"not UTF-8 text at byte {e.start}") from None
+
+
 def _load_config(args):
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            return json.load(f)
+        return json.loads(_read_text(args.config))
     return dict(DEFAULT_CONFIG)
 
 
@@ -144,24 +157,24 @@ def _bundle(args, name, iso=None):
 def _read_pairs(path):
     """The (N, 4) rows x1,y1,x2,y2 of a pairs CSV; blank lines are skipped."""
     import csv
+    import io
 
     import numpy as np
 
     from .errors import SchemaError
 
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for row in filter(None, reader):
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 4:
-                raise SchemaError(where, f"expected x1,y1,x2,y2, got {len(row)} fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as e:
-                raise SchemaError(where, str(e)) from None
-            if not all(map(math.isfinite, rows[-1])):
-                raise SchemaError(where, f"non-finite coordinate in {row}")
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    for row in filter(None, reader):
+        where = f"{path}:{reader.line_num}"
+        if len(row) != 4:
+            raise SchemaError(where, f"expected x1,y1,x2,y2, got {len(row)} fields")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as e:
+            raise SchemaError(where, str(e)) from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise SchemaError(where, f"non-finite coordinate in {row}")
     if not rows:
         raise SchemaError(path, "no pairs")
     return np.asarray(rows)
@@ -400,9 +413,8 @@ def cmd_thm41_bound(args):
 
     iso = from_config(_load_config(args))
     field = ActionField(iso)
-    # x and the Monte Carlo partners come from two generators of one seed
-    x = uniform_disk(np.random.default_rng(args.seed), 1, 0.9)[0]
     rng = np.random.default_rng(args.seed)
+    x = uniform_disk(rng, 1, 0.9)[0]
     res = action_winding_gap(field, x, [args.n], args.samples, rng)[0]
     bundle = _bundle(args, "thm41-bound", iso)
     bundle.add(x=list(x), **res)
@@ -466,7 +478,7 @@ def main(argv=None):
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError) as e:
+    except json.JSONDecodeError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except DiskrotError as e:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FoliationNotTransverse, RationalInput
 from .foliation import displacements
-from .geometry import TWOPI, angles_of, as_xy, resample, uniform_disk
+from .geometry import TWOPI, angles_of, resample, uniform_disk
 from .winding import OrbitTrack, pair_windings
 
 _CHUNK = 1 << 15
@@ -76,37 +76,24 @@ def convergents(alpha, count):
     return out
 
 
-class StripRegion:
-    """The strip O between a lifted leaf and its backward shifted image.
+def crossing_counts(iso, conv, pts):
+    """Deck-copy crossing multiplicities of the strip O; nonnegative when
+    the foliation by rays is Brouwer for f^b.
 
-    A cover point (theta_lift, z) lies in it when the point lies strictly
-    left of the leaf while its image under f^b o T^(-a) lies weakly to
-    the right.  The crossing multiplicity of a disk point counts the
-    deck copies of the region containing some lift, which is minus the
-    displacement of the shifted lift under iso, a plane extension without core.
+    A cover point lies in O when it lies strictly left of a lifted leaf
+    while its image under f^b o T^(-a) lies weakly to the right.  A disk
+    point's multiplicity is minus the displacement m of f^b o T^(-a), which
+    is m of f^b minus a, under iso, a plane extension without core.
     """
-
-    def __init__(self, iso, conv):
-        self.iso = iso
-        self.conv = conv
-
-    def _shifted_displacement(self, pts):
-        """m of f^b o T^(-a) = m of f^b minus a, per sample point."""
-        pts = as_xy(pts)
-        theta = angles_of(pts) % TWOPI
-        delta = self.iso.angle_displacement_exact(pts, self.conv.b)
-        m_b = np.floor((theta + delta) / TWOPI).astype(int)
-        return m_b - self.conv.a
-
-    def crossing_counts(self, pts):
-        """Deck-copy crossing multiplicities; nonnegative when Brouwer."""
-        m = self._shifted_displacement(pts)
-        if np.any(m > 0):
-            bad = int(np.argmax(m))
-            raise FoliationNotTransverse(
-                f"positive shifted displacement {m[bad]} at sample {bad}"
-            )
-        return -m
+    theta = angles_of(pts) % TWOPI
+    delta = iso.angle_displacement_exact(pts, conv.b)
+    m = np.floor((theta + delta) / TWOPI).astype(int) - conv.a
+    if np.any(m > 0):
+        bad = int(np.argmax(m))
+        raise FoliationNotTransverse(
+            f"positive shifted displacement {m[bad]} at sample {bad}"
+        )
+    return -m
 
 
 def strip_measure(iso, conv, samples=1_000_000, seed=0):
@@ -115,15 +102,11 @@ def strip_measure(iso, conv, samples=1_000_000, seed=0):
     Expected value a - b*alpha for an invariant measure (Lebesgue on the
     unit disk, extended by zero mass outside).
     """
-    region = StripRegion(iso, conv)
     rng = np.random.default_rng(seed)
-    pts = uniform_disk(rng, samples)
-    counts = region.crossing_counts(pts)
-    value = float(counts.mean())
-    stderr = float(counts.std(ddof=1) / math.sqrt(samples))
+    counts = crossing_counts(iso, conv, uniform_disk(rng, samples))
     return {
-        "value": value,
-        "stderr": stderr,
+        "value": float(counts.mean()),
+        "stderr": float(counts.std(ddof=1) / math.sqrt(samples)),
         "expected": conv.defect,
         "a": conv.a,
         "b": conv.b,
@@ -132,13 +115,9 @@ def strip_measure(iso, conv, samples=1_000_000, seed=0):
     }
 
 
-def lebesgue_disk(radius=1.0):
-    """Sampler for normalized area measure on a disk."""
-
-    def sample(rng, n):
-        return uniform_disk(rng, n, radius=radius)
-
-    return sample
+def lebesgue_disk(rng, n):
+    """n samples of normalized area measure on the unit disk."""
+    return uniform_disk(rng, n)
 
 
 def invariant_circle(g, radius):
@@ -148,7 +127,7 @@ def invariant_circle(g, radius):
     def sample(rng, n):
         t = TWOPI * rng.random(n)
         pts = np.column_stack([radius * np.cos(t), radius * np.sin(t)])
-        return pts if g is None else g.forward(pts)
+        return g.forward(pts)
 
     return sample
 
@@ -181,12 +160,8 @@ def rotation_of_measure(iso, samples=100_000, seed=0):
     return out
 
 
-def product_integral_winding(
-    iso, sampler1=None, sampler2=None, samples=100_000, seed=0
-):
+def product_integral_winding(iso, sampler1, sampler2, samples=100_000, seed=0):
     """Monte-Carlo double integral of the winding over independent pairs."""
-    sampler1 = sampler1 or lebesgue_disk()
-    sampler2 = sampler2 or lebesgue_disk()
     rng = np.random.default_rng(seed)
     X = sampler1(rng, samples)
     Y = sampler2(rng, samples)

@@ -26,15 +26,16 @@ from .geometry import (
 )
 
 MAX_DEN = 64
+RATIONAL_TOL = 1e-12
 
 
-def check_irrational(value, name, tol=1e-12):
-    """Warn (never fail) when value is within tol of p/q with q <= MAX_DEN."""
+def check_irrational(value, name):
+    """Warn (never fail) when value is within RATIONAL_TOL of p/q, q <= MAX_DEN."""
     for q in range(1, MAX_DEN + 1):
         p = round(value * q)
-        if abs(value - p / q) < tol:
+        if abs(value - p / q) < RATIONAL_TOL:
             warnings.warn(
-                f"{name}={value} is within {tol} of {p}/{q}; "
+                f"{name}={value} is within {RATIONAL_TOL} of {p}/{q}; "
                 "convergence diagnostics may degrade",
                 NearRationalWarning,
                 stacklevel=3,
@@ -620,6 +621,8 @@ def from_config(cfg):
         if not isinstance(gcfg, dict):
             raise SchemaError("/g", "must be an object")
         name = gcfg.get("hamiltonian", "twist-a")
+        if not isinstance(name, str):
+            raise SchemaError("/g/hamiltonian", f"must be a name, got {name!r}")
         steps = gcfg.get("steps", 2)
         if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
             raise SchemaError("/g/steps", f"must be a positive integer, got {steps!r}")

@@ -11,29 +11,31 @@ import numpy as np
 from .errors import QuadratureFailure
 
 _NODE_CACHE = {}
+ORDER = 16
+MAX_DEPTH = 30
 MAX_PANELS = 1 << 20
 MAX_DOUBLINGS = 8
 
 
-def _panel_rule(order, panels):
-    key = (order, panels)
-    if key not in _NODE_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
+def _panel_rule(panels):
+    if panels not in _NODE_CACHE:
+        x, w = np.polynomial.legendre.leggauss(ORDER)
         width = 1.0 / panels
         starts = np.arange(panels) * width
         nodes = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()
         weights = np.tile(0.5 * width * w, panels)
-        _NODE_CACHE[key] = (nodes, weights)
-    return _NODE_CACHE[key]
+        _NODE_CACHE[panels] = (nodes, weights)
+    return _NODE_CACHE[panels]
 
 
-def composite_gl(f, order=16, panels=2):
-    nodes, weights = _panel_rule(order, panels)
+def composite_gl(f, panels):
+    """Order-ORDER Gauss-Legendre rule on `panels` equal panels of [0, 1]."""
+    nodes, weights = _panel_rule(panels)
     vals = f(nodes)
     return np.tensordot(weights, vals, axes=(0, 0))
 
 
-def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30):
+def adaptive_segments(f, count, tol):
     """Locally adaptive GL over [0, 1] for `count` independent integrands.
 
     f(ss, idx) evaluates integrand idx[k] at parameter ss[k] (flat arrays of
@@ -42,7 +44,7 @@ def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30):
     the per-integrand error sums to at most tol; otherwise it is bisected.
     Returns (values, error_estimates), both of shape (count,).
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(ORDER)
     u = 0.5 * (x + 1.0)
     uw = 0.5 * w
     total = np.zeros(count)
@@ -50,15 +52,15 @@ def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30):
     idx = np.arange(count)
     a = np.zeros(count)
     b = np.ones(count)
-    for _ in range(max_depth + 1):
+    for _ in range(MAX_DEPTH + 1):
         if len(idx) == 0:
             return total, err_tot
         width = b - a
         mid = a + 0.5 * width
-        ii = np.repeat(idx, order)
-        fw = f((a[:, None] + width[:, None] * u).ravel(), ii).reshape(-1, order)
-        fl = f((a[:, None] + 0.5 * width[:, None] * u).ravel(), ii).reshape(-1, order)
-        fr = f((mid[:, None] + 0.5 * width[:, None] * u).ravel(), ii).reshape(-1, order)
+        ii = np.repeat(idx, ORDER)
+        fw = f((a[:, None] + width[:, None] * u).ravel(), ii).reshape(-1, ORDER)
+        fl = f((a[:, None] + 0.5 * width[:, None] * u).ravel(), ii).reshape(-1, ORDER)
+        fr = f((mid[:, None] + 0.5 * width[:, None] * u).ravel(), ii).reshape(-1, ORDER)
         whole = width * (fw @ uw)
         halves = 0.5 * width * ((fl + fr) @ uw)
         err = np.abs(whole - halves)
@@ -74,22 +76,22 @@ def adaptive_segments(f, count, tol=1e-7, order=16, max_depth=30):
         a = np.concatenate([a[bad], mid[bad]])
         b = np.concatenate([mid[bad], b[bad]])
     raise QuadratureFailure(
-        f"bisection depth {max_depth} exhausted at tol={tol} "
+        f"bisection depth {MAX_DEPTH} exhausted at tol={tol} "
         f"({len(idx)} panels left, worst defect {float(np.max(err)):.3e})"
     )
 
 
-def adaptive_gl(f, tol=1e-7, order=16):
+def adaptive_gl(f, tol):
     """Integrate f over [0, 1], doubling panels until convergence.
 
     Returns (value, error_estimate).  The error estimate is the difference
     between the last two panel levels (per batch entry, maximum taken for
     the convergence decision).
     """
-    prev = composite_gl(f, order=order, panels=1)
+    prev = composite_gl(f, 1)
     panels = 2
     for _ in range(MAX_DOUBLINGS):
-        cur = composite_gl(f, order=order, panels=panels)
+        cur = composite_gl(f, panels)
         err = np.max(np.abs(cur - prev))
         if err < tol:
             return cur, err

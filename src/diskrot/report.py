@@ -14,14 +14,14 @@ import tempfile
 import numpy as np
 
 
-def _atomic_write(path, data, mode="w"):
+def _atomic_write(path, data):
     """Write via a sibling temp file and rename, so readers never see a
     partial artifact."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, mode) as f:
+        with os.fdopen(fd, "w") as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -62,8 +62,11 @@ def read_csv(path):
     return header, rows
 
 
-def svg_line_chart(xs, ys, title="", width=640, height=400, target=None):
-    """A minimal polyline chart; deterministic text output."""
+WIDTH, HEIGHT = 640, 400
+
+
+def svg_line_chart(xs, ys, title="", target=None):
+    """A minimal WIDTH x HEIGHT polyline chart; deterministic text output."""
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     pad = 50
@@ -80,29 +83,29 @@ def svg_line_chart(xs, ys, title="", width=640, height=400, target=None):
     y0, y1 = y0 - 0.05 * yr, y1 + 0.05 * yr
 
     def sx(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+        return pad + (x - x0) / (x1 - x0) * (WIDTH - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        return HEIGHT - pad - (y - y0) / (y1 - y0) * (HEIGHT - 2 * pad)
 
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{title}</text>',
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
-        f'height="{height - 2 * pad}" fill="none" stroke="black"/>',
-        f'<text x="{pad}" y="{height - pad + 16}" font-family="monospace" '
+        f'<rect x="{pad}" y="{pad}" width="{WIDTH - 2 * pad}" '
+        f'height="{HEIGHT - 2 * pad}" fill="none" stroke="black"/>',
+        f'<text x="{pad}" y="{HEIGHT - pad + 16}" font-family="monospace" '
         f'font-size="11">{x0:.6g}</text>',
-        f'<text x="{width - pad}" y="{height - pad + 16}" text-anchor="end" '
+        f'<text x="{WIDTH - pad}" y="{HEIGHT - pad + 16}" text-anchor="end" '
         f'font-family="monospace" font-size="11">{x1:.6g}</text>',
         f'<text x="{pad - 4}" y="{sy(ys[0]):.0f}" text-anchor="end" '
         f'font-family="monospace" font-size="11">{ys[0]:.6g}</text>',
     ]
     if target is not None:
         parts.append(
-            f'<line x1="{pad}" y1="{sy(target):.2f}" x2="{width - pad}" '
+            f'<line x1="{pad}" y1="{sy(target):.2f}" x2="{WIDTH - pad}" '
             f'y2="{sy(target):.2f}" stroke="gray" stroke-dasharray="4 3"/>'
         )
     parts.append(f'<polyline points="{pts}" fill="none" stroke="blue"/>')

@@ -352,8 +352,8 @@ def criterion_10(seed=0, fast=False):
     prods = []
     ok_prod = True
     for tag, s1, s2 in (
-        ("lebesgue x lebesgue", lebesgue_disk(), lebesgue_disk()),
-        ("circle x lebesgue", invariant_circle(g, 0.5), lebesgue_disk()),
+        ("lebesgue x lebesgue", lebesgue_disk, lebesgue_disk),
+        ("circle x lebesgue", invariant_circle(g, 0.5), lebesgue_disk),
     ):
         res = product_integral_winding(iso, s1, s2, samples=samples, seed=seed + 7)
         good = abs(res["value"] - alpha) <= 3.0 * res["stderr"]

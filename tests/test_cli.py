@@ -129,6 +129,7 @@ def test_schema_error_exits_2_with_pointer(tmp_path):
     for cfg, pointer in [
         ({"family": "rigid", "alpha": math.nan}, "/alpha"),
         ({"family": "plane-extension", "beta": math.inf}, "/beta"),
+        ({"family": "conjugated", "g": {"hamiltonian": []}}, "/g/hamiltonian"),
     ]:
         cfg = _write_config(tmp_path, cfg)
         res = _run(["action", "--config", cfg, "--out", "o"], tmp_path)
@@ -145,6 +146,15 @@ def test_malformed_config_exits_2(tmp_path):
     assert "config error" in res.stderr
     res = _run(["action", "--config", str(tmp_path / "missing.json")], tmp_path)
     assert res.returncode == 2
+    # a directory or a file that is not UTF-8 text, for both input flags
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe0,0,0.5,0\n")
+    for path in (tmp_path, binary):
+        for flag, command in (("--config", "action"), ("--pairs-file", "winding")):
+            res = _run([command, flag, str(path), "--out", "o"], tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert str(path) in res.stderr and "Traceback" not in res.stderr
+            assert len(res.stderr.splitlines()) == 1
 
 
 def test_strip_measure_command(tmp_path):

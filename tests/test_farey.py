@@ -10,8 +10,8 @@ import pytest
 from diskrot.errors import FoliationNotTransverse, NearRationalWarning, RationalInput
 from diskrot.farey import (
     Convergent,
-    StripRegion,
     convergents,
+    crossing_counts,
     invariant_circle,
     lebesgue_disk,
     product_integral_winding,
@@ -63,19 +63,19 @@ def test_strip_measure_matches_the_defect():
 
 def test_strip_region_counts_and_membership():
     iso = _plane_extension()
-    region = StripRegion(iso, Convergent(2, 3, GOLDEN))
     rng = np.random.default_rng(1)
     pts = uniform_disk(rng, 2000)
-    counts = region.crossing_counts(pts)
+    counts = crossing_counts(iso, Convergent(2, 3, GOLDEN), pts)
     assert counts.min() >= 0
     assert counts.max() >= 1  # the strip meets the unit disk
 
 
 def test_wrong_side_convergent_is_not_transverse():
     iso = _plane_extension()
-    region = StripRegion(iso, Convergent(1, 2, GOLDEN))
     with pytest.raises(FoliationNotTransverse):
-        region.crossing_counts(uniform_disk(np.random.default_rng(2), 500))
+        crossing_counts(
+            iso, Convergent(1, 2, GOLDEN), uniform_disk(np.random.default_rng(2), 500)
+        )
 
 
 def test_invariant_circle_sampler_is_invariant():
@@ -87,11 +87,9 @@ def test_invariant_circle_sampler_is_invariant():
 
 
 def test_lebesgue_shapes():
-    rng = np.random.default_rng(4)
-    for radius in (1.0, 0.5):
-        pts = lebesgue_disk(radius)(rng, 1000)
-        assert pts.shape == (1000, 2)
-        assert np.hypot(*pts.T).max() <= radius
+    pts = lebesgue_disk(np.random.default_rng(4), 1000)
+    assert pts.shape == (1000, 2)
+    assert np.hypot(*pts.T).max() <= 1.0
 
 
 def test_origin_windings_rigid():
@@ -111,7 +109,7 @@ def test_rotation_of_measure_routes_agree():
 def test_rotation_of_measure_reads_both_routes_off_one_track():
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
     rot = rotation_of_measure(iso, samples=500, seed=3)
-    pts = lebesgue_disk()(np.random.default_rng(3), 500)
+    pts = lebesgue_disk(np.random.default_rng(3), 500)
     m_seq, _ = displacements(OrbitTrack(iso, pts, 1))
     # f_t fixes the origin, so W(0, z) is the change of z's lifted angle
     w = pair_windings(iso, np.zeros(2), pts)
@@ -121,5 +119,7 @@ def test_rotation_of_measure_reads_both_routes_off_one_track():
 
 def test_product_integral_estimates_the_rotation():
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
-    res = product_integral_winding(iso, samples=4000, seed=0)
+    res = product_integral_winding(
+        iso, lebesgue_disk, lebesgue_disk, samples=4000, seed=0
+    )
     assert abs(res["value"] - GOLDEN) <= 3.0 * res["stderr"]

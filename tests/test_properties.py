@@ -1,21 +1,35 @@
 """Property tests of the invariants the paper relies on: area preservation,
-exact inverses, winding symmetry, the lambda cocycle, and batched values
-equal to one-at-a-time values."""
+exact inverses, winding symmetry, the lambda and action cocycles, and batched
+values equal to one-at-a-time values."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diskrot.action import PATH_TOL, ActionField
+from diskrot.errors import NearRationalWarning
 from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
-from diskrot.maps import ConjugacyMap, ConjugatedRotation, TwistStep
+from diskrot.maps import (
+    ConjugacyMap,
+    ConjugatedRotation,
+    IteratedIsotopy,
+    PlaneExtension,
+    TwistStep,
+)
 from diskrot.winding import OrbitTrack, pair_windings
 
 G = ConjugacyMap.from_named("twist-b")
 CONJ = ConjugatedRotation(GOLDEN, G)
 STEP = TwistStep(center=(0.2, 0.1), amp=1.1, inner=0.3, outer=0.6)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", NearRationalWarning)
+    # no closed form: its actions run through the path integrals
+    CORED = PlaneExtension(GOLDEN, 0.75, core=CONJ)
 
 FEW = settings(max_examples=10, deadline=None)
 
@@ -45,6 +59,27 @@ def test_conjugacy_inverse_undoes_forward(pts, scale):
 def test_winding_is_symmetric(X, Y):
     assume(np.hypot(*(Y - X).T).min() > 1e-3)
     assert np.max(np.abs(pair_windings(CONJ, X, Y) - pair_windings(CONJ, Y, X))) < 1e-12
+
+
+def _action_cocycle_defect(iso, pts, n):
+    """|a_{f^n}(x) - sum_{k<n} a(f^k x)|, the largest over pts."""
+    iterated = ActionField(IteratedIsotopy(iso, n)).action(pts)
+    summed = ActionField(iso).action(iso.orbit(pts, n)).sum(0)
+    return np.max(np.abs(iterated - summed))
+
+
+@FEW
+@given(_disk_points(4), st.integers(1, 64))
+def test_action_cocycle_closed_form(pts, n):
+    # links the Birkhoff sums of the action to the action of f^n
+    assert _action_cocycle_defect(CONJ, pts, n) < 1e-11
+
+
+@settings(max_examples=3, deadline=None)
+@given(_disk_points(2, r_max=1.05), st.integers(1, 3))
+def test_action_cocycle_path_route(pts, n):
+    # each of the n + 1 path integrals is certified to PATH_TOL
+    assert _action_cocycle_defect(CORED, pts, n) < (n + 1) * PATH_TOL
 
 
 @settings(max_examples=200, deadline=None)
