@@ -8,30 +8,31 @@ computation failure, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
+
+import numpy as np
+
+from .action import ActionField, action_winding_gap, calabi
+from .ergodic import linking_average, mean_action, right_handedness_certificate
+from .errors import DiskrotError, SchemaError
+from .farey import Convergent, convergents, strip_measure
+from .foliation import annulus_table, winding_gaps
+from .geometry import GOLDEN, resample, uniform_disk
+from .maps import ConjugatedRotation, PlaneExtension, from_config
+from .report import ReportBundle, write_csv, write_json
+from .verify import run_all
+from .winding import OrbitTrack, _pair_track, pair_windings
 
 DEFAULT_CONFIG = {
     "family": "conjugated",
     "alpha": "golden",
     "g": {"hamiltonian": "twist-a", "steps": 2, "support_radius": 0.85},
 }
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("DISKROT_THREADS")
-    if not cap:
-        return
-    # must land before numpy initializes its thread pools
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, cap)
 
 
 def _count(least):
@@ -47,8 +48,6 @@ def _count(least):
 
 def rotation_number(text):
     """argparse type: "golden" or a rotation number in (0, 1)."""
-    from .geometry import GOLDEN
-
     alpha = GOLDEN if text == "golden" else float(text)
     if not 0.0 < alpha < 1.0:
         raise argparse.ArgumentTypeError(f"need 'golden' or 0 < alpha < 1, got {text}")
@@ -130,8 +129,6 @@ def build_parser():
 def _read_text(path):
     """The UTF-8 text of an input file; SchemaError naming the file when it
     cannot be read."""
-    from .errors import SchemaError
-
     try:
         with open(path, encoding="utf-8", newline="") as f:
             return f.read()
@@ -141,28 +138,19 @@ def _read_text(path):
         raise SchemaError(path, f"not UTF-8 text at byte {e.start}") from None
 
 
-def _load_config(args):
-    if getattr(args, "config", None):
-        return json.loads(_read_text(args.config))
-    return dict(DEFAULT_CONFIG)
+def _iso(args):
+    """The isotopy of --config, or of DEFAULT_CONFIG without one."""
+    cfg = json.loads(_read_text(args.config)) if args.config else DEFAULT_CONFIG
+    return from_config(cfg)
 
 
 def _bundle(args, name, iso=None):
-    from .report import ReportBundle
-
     cfg = iso.config() if iso is not None else None
     return ReportBundle(args.out, name, config=cfg, seed=args.seed)
 
 
 def _read_pairs(path):
     """The (N, 4) rows x1,y1,x2,y2 of a pairs CSV; blank lines are skipped."""
-    import csv
-    import io
-
-    import numpy as np
-
-    from .errors import SchemaError
-
     rows = []
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     for row in filter(None, reader):
@@ -181,15 +169,7 @@ def _read_pairs(path):
 
 
 def cmd_winding(args):
-    import numpy as np
-
-    from .geometry import uniform_disk
-    from .maps import ConjugatedRotation, from_config
-    from .report import write_csv
-    from .winding import _pair_track, pair_windings
-
-    cfg = _load_config(args)
-    iso = from_config(cfg)
+    iso = _iso(args)
     if args.pairs_file:
         pairs = _read_pairs(args.pairs_file)
     else:
@@ -210,7 +190,6 @@ def cmd_winding(args):
         header.append("W_alt_isotopy")
         cols.append(w_alt)
     out_rows = [list(row) for row in zip(*cols)]
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "windings.csv")
     write_csv(path, header, out_rows)
     bundle = _bundle(args, "winding", iso)
@@ -223,13 +202,7 @@ def cmd_winding(args):
 
 
 def cmd_action(args):
-    import numpy as np
-
-    from .action import ActionField
-    from .geometry import uniform_disk
-    from .maps import from_config
-
-    iso = from_config(_load_config(args))
+    iso = _iso(args)
     field = ActionField(iso)
     rng = np.random.default_rng(args.seed)
     pts = uniform_disk(rng, args.samples)
@@ -245,10 +218,7 @@ def cmd_action(args):
 
 
 def cmd_calabi(args):
-    from .action import ActionField, calabi
-    from .maps import from_config
-
-    iso = from_config(_load_config(args))
+    iso = _iso(args)
     field = ActionField(iso)
     res = calabi(field, samples=args.samples, seed=args.seed)
     bundle = _bundle(args, "calabi", iso)
@@ -259,14 +229,7 @@ def cmd_calabi(args):
 
 
 def cmd_mean_action(args):
-    import numpy as np
-
-    from .action import ActionField
-    from .ergodic import mean_action
-    from .geometry import uniform_disk
-    from .maps import from_config
-
-    iso = from_config(_load_config(args))
+    iso = _iso(args)
     field = ActionField(iso)
     rng = np.random.default_rng(args.seed)
     x = uniform_disk(rng, 1, 0.95)[0]
@@ -280,13 +243,7 @@ def cmd_mean_action(args):
 
 
 def cmd_linking(args):
-    import numpy as np
-
-    from .ergodic import linking_average
-    from .geometry import uniform_disk
-    from .maps import from_config
-
-    iso = from_config(_load_config(args))
+    iso = _iso(args)
     rng = np.random.default_rng(args.seed)
     x, y = uniform_disk(rng, 2, 0.95)
     rep = linking_average(iso, x, y, args.n)
@@ -299,10 +256,7 @@ def cmd_linking(args):
 
 
 def cmd_righthand(args):
-    from .ergodic import right_handedness_certificate
-    from .maps import from_config
-
-    iso = from_config(_load_config(args))
+    iso = _iso(args)
     cert = right_handedness_certificate(
         iso, pair_samples=args.pairs, n=args.n, seed=args.seed
     )
@@ -317,14 +271,7 @@ def cmd_righthand(args):
 
 
 def cmd_foliation_check(args):
-    import numpy as np
-
-    from .foliation import annulus_table, winding_gaps
-    from .geometry import resample, uniform_disk
-    from .maps import from_config
-    from .winding import OrbitTrack
-
-    iso = from_config(_load_config(args))
+    iso = _iso(args)
     rng = np.random.default_rng(args.seed)
     Z = uniform_disk(rng, args.pairs, 0.9)
     Zp = uniform_disk(rng, args.pairs, 0.9)
@@ -367,16 +314,8 @@ def cmd_foliation_check(args):
 
 
 def cmd_strip_measure(args):
-    import warnings
-
-    from .errors import NearRationalWarning
-    from .farey import Convergent, strip_measure
-    from .maps import PlaneExtension
-
     conv = Convergent(*args.conv, args.alpha)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearRationalWarning)
-        iso = PlaneExtension(args.alpha, args.beta)
+    iso = PlaneExtension(args.alpha, args.beta)
     res = strip_measure(iso, conv, samples=args.samples, seed=args.seed)
     bundle = _bundle(args, "strip-measure", iso)
     bundle.add(**res)
@@ -389,8 +328,6 @@ def cmd_strip_measure(args):
 
 
 def cmd_convergents(args):
-    from .farey import convergents
-
     convs = convergents(args.alpha, args.count)
     bundle = _bundle(args, "convergents")
     bundle.add(
@@ -405,13 +342,7 @@ def cmd_convergents(args):
 
 
 def cmd_thm41_bound(args):
-    import numpy as np
-
-    from .action import ActionField, action_winding_gap
-    from .geometry import uniform_disk
-    from .maps import from_config
-
-    iso = from_config(_load_config(args))
+    iso = _iso(args)
     field = ActionField(iso)
     rng = np.random.default_rng(args.seed)
     x = uniform_disk(rng, 1, 0.9)[0]
@@ -427,16 +358,12 @@ def cmd_thm41_bound(args):
 
 
 def cmd_verify_all(args):
-    from .report import write_json
-    from .verify import run_all
-
     def progress(res):
         status = "PASS" if res["passed"] else "FAIL"
         print(f"[{status}] criterion {res['criterion']:2d}: {res['name']}")
 
     results = run_all(seed=args.seed, fast=args.fast, progress=progress)
     passed = all(r["passed"] for r in results)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "verify-all.json")
     write_json(
         path,
@@ -467,12 +394,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _apply_thread_cap()
     # argparse exits 2 on usage errors
     args = build_parser().parse_args(argv)
-
-    from .errors import DiskrotError, SchemaError
-
     try:
         return _COMMANDS[args.command](args)
     except SchemaError as e:

@@ -115,11 +115,6 @@ def strip_measure(iso, conv, samples=1_000_000, seed=0):
     }
 
 
-def lebesgue_disk(rng, n):
-    """n samples of normalized area measure on the unit disk."""
-    return uniform_disk(rng, n)
-
-
 def invariant_circle(g, radius):
     """Sampler for the g-image of a centered circle (invariant for the
     conjugated rotation built from the same g)."""

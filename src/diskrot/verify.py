@@ -9,7 +9,6 @@ full-scale defaults.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -22,11 +21,9 @@ from .ergodic import (
     mean_action,
     right_handedness_certificate,
 )
-from .errors import NearRationalWarning
 from .farey import (
     convergents,
     invariant_circle,
-    lebesgue_disk,
     product_integral_winding,
     rotation_of_measure,
     strip_measure,
@@ -39,8 +36,8 @@ from .winding import OrbitTrack, pair_windings, winding_matrix
 _HAMILTONIANS = ("twist-a", "twist-b", "twist-c")
 
 
-def conjugated_rotation(name="twist-a", alpha=GOLDEN, steps=2):
-    return ConjugatedRotation(alpha, ConjugacyMap.from_named(name, repeats=steps))
+def conjugated_rotation(name):
+    return ConjugatedRotation(GOLDEN, ConjugacyMap.from_named(name, repeats=2))
 
 
 def _admissible_pairs(rng, count, radius=0.95, min_sep=1e-3):
@@ -94,7 +91,7 @@ def criterion_2(seed=0, fast=False):
     per_map = []
     ok = True
     for i, name in enumerate(_HAMILTONIANS):
-        field = ActionField(conjugated_rotation(name, alpha))
+        field = ActionField(conjugated_rotation(name))
         res = calabi(field, samples=samples, seed=seed + i)
         err = abs(res.value - alpha)
         good = err < 3.0 * res.stderr
@@ -114,7 +111,7 @@ def criterion_2(seed=0, fast=False):
 def criterion_3(seed=0, fast=False):
     """Birkhoff means of the action converge to the rotation number."""
     alpha = GOLDEN
-    field = ActionField(conjugated_rotation("twist-a", alpha))
+    field = ActionField(conjugated_rotation("twist-a"))
     rng = np.random.default_rng(seed)
     count = 5 if fast else 25
     n_max = 512 if fast else 4096
@@ -152,7 +149,7 @@ def criterion_3(seed=0, fast=False):
 def criterion_4(seed=0, fast=False):
     """Linking averages converge; incremental engine is exact."""
     alpha = GOLDEN
-    iso = conjugated_rotation("twist-a", alpha)
+    iso = conjugated_rotation("twist-a")
     rng = np.random.default_rng(seed)
     count = 5 if fast else 25
     n = 128 if fast else 512
@@ -184,7 +181,7 @@ def criterion_4(seed=0, fast=False):
 def criterion_5(seed=0, fast=False):
     """Right-handedness certificate and linearized rotation number at 0."""
     alpha = GOLDEN
-    iso = conjugated_rotation("twist-a", alpha)
+    iso = conjugated_rotation("twist-a")
     cert = right_handedness_certificate(
         iso,
         pair_samples=10 if fast else 100,
@@ -270,9 +267,7 @@ def criterion_8(seed=0, fast=False):
     """Strip measure of the plane extension equals the convergent defect."""
     alpha = GOLDEN
     beta = 0.75
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearRationalWarning)
-        iso = PlaneExtension(alpha, beta)
+    iso = PlaneExtension(alpha, beta)
     samples = 50_000 if fast else 1_000_000
     per_conv = []
     ok = True
@@ -352,8 +347,8 @@ def criterion_10(seed=0, fast=False):
     prods = []
     ok_prod = True
     for tag, s1, s2 in (
-        ("lebesgue x lebesgue", lebesgue_disk, lebesgue_disk),
-        ("circle x lebesgue", invariant_circle(g, 0.5), lebesgue_disk),
+        ("lebesgue x lebesgue", uniform_disk, uniform_disk),
+        ("circle x lebesgue", invariant_circle(g, 0.5), uniform_disk),
     ):
         res = product_integral_winding(iso, s1, s2, samples=samples, seed=seed + 7)
         good = abs(res["value"] - alpha) <= 3.0 * res["stderr"]

@@ -32,7 +32,7 @@ def _angles(v):
     return np.arctan2(y, x)
 
 
-def track(vec_at, n, steps, grid=False):
+def track(vec_at, n, steps):
     """Certified unwrapped angles of n vectors over t in [0, 1].
 
     vec_at(t, idx) returns the (len(idx), 2) vectors of the entries idx at
@@ -42,17 +42,17 @@ def track(vec_at, n, steps, grid=False):
     MAX_REFINEMENTS bisections.
 
     Returns (turn, depth): the angle change over [0, 1] in radians and the
-    deepest bisection of each entry, both (n,).  With grid=True returns
-    (vecs, theta, depth) instead: the vectors (steps+1, n, 2) and the
-    unwrapped angles (steps+1, n) at the grid times.
+    deepest bisection of each entry, both (n,).
     """
     times = np.linspace(0.0, 1.0, steps + 1)
-    return _track(lambda k: vec_at(times[k], ALL), vec_at, n, steps, grid)
+    return _track(lambda k: vec_at(times[k], ALL), vec_at, n, steps, grid=False)
 
 
 def _track(row, vec_at, n, steps, grid):
     """`track` with the grid vectors of step k given by row(k), so a grid
-    already evaluated is not evaluated again; vec_at serves bisections."""
+    already evaluated is not evaluated again; vec_at serves bisections.
+    With grid=True returns (vecs, theta, depth) instead: the vectors
+    (steps+1, n, 2) and the unwrapped angles (steps+1, n) at the grid times."""
     times = np.linspace(0.0, 1.0, steps + 1)
     v = row(0)
     prev = _angles(v)

@@ -119,6 +119,16 @@ def test_action_and_calabi_commands(tmp_path):
     assert abs(doc["value"] - doc["boundary_rot"]) < 1e-10
 
 
+def test_plane_extension_action_is_silent(tmp_path):
+    # the README's config: beta = 3/4 is rational, and only alpha must not be
+    cfg = _write_config(
+        tmp_path, {"family": "plane-extension", "alpha": "golden", "beta": 0.75}
+    )
+    res = _run(["action", "--samples", "20", "--config", cfg, "--out", "o"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+
+
 def test_schema_error_exits_2_with_pointer(tmp_path):
     cfg = _write_config(tmp_path, {"family": "conjugated", "g": {"steps": -1}})
     res = _run(["action", "--config", cfg, "--out", "o"], tmp_path)
@@ -163,6 +173,7 @@ def test_strip_measure_command(tmp_path):
         tmp_path,
     )
     assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
     with open(tmp_path / "o" / "strip-measure.json") as f:
         doc = json.load(f)
     assert abs(doc["value"] - doc["expected"]) <= 4.0 * doc["stderr"]

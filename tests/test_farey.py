@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
-from diskrot.errors import FoliationNotTransverse, NearRationalWarning, RationalInput
+from diskrot.errors import FoliationNotTransverse, RationalInput
 from diskrot.farey import (
     Convergent,
     convergents,
     crossing_counts,
     invariant_circle,
-    lebesgue_disk,
     product_integral_winding,
     rotation_of_measure,
     strip_measure,
@@ -22,12 +19,6 @@ from diskrot.foliation import displacements
 from diskrot.geometry import GOLDEN, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
 from diskrot.winding import OrbitTrack, pair_windings
-
-
-def _plane_extension(beta=0.75):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearRationalWarning)
-        return PlaneExtension(GOLDEN, beta)
 
 
 def test_golden_convergents_are_fibonacci_ratios():
@@ -55,14 +46,14 @@ def test_convergent_validation():
 
 
 def test_strip_measure_matches_the_defect():
-    iso = _plane_extension()
+    iso = PlaneExtension(GOLDEN, 0.75)
     res = strip_measure(iso, Convergent(2, 3, GOLDEN), samples=50_000, seed=0)
     assert abs(res["value"] - res["expected"]) <= 3.0 * res["stderr"]
     assert abs(res["expected"] - (2.0 - 3.0 * GOLDEN)) < 1e-15
 
 
 def test_strip_region_counts_and_membership():
-    iso = _plane_extension()
+    iso = PlaneExtension(GOLDEN, 0.75)
     rng = np.random.default_rng(1)
     pts = uniform_disk(rng, 2000)
     counts = crossing_counts(iso, Convergent(2, 3, GOLDEN), pts)
@@ -71,7 +62,7 @@ def test_strip_region_counts_and_membership():
 
 
 def test_wrong_side_convergent_is_not_transverse():
-    iso = _plane_extension()
+    iso = PlaneExtension(GOLDEN, 0.75)
     with pytest.raises(FoliationNotTransverse):
         crossing_counts(
             iso, Convergent(1, 2, GOLDEN), uniform_disk(np.random.default_rng(2), 500)
@@ -87,7 +78,7 @@ def test_invariant_circle_sampler_is_invariant():
 
 
 def test_lebesgue_shapes():
-    pts = lebesgue_disk(np.random.default_rng(4), 1000)
+    pts = uniform_disk(np.random.default_rng(4), 1000)
     assert pts.shape == (1000, 2)
     assert np.hypot(*pts.T).max() <= 1.0
 
@@ -109,7 +100,7 @@ def test_rotation_of_measure_routes_agree():
 def test_rotation_of_measure_reads_both_routes_off_one_track():
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
     rot = rotation_of_measure(iso, samples=500, seed=3)
-    pts = lebesgue_disk(np.random.default_rng(3), 500)
+    pts = uniform_disk(np.random.default_rng(3), 500)
     m_seq, _ = displacements(OrbitTrack(iso, pts, 1))
     # f_t fixes the origin, so W(0, z) is the change of z's lifted angle
     w = pair_windings(iso, np.zeros(2), pts)
@@ -120,6 +111,6 @@ def test_rotation_of_measure_reads_both_routes_off_one_track():
 def test_product_integral_estimates_the_rotation():
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
     res = product_integral_winding(
-        iso, lebesgue_disk, lebesgue_disk, samples=4000, seed=0
+        iso, uniform_disk, uniform_disk, samples=4000, seed=0
     )
     assert abs(res["value"] - GOLDEN) <= 3.0 * res["stderr"]

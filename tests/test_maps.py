@@ -197,8 +197,7 @@ def test_closed_form_orbit_makes_one_conjugacy_pass(monkeypatch):
 
 
 def test_plane_extension_profile_bands():
-    with pytest.warns(NearRationalWarning):
-        iso = PlaneExtension(GOLDEN, 0.75)
+    iso = PlaneExtension(GOLDEN, 0.75)
     r = np.array([0.2, 1.0, 1.05, 1.0 + 0.75 - GOLDEN, 1.2])
     prof = iso.profile(r)
     assert prof[0] == GOLDEN and prof[1] == GOLDEN

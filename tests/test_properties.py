@@ -4,14 +4,11 @@ values equal to one-at-a-time values."""
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskrot.action import PATH_TOL, ActionField
-from diskrot.errors import NearRationalWarning
 from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
 from diskrot.maps import (
@@ -26,10 +23,8 @@ from diskrot.winding import OrbitTrack, pair_windings
 G = ConjugacyMap.from_named("twist-b")
 CONJ = ConjugatedRotation(GOLDEN, G)
 STEP = TwistStep(center=(0.2, 0.1), amp=1.1, inner=0.3, outer=0.6)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", NearRationalWarning)
-    # no closed form: its actions run through the path integrals
-    CORED = PlaneExtension(GOLDEN, 0.75, core=CONJ)
+# no closed form: its actions run through the path integrals
+CORED = PlaneExtension(GOLDEN, 0.75, core=CONJ)
 
 FEW = settings(max_examples=10, deadline=None)
 

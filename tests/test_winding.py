@@ -158,7 +158,7 @@ def test_conjugacy_inverse_runs_once_per_tracked_side(monkeypatch, steps):
 
 def test_bisected_position_tracks_stay_on_the_requested_grid():
     pts = uniform_disk(np.random.default_rng(9), 50, 0.95)
-    _, _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4, grid=True)
+    _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4)
     assert depth.max() > 0
     coarse = OrbitTrack(CONJ, pts, 1, 4)
     assert coarse.pos.shape == (1, 5, 50, 2)
