@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import TWOPI, as_xy, angles_of, resample, uniform_disk
 from .maps import IteratedIsotopy
 from .quadrature import adaptive_gl, adaptive_segments
-from .winding import INIT_STEPS, pair_windings_iterated
+from .winding import pair_windings_iterated
 
 _CHUNK = 1 << 16
 # tolerance of every path integral behind an action value
@@ -157,7 +157,7 @@ def off_orbit_samples(rng, orbit, count):
     return ys
 
 
-def action_winding_gap(field, x, ns, mc_samples, rng, steps=INIT_STEPS):
+def action_winding_gap(field, x, ns, mc_samples, rng):
     """|a_{f^n}(x) - integral of W_{f^n}(x, .) d omega| with its MC error,
     one row per n in ns.  One Monte Carlo batch drawn from rng is tracked
     through max(ns) iterates, so every integral is a prefix of the same
@@ -169,7 +169,7 @@ def action_winding_gap(field, x, ns, mc_samples, rng, steps=INIT_STEPS):
     iso = field.iso
     x = as_xy(x)
     ys = off_orbit_samples(rng, iso.orbit(x, max(ns)), mc_samples)
-    totals = np.cumsum(pair_windings_iterated(iso, x, ys, max(ns), steps), axis=0)
+    totals = np.cumsum(pair_windings_iterated(iso, x, ys, max(ns)), axis=0)
     rows = []
     for n in ns:
         iterated = IteratedIsotopy(iso, n)

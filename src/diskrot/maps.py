@@ -23,10 +23,14 @@ from .geometry import (
     rot90,
     rotate,
     rotation_matrices,
+    wrap_to_pi,
 )
 
 MAX_DEN = 64
 RATIONAL_TOL = 1e-12
+# pairs per pass of the ramp windings: keeps each complex temporary at
+# 128 KiB; at 1 << 16 a `verify-all --fast` process peaked 1.5 MB higher
+_CHUNK = 1 << 13
 
 
 def check_irrational(value, name):
@@ -172,6 +176,36 @@ class TwistStep:
         circ = rho * rho + mw @ c
         return psi * circ / TWOPI - self.potential(rho, scale) / np.pi
 
+    def pair_turn(self, p, q, scale):
+        """(p', q', turn) for complex points p, q: their images and the
+        angle their separation q - p turns by as the amplitude ramps from 0
+        to scale.  With A = p - c and B = q - c, the separation turns by psi
+        of the point farther from the center plus arg(1 - (near/far)
+        e^{i delta}) - arg(1 - near/far), which lies in (-pi, pi) since
+        |near/far| <= 1; so that term is the wrapped remainder."""
+        c = complex(*self.center)
+        a, b = p - c, q - c
+        ra, rb = np.abs(a), np.abs(b)
+        pa, pb = scale * self.angle(ra), scale * self.angle(rb)
+        p1, q1 = c + a * np.exp(1j * pa), c + b * np.exp(1j * pb)
+        far = np.where(ra > rb, pa, pb)
+        return p1, q1, far + wrap_to_pi(np.angle(q1 - p1) - np.angle(q - p) - far)
+
+    def tangent_turn(self, p, v, scale):
+        """(p', v', turn) for a complex base point p and tangent vector v:
+        DT v = R(psi)[v + (psi'/rho)(w.v) i w] with w = p - c.  The bracket
+        shears v along i w and keeps its component along w, so over the ramp
+        it turns v by less than pi and never passes through 0."""
+        c = complex(*self.center)
+        w = p - c
+        rho = np.abs(w)
+        psi = scale * self.angle(rho)
+        k = np.zeros_like(rho)
+        np.divide(scale * self.dangle(rho), rho, out=k, where=rho > 0)
+        sheared = v + k * (w.real * v.real + w.imag * v.imag) * 1j * w
+        rot = np.exp(1j * psi)
+        return c + rot * w, rot * sheared, psi + wrap_to_pi(np.angle(sheared) - np.angle(v))
+
 
 # Named Hamiltonians: geometry given for support_radius = 1, scaled at build
 # time.  Each step needs |center| < inner (origin fixed) and
@@ -275,6 +309,33 @@ class ConjugacyMap:
             pts = st.apply(pts, s)
         return S
 
+    def ramp_winding(self, P, Q):
+        """Winding D(P, Q), in turns, of s -> g_s(Q) - g_s(P) as g is
+        ramped from the identity, its sub-steps one after another.
+
+        Every ramp gives the same D: the sub-step amplitudes range over a
+        cube, which is contractible.  P and Q broadcast against each other.
+        """
+        return self._ramped(TwistStep.pair_turn, P, Q)
+
+    def ramp_tangent_winding(self, P, V):
+        """Winding, in turns, of s -> Dg_s(P) . V along the same ramp."""
+        return self._ramped(TwistStep.tangent_turn, P, V)
+
+    def _ramped(self, turn_of, P, V):
+        P, V = np.broadcast_arrays(as_xy(P), as_xy(V))
+        shape = P.shape[:-1]
+        p = (P[..., 0] + 1j * P[..., 1]).ravel()
+        v = (V[..., 0] + 1j * V[..., 1]).ravel()
+        s = 1.0 / self.repeats
+        turn = np.zeros(len(p))
+        for lo in range(0, len(p), _CHUNK):
+            pc, vc = p[lo : lo + _CHUNK], v[lo : lo + _CHUNK]
+            for st in self._sequence():
+                pc, vc, dt = turn_of(st, pc, vc, s)
+                turn[lo : lo + _CHUNK] += dt
+        return turn.reshape(shape) / TWOPI
+
 
 class Isotopy:
     """A time-parametrized family of area-preserving disk maps.
@@ -324,6 +385,17 @@ class Isotopy:
         for i in range(1, n):
             out[i] = self.map(out[i - 1])
         return out
+
+    def windings_closed_form(self, X, Y, n):
+        """Windings (n, ...) of the pairs (f^k X, f^k Y) over each iterate
+        k < n where the family has a closed form; None where the windings
+        must be tracked."""
+        return None
+
+    def tangent_windings_closed_form(self, base, dirs):
+        """Windings of t -> Df_t(base) . dirs where the family has a closed
+        form; None where they must be tracked."""
+        return None
 
     def config(self):
         return {"family": self.family_tag}
@@ -388,11 +460,15 @@ class ConjugatedRotation(Isotopy):
         w = self.g.inverse(as_xy(pts))
         return lambda t, idx: self.g.forward(rotate(w[idx], TWOPI * t * self.alpha))
 
-    def orbit(self, pts, n):
-        """g R^k g^{-1} in one conjugacy pass; k alpha mod 1 is exact in integers."""
-        pts = as_xy(pts)
+    def _rotation_angles(self, ks):
+        """Rotation angles of R^k, with k alpha mod 1 exact in integers."""
         num, den = self.alpha.as_integer_ratio()
-        angle = TWOPI * np.array([k * num % den / den for k in range(1, n)])
+        return TWOPI * np.array([k * num % den / den for k in ks])
+
+    def orbit(self, pts, n):
+        """g R^k g^{-1} in one conjugacy pass."""
+        pts = as_xy(pts)
+        angle = self._rotation_angles(range(1, n))
         w = np.broadcast_to(self.g.inverse(pts), (n - 1,) + pts.shape)
         rw = rotate(w, angle.reshape((-1,) + (1,) * (pts.ndim - 1)))
         return np.concatenate([pts[None], self.g.forward(rw)])
@@ -424,6 +500,39 @@ class ConjugatedRotation(Isotopy):
         w = self.g.inverse(as_xy(pts))
         rw = rotate(w, TWOPI * n * self.alpha)
         return n * self.alpha + self.g.generating(rw) - self.g.generating(w)
+
+    def windings_closed_form(self, X, Y, n):
+        """Windings (n, ...) of the pairs (f^k X, f^k Y) over each iterate
+        k < n, without a time grid; None for the deformed variant, whose
+        g_t moves with t.
+
+        The square (s, t) -> g_s R_t w winds zero times around its boundary,
+        and its s = 0 side is the rigid rotation.  So with w = g^{-1}(.) and
+        D the conjugacy's `ramp_winding`,
+        W_k = alpha + D(R^(k+1) w_X, R^(k+1) w_Y) - D(R^k w_X, R^k w_Y):
+        n iterates cost n + 1 evaluations of D and no map call.
+        """
+        if self.deform:
+            return None
+        wx, wy = self.g.inverse(as_xy(X)), self.g.inverse(as_xy(Y))
+        D = [
+            self.g.ramp_winding(rotate(wx, a), rotate(wy, a))
+            for a in self._rotation_angles(range(n + 1))
+        ]
+        return self.alpha + np.diff(D, axis=0)
+
+    def tangent_windings_closed_form(self, base, dirs):
+        """Windings of t -> Df_t(base) . dirs by the same square of tangent
+        vectors: alpha + D'(R w, R u) - D'(w, u), with w = g^{-1}(base),
+        u = Dg^{-1}(base) . dirs and D' the conjugacy's
+        `ramp_tangent_winding`; None for the deformed variant."""
+        if self.deform:
+            return None
+        b = as_xy(base)
+        w, u = self.g.inverse(b), as_xy(dirs) @ self.g.jac_inverse(b).T
+        a = TWOPI * self.alpha
+        ramp = self.g.ramp_tangent_winding
+        return self.alpha + ramp(rotate(w, a), rotate(u, a)) - ramp(w, u)
 
     def config(self):
         return {

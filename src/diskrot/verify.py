@@ -248,8 +248,7 @@ def criterion_7(seed=0, fast=False):
     mc = 2000 if fast else 100_000
     ns = (1, 4) if fast else (1, 4, 16)
     xs = uniform_disk(rng, count, 0.9)
-    # half the default grid steps: the windings are most of the criterion's cost
-    rows = [r for x in xs for r in action_winding_gap(field, x, ns, mc, rng, steps=32)]
+    rows = [r for x in xs for r in action_winding_gap(field, x, ns, mc, rng)]
     return {
         "criterion": 7,
         "name": "action/winding gap bound",

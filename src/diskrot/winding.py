@@ -1,12 +1,20 @@
 """Winding numbers of point pairs along an isotopy, and tangent extensions.
 
-Every angle the package follows over time is unwrapped by one engine,
-`track`: the angle of a batch of vectors is sampled on a uniform time grid
-and continued against the previous sample.  Every result carries a
-no-aliasing certificate: each unwrapped step moves the angle by less than
-pi/2.  A grid step that fails is bisected for its entry alone, and each
-failing half again, until every sub-step passes (up to a depth cap), so a
-few fast-swinging entries do not force the whole batch onto a finer grid.
+`pair_windings`, `pair_windings_iterated`, `winding_matrix` and
+`winding_tangent` first ask the isotopy for its closed form
+(`Isotopy.windings_closed_form`, `tangent_windings_closed_form`); only the
+conjugated family f_t = g R_t g^{-1} without `deform` has one, and its
+windings are exact, with no time grid.  Every other angle is unwrapped by
+one engine, `track`: rigid rotations, the deformed variant, plane
+extensions, iterated isotopies, `OrbitTrack` (the position grids behind
+lambda, tau and m) and the `winding` command, whose W and refinements
+columns both come from `_pair_track`.  The angle of a batch of vectors is sampled on a
+uniform time grid and continued against the previous sample.  Every
+tracked result carries a no-aliasing check: each unwrapped step moves the
+angle by less than pi/2.  A grid step that fails is bisected for its entry
+alone, and each failing half again, until every sub-step passes (up to a
+depth cap), so a few fast-swinging entries do not force the whole batch
+onto a finer grid.
 """
 from __future__ import annotations
 
@@ -128,14 +136,20 @@ def _entry_trajectory(iso, P, shape):
     return iso.trajectory(P)
 
 
+def _separated(X, Y):
+    """X and Y as arrays, once no pair is within MERGE_EPS."""
+    X = as_xy(X)
+    Y = as_xy(Y)
+    if radii_of(Y - X).min() <= MERGE_EPS:
+        raise CoincidentPoints(f"pair separation <= MERGE_EPS={MERGE_EPS}")
+    return X, Y
+
+
 def _pair_track(iso, X, Y, init_steps=INIT_STEPS):
     """(windings, bisection depths) of paired point arrays X[i], Y[i]; either
     side may be one point (2,) paired with every point of the other."""
-    X = as_xy(X)
-    Y = as_xy(Y)
+    X, Y = _separated(X, Y)
     shape = np.broadcast_shapes(X.shape, Y.shape)
-    if radii_of(Y - X).min() <= MERGE_EPS:
-        raise CoincidentPoints(f"pair separation <= MERGE_EPS={MERGE_EPS}")
     fx = _entry_trajectory(iso, X, shape)
     fy = _entry_trajectory(iso, Y, shape)
     turn, depth = track(
@@ -144,20 +158,23 @@ def _pair_track(iso, X, Y, init_steps=INIT_STEPS):
     return turn.reshape(shape[:-1]) / TWOPI, depth.reshape(shape[:-1])
 
 
-def pair_windings(iso, X, Y, init_steps=INIT_STEPS):
+def pair_windings(iso, X, Y):
     """Windings of paired point arrays X[i] with Y[i] under the isotopy."""
-    return _pair_track(iso, X, Y, init_steps)[0]
+    w = iso.windings_closed_form(*_separated(X, Y), 1)
+    return _pair_track(iso, X, Y)[0] if w is None else w[0]
 
 
 def winding_tangent(iso, base, direction):
     """Winding of t -> jac(t, base) . xi, the blow-up value on the diagonal.
 
     direction is one vector (2,) or K vectors (K, 2) at the same base; the
-    K directions are tracked as one batch and K windings returned.
+    K directions are computed as one batch and K windings returned.
     """
     b = as_xy(base)
     xi = np.asarray(direction, dtype=float)
     dirs = xi.reshape(-1, 2)
+    if np.hypot(dirs[:, 0], dirs[:, 1]).min() < 1e-14:
+        raise SingularJacobian("direction too small to normalize")
 
     def vec_at(t, idx):
         J = iso.jac(t, np.broadcast_to(b, np.shape(t) + (2,)))
@@ -166,32 +183,37 @@ def winding_tangent(iso, base, direction):
             raise SingularJacobian("jacobian image too small to normalize")
         return v
 
-    turn, _ = track(vec_at, len(dirs), INIT_STEPS)
-    w = turn / TWOPI
+    w = iso.tangent_windings_closed_form(b, dirs)
+    if w is None:
+        w = track(vec_at, len(dirs), INIT_STEPS)[0] / TWOPI
     return w if xi.ndim > 1 else w[0]
 
 
-def pair_windings_iterated(iso, X, Y, n, steps):
-    """Windings (n, N) of paired arrays over each of the first n iterates,
-    each tracked from `steps` grid steps; their cumulative sum over axis 0
-    gives the windings under the concatenated isotopies.  A single point
-    (2,) stays one point through the iterates."""
-    X = as_xy(X)
-    Y = as_xy(Y)
+def pair_windings_iterated(iso, X, Y, n):
+    """Windings (n, N) of paired arrays over each of the first n iterates;
+    their cumulative sum over axis 0 gives the windings under the
+    concatenated isotopies.  A single point (2,) stays one point through the
+    iterates.  The closed form checks only the start pairs against
+    MERGE_EPS: it works in g^{-1} coordinates, where R keeps every iterate
+    pair as far apart as the start pair."""
+    X, Y = _separated(X, Y)
+    exact = iso.windings_closed_form(X, Y, n)
+    if exact is not None:
+        return exact
     out = []
     for k in range(n):
         if k:
             X, Y = iso.map(X), iso.map(Y)
-        out.append(pair_windings(iso, X, Y, steps))
+        out.append(pair_windings(iso, X, Y))
     return np.array(out)
 
 
 def winding_matrix(iso, xs, ys):
     """All cross windings W[i, j] of the pairs (xs[i], ys[j]) in one sweep.
 
-    Each grid sample evaluates the two point sets once and forms all n*m
-    separation vectors; a cell whose step fails the certificate is bisected
-    alone, from its own pair of points.
+    Tracked, each grid sample evaluates the two point sets once and forms
+    all n*m separation vectors; a cell whose step fails the certificate is
+    bisected alone, from its own pair of points.
     """
     xs = as_xy(xs)
     ys = as_xy(ys)
@@ -201,6 +223,9 @@ def winding_matrix(iso, xs, ys):
     if sep.min() <= MERGE_EPS:
         i, j = np.unravel_index(np.argmin(sep), sep.shape)
         raise CoincidentPoints(f"points xs[{i}] and ys[{j}] within merge_eps")
+    exact = iso.windings_closed_form(xs[:, None], ys[None, :], 1)
+    if exact is not None:
+        return exact[0]
     n, m = len(xs), len(ys)
     fx, fy = iso.trajectory(xs), iso.trajectory(ys)
 

@@ -17,7 +17,7 @@ from diskrot.foliation import (
 )
 from diskrot.geometry import GOLDEN, TWOPI, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation
-from diskrot.winding import INIT_STEPS, OrbitTrack, pair_windings_iterated
+from diskrot.winding import OrbitTrack, pair_windings_iterated
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
@@ -129,7 +129,7 @@ def test_big_lambda_tracks_the_winding():
         for n in (1, 4):
             t = annulus_table(CONJ, z, zp, n=n)
             L = t["lambda_sum"] + t["m_total"]
-            per_iter = pair_windings_iterated(CONJ, z[None], zp[None], n, INIT_STEPS)
+            per_iter = pair_windings_iterated(CONJ, z[None], zp[None], n)
             w = float(per_iter.sum(axis=0)[0])
             assert abs(L - w) <= 2.0 + 1e-9
 

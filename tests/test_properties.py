@@ -18,10 +18,13 @@ from diskrot.maps import (
     PlaneExtension,
     TwistStep,
 )
-from diskrot.winding import OrbitTrack, pair_windings
+from diskrot.winding import OrbitTrack, _pair_track, pair_windings
 
 G = ConjugacyMap.from_named("twist-b")
 CONJ = ConjugatedRotation(GOLDEN, G)
+# exact windings, and the same map's tracked second isotopy
+TWIST_A = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
+TWIST_A_TRACKED = ConjugatedRotation(GOLDEN, TWIST_A.g, deform=True)
 STEP = TwistStep(center=(0.2, 0.1), amp=1.1, inner=0.3, outer=0.6)
 # no closed form: its actions run through the path integrals
 CORED = PlaneExtension(GOLDEN, 0.75, core=CONJ)
@@ -53,7 +56,17 @@ def test_conjugacy_inverse_undoes_forward(pts, scale):
 @given(_disk_points(6), _disk_points(6))
 def test_winding_is_symmetric(X, Y):
     assume(np.hypot(*(Y - X).T).min() > 1e-3)
+    assert np.max(np.abs(_pair_track(CONJ, X, Y)[0] - _pair_track(CONJ, Y, X)[0])) < 1e-12
     assert np.max(np.abs(pair_windings(CONJ, X, Y) - pair_windings(CONJ, Y, X))) < 1e-12
+
+
+@FEW
+@given(_disk_points(6), _disk_points(6))
+def test_exact_windings_are_symmetric_and_match_the_deformed_track(X, Y):
+    assume(np.hypot(*(Y - X).T).min() > 1e-3)
+    exact = pair_windings(TWIST_A, X, Y)
+    assert np.max(np.abs(exact - pair_windings(TWIST_A, Y, X))) < 1e-12
+    assert np.max(np.abs(exact - pair_windings(TWIST_A_TRACKED, X, Y))) < 1e-8
 
 
 def _action_cocycle_defect(iso, pts, n):
@@ -100,4 +113,4 @@ def test_batched_pair_values_equal_single_pair_calls(Z, Zp):
             assert np.array_equal(batch[key][..., j], value), key
         m_seq_j, m_total_j = displacements(OrbitTrack(CONJ, z[None], n))
         assert np.array_equal(m_seq_j[:, 0], m_seq[:, j]) and m_total_j[0] == m_total[j]
-        assert windings[0, j] == pair_windings(CONJ, z[None], zp[None])[0]
+        assert windings[0, j] == _pair_track(CONJ, z[None], zp[None])[0][0]

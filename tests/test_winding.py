@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diskrot.errors import CoincidentPoints, RefinementExhausted
+from diskrot.errors import CoincidentPoints, RefinementExhausted, SingularJacobian
 from diskrot.geometry import GOLDEN, TWOPI, uniform_disk, wrap_to_pi
 from diskrot.maps import (
     ConjugacyMap,
@@ -15,7 +15,6 @@ from diskrot.maps import (
     TwistStep,
 )
 from diskrot.winding import (
-    INIT_STEPS,
     OrbitTrack,
     _pair_track,
     pair_windings,
@@ -31,6 +30,14 @@ CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
 FAST = ConjugatedRotation(
     GOLDEN, ConjugacyMap((TwistStep((0.2, 0.08), 20.0, 0.25, 0.5),), repeats=1)
 )
+# the same maps along a second isotopy, which has no closed form and is
+# tracked: the public functions reach the tracker's bisection through these
+CONJ_TRACKED = ConjugatedRotation(GOLDEN, CONJ.g, deform=True)
+FAST_TRACKED = ConjugatedRotation(GOLDEN, FAST.g, deform=True)
+NAMED = {
+    name: ConjugatedRotation(GOLDEN, ConjugacyMap.from_named(name))
+    for name in ("twist-a", "twist-b", "twist-c")
+}
 
 
 def _pairs(rng, count, radius=0.95, min_sep=1e-3):
@@ -63,10 +70,57 @@ def test_rigid_windings_equal_alpha_exactly():
     assert np.max(np.abs(w - GOLDEN)) < 1e-12
 
 
+def _dense_tangent_windings(iso, bases, dirs, steps=4096):
+    """Oracle for tangent windings: the same fine grid on jac(t, bases[i]) . dirs[i]."""
+    prev = np.arctan2(dirs[:, 1], dirs[:, 0])
+    total = np.zeros(len(dirs))
+    for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
+        v = (iso.jac(t, bases) @ dirs[..., None])[..., 0]
+        raw = np.arctan2(v[:, 1], v[:, 0])
+        total += wrap_to_pi(raw - prev)
+        prev = raw
+    return total / TWOPI
+
+
 def test_adaptive_windings_match_dense_grid():
     X, Y = _pairs(np.random.default_rng(1), 300)
-    w = pair_windings(CONJ, X, Y)
-    assert np.max(np.abs(w - _dense_windings(CONJ, X, Y))) < 1e-9
+    dense = _dense_windings(CONJ, X, Y)
+    assert np.max(np.abs(_pair_track(CONJ, X, Y)[0] - dense)) < 1e-9
+    assert np.max(np.abs(pair_windings(CONJ, X, Y) - dense)) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["twist-a", "twist-b", "twist-c", "fast-twist"])
+def test_exact_windings_match_the_dense_oracle(name):
+    iso = FAST if name == "fast-twist" else NAMED[name]
+    rng = np.random.default_rng(20)
+    X, Y = _pairs(rng, 60)
+    xs, ys = uniform_disk(rng, 5, 0.9), uniform_disk(rng, 6, 0.9)
+    i, j = np.meshgrid(np.arange(5), np.arange(6), indexing="ij")
+    n, (Xi, Yi) = 4, _pairs(rng, 15, radius=0.9)
+    orbit_x, orbit_y = iso.orbit(Xi, n), iso.orbit(Yi, n)
+    # one dense pass over the pairs, the matrix cells and the iterates' pairs
+    P = np.concatenate([X, xs[i.ravel()], *orbit_x])
+    Q = np.concatenate([Y, ys[j.ravel()], *orbit_y])
+    dense = _dense_windings(iso, P, Q)
+    exact = np.concatenate([
+        pair_windings(iso, X, Y),
+        winding_matrix(iso, xs, ys).ravel(),
+        pair_windings_iterated(iso, Xi, Yi, n).ravel(),
+    ])
+    assert np.max(np.abs(exact - dense)) < 1e-9
+    ang = np.linspace(0.0, TWOPI, 5)[:-1]
+    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    bases = np.repeat([[0.0, 0.0], [0.5, 0.3]], len(dirs), axis=0)
+    dense = _dense_tangent_windings(iso, bases, np.tile(dirs, (2, 1)))
+    exact = [winding_tangent(iso, base, dirs) for base in bases[:: len(dirs)]]
+    assert np.max(np.abs(np.concatenate(exact) - dense)) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="the pi/2 jump check lets whole turns through")
+def test_coarse_fast_twist_track_agrees_with_the_exact_windings():
+    X, Y = _pairs(np.random.default_rng(0), 4000)
+    tracked, _ = _pair_track(FAST, X, Y, init_steps=64)
+    assert np.max(np.abs(tracked - pair_windings(FAST, X, Y))) < 1e-9
 
 
 def test_scalar_winding_agrees_with_batch():
@@ -91,7 +145,7 @@ def test_coincident_pair_rejected():
 def test_iterated_winding_telescopes():
     X, Y = _pairs(np.random.default_rng(4), 10, radius=0.9)
     n = 5
-    per_iter = pair_windings_iterated(CONJ, X, Y, n, INIT_STEPS).sum(axis=0)
+    per_iter = pair_windings_iterated(CONJ, X, Y, n).sum(axis=0)
     concat = pair_windings(IteratedIsotopy(CONJ, n), X, Y)
     assert np.max(np.abs(per_iter - concat)) < 1e-8
 
@@ -112,22 +166,28 @@ def test_bisected_matrix_cells_equal_pair_windings():
     xs = uniform_disk(rng, 6, 0.6)
     ys = uniform_disk(rng, 7, 0.6)
     i, j = np.meshgrid(np.arange(6), np.arange(7), indexing="ij")
-    w, depth = _pair_track(FAST, xs[i.ravel()], ys[j.ravel()])
+    w, depth = _pair_track(FAST_TRACKED, xs[i.ravel()], ys[j.ravel()])
     assert depth.max() > 0
-    W = winding_matrix(FAST, xs, ys)
+    W = winding_matrix(FAST_TRACKED, xs, ys)
     assert np.max(np.abs(W.ravel() - w)) < 1e-12
+    exact = pair_windings(FAST, xs[i.ravel()], ys[j.ravel()])
+    assert np.max(np.abs(winding_matrix(FAST, xs, ys).ravel() - exact)) < 1e-12
 
 
 def test_shared_reference_point_equals_its_broadcast_copies():
     rng = np.random.default_rng(10)
     xs = uniform_disk(rng, 3, 0.6)
     Y = uniform_disk(rng, 200, 0.6)
-    W = winding_matrix(FAST, xs, Y)
-    for x, row in zip(xs, W):
-        w, depth = _pair_track(FAST, x, Y)
+    W = winding_matrix(FAST_TRACKED, xs, Y)
+    exact = winding_matrix(FAST, xs, Y)
+    for x, row, exact_row in zip(xs, W, exact):
+        copies = np.broadcast_to(x, Y.shape)
+        w, depth = _pair_track(FAST_TRACKED, x, Y)
         assert depth.max() > 0
-        assert np.array_equal(w, pair_windings(FAST, np.broadcast_to(x, Y.shape), Y))
+        assert np.array_equal(w, pair_windings(FAST_TRACKED, copies, Y))
         assert np.array_equal(row, w)
+        assert np.max(np.abs(pair_windings(FAST, x, Y) - exact_row)) < 1e-12
+        assert np.max(np.abs(pair_windings(FAST, copies, Y) - exact_row)) < 1e-12
 
 
 @pytest.mark.parametrize("steps", [64, 256])
@@ -144,7 +204,10 @@ def test_conjugacy_inverse_runs_once_per_tracked_side(monkeypatch, steps):
     _, depth = _pair_track(FAST, X, Y, init_steps=steps)
     assert depth.max() > 0 and len(calls) <= 2
     calls.clear()
-    pair_windings(FAST, X[0], Y, init_steps=steps)
+    _pair_track(FAST, X[0], Y, init_steps=steps)
+    assert len(calls) <= 2
+    calls.clear()
+    pair_windings(FAST, X, Y)
     assert len(calls) <= 2
     # the deformed isotopy's g_t depends on t: it keeps evaluating f_t
     calls.clear()
@@ -152,7 +215,7 @@ def test_conjugacy_inverse_runs_once_per_tracked_side(monkeypatch, steps):
     turn, _ = track(
         lambda t, idx: deformed.eval(t, Y[idx]) - deformed.eval(t, X[idx]), len(X), steps
     )
-    assert np.array_equal(pair_windings(deformed, X, Y, init_steps=steps), turn / TWOPI)
+    assert np.array_equal(_pair_track(deformed, X, Y, init_steps=steps)[0], turn / TWOPI)
     assert len(calls) > steps
 
 
@@ -177,7 +240,11 @@ def test_discontinuous_vector_exhausts_the_refinement():
         track(flip, 1, 64)
 
 
-@pytest.mark.parametrize("iso", [CONJ, FAST], ids=["conjugated", "fast-twist"])
+@pytest.mark.parametrize(
+    "iso",
+    [CONJ, FAST, CONJ_TRACKED, FAST_TRACKED],
+    ids=["conjugated", "fast-twist", "conjugated-tracked", "fast-twist-tracked"],
+)
 def test_batched_tangent_windings_equal_single_directions(iso):
     ang = np.linspace(0.0, TWOPI, 9)[:-1]
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -185,6 +252,12 @@ def test_batched_tangent_windings_equal_single_directions(iso):
         batch = winding_tangent(iso, base, dirs)
         single = [winding_tangent(iso, base, d) for d in dirs]
         assert np.max(np.abs(batch - single)) < 1e-12
+
+
+@pytest.mark.parametrize("iso", [CONJ, CONJ_TRACKED], ids=["exact", "tracked"])
+def test_zero_tangent_direction_rejected(iso):
+    with pytest.raises(SingularJacobian):
+        winding_tangent(iso, np.array([0.5, 0.3]), np.zeros(2))
 
 
 def test_tangent_winding_at_the_fixed_origin():
