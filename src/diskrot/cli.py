@@ -180,8 +180,10 @@ def cmd_winding(args):
     if args.cross_check and isinstance(iso, ConjugatedRotation) and not iso.deform:
         alt = ConjugatedRotation(iso.alpha, iso.g, deform=True)
 
-    # the refinements column is each pair's bisection depth
-    w, depth = _pair_track(iso, pairs[:, :2], pairs[:, 2:])
+    # W is pair_windings' (exact for the conjugated family); the
+    # refinements column is each pair's bisection depth on the tracked route
+    w = pair_windings(iso, pairs[:, :2], pairs[:, 2:])
+    _, depth = _pair_track(iso, pairs[:, :2], pairs[:, 2:])
     header = ["x1", "y1", "x2", "y2", "W", "refinements"]
     cols = [*pairs.T, w, depth.tolist()]
     if alt is not None:

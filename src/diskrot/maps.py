@@ -361,12 +361,21 @@ class Isotopy:
     def trajectory(self, pts):
         """at(t, idx) = f_t(pts[idx]), for tracking a fixed batch over time.
 
-        t is a scalar (with idx a slice, usually all entries) or one time
-        per entry of an index array.  Families whose evaluation has a
-        time-independent part compute it once here.
+        t is a scalar (with idx a slice, usually all entries), one time per
+        entry of an index array, or a column of S times (S, 1), which gives
+        (S, len(idx), 2): the entries at each of the S times.  Families
+        whose evaluation has a time-independent part compute it once here
+        and answer a column in one evaluation; the others evaluate it one
+        time at a time.
         """
         pts = as_xy(pts)
-        return lambda t, idx: self.eval(t, pts[idx])
+
+        def at(t, idx):
+            if np.ndim(t) == 2:
+                return np.stack([self.eval(s, pts[idx]) for s in t[:, 0]])
+            return self.eval(t, pts[idx])
+
+        return at
 
     def map(self, pts):
         return self.eval(1.0, pts)
@@ -458,7 +467,16 @@ class ConjugatedRotation(Isotopy):
         if self.deform:  # g_t depends on t
             return super().trajectory(pts)
         w = self.g.inverse(as_xy(pts))
-        return lambda t, idx: self.g.forward(rotate(w[idx], TWOPI * t * self.alpha))
+
+        def at(t, idx):
+            wi = w[idx]
+            if np.ndim(t) == 2:
+                # broadcast here, not in `rotate`: a broadcasting `rotate`
+                # slows the single-point calls of orbit averages
+                wi = np.broadcast_to(wi, (len(t),) + wi.shape)
+            return self.g.forward(rotate(wi, TWOPI * t * self.alpha))
+
+        return at
 
     def _rotation_angles(self, ks):
         """Rotation angles of R^k, with k alpha mod 1 exact in integers."""

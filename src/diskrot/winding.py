@@ -7,14 +7,16 @@ conjugated family f_t = g R_t g^{-1} without `deform` has one, and its
 windings are exact, with no time grid.  Every other angle is unwrapped by
 one engine, `track`: rigid rotations, the deformed variant, plane
 extensions, iterated isotopies, `OrbitTrack` (the position grids behind
-lambda, tau and m) and the `winding` command, whose W and refinements
-columns both come from `_pair_track`.  The angle of a batch of vectors is sampled on a
-uniform time grid and continued against the previous sample.  Every
-tracked result carries a no-aliasing check: each unwrapped step moves the
-angle by less than pi/2.  A grid step that fails is bisected for its entry
-alone, and each failing half again, until every sub-step passes (up to a
-depth cap), so a few fast-swinging entries do not force the whole batch
-onto a finer grid.
+lambda, tau and m) and the `refinements` column of the `winding` command
+(the bisection depth of `_pair_track`).  The angle of a batch of vectors is
+sampled on a uniform time grid and continued against the previous sample,
+a block of grid rows at a time: `OrbitTrack` evaluates up to BLOCK points
+of grid rows per trajectory call, a column of times, and unwraps them
+with array operations.  Every tracked result carries a no-aliasing check:
+each unwrapped step moves the angle by less than pi/2.  A grid step that
+fails is bisected for its entry alone, and each failing half again, until
+every sub-step passes (up to a depth cap), so a few fast-swinging entries
+do not force the whole batch onto a finer grid.
 """
 from __future__ import annotations
 
@@ -29,12 +31,16 @@ ALIAS_BOUND = 0.5 * math.pi
 MERGE_EPS = 1e-9
 INIT_STEPS = 64
 MAX_REFINEMENTS = 24
+# points per trajectory call and per unwrapped block of an orbit track's
+# grid rows; a batch wider than this goes one row at a time, so the block
+# adds no memory there
+BLOCK = 8192
 _TINY = 1e-13
 ALL = slice(None)
 
 
 def _angles(v):
-    x, y = v[:, 0], v[:, 1]
+    x, y = v[..., 0], v[..., 1]
     if np.min(x * x + y * y) < _TINY * _TINY:
         raise CoincidentPoints("zero vector along the track")
     return np.arctan2(y, x)
@@ -53,41 +59,49 @@ def track(vec_at, n, steps):
     deepest bisection of each entry, both (n,).
     """
     times = np.linspace(0.0, 1.0, steps + 1)
-    return _track(lambda k: vec_at(times[k], ALL), vec_at, n, steps, grid=False)
+    return _track((vec_at(t, ALL)[None] for t in times), vec_at, n, steps)
 
 
-def _track(row, vec_at, n, steps, grid):
-    """`track` with the grid vectors of step k given by row(k), so a grid
-    already evaluated is not evaluated again; vec_at serves bisections.
-    With grid=True returns (vecs, theta, depth) instead: the vectors
-    (steps+1, n, 2) and the unwrapped angles (steps+1, n) at the grid times."""
+def _row_blocks(rows, width):
+    """Slices of consecutive grid rows, at most BLOCK points of `width`
+    entries each and at least one row."""
+    per = max(1, BLOCK // width)
+    return (slice(lo, lo + per) for lo in range(0, rows, per))
+
+
+def _track(blocks, vec_at, n, steps, grid=False):
+    """`track` of grid vectors given as blocks (B, n, 2) of consecutive rows,
+    from row 0 to row `steps`, so a grid already evaluated is not evaluated
+    again; vec_at serves bisections.  With grid=True returns (theta, depth)
+    instead: the unwrapped angles (steps+1, n) at the grid times."""
     times = np.linspace(0.0, 1.0, steps + 1)
-    v = row(0)
-    prev = _angles(v)
     if grid:
-        vecs = np.empty((steps + 1, n, 2))
-        vecs[0] = v
         # row 0 holds the start angles, so the cumulative sum unwraps
         dtheta = np.empty((steps + 1, n))
-        dtheta[0] = prev
     else:
         total = np.zeros(n)
     failed = []
-    for k in range(1, steps + 1):
-        v = row(k)
-        raw = _angles(v)
-        d = wrap_to_pi(raw - prev)
+    prev, k = None, 1  # the angles of the last row unwrapped, the next step
+    for v in blocks:
+        a = _angles(v)
+        if prev is None:
+            prev, a = a[0], a[1:]
+            if grid:
+                dtheta[0] = prev
+        ext = np.concatenate([prev[None], a])
+        d = wrap_to_pi(np.diff(ext, axis=0))
         bad = np.abs(d) >= ALIAS_BOUND
         if bad.any():
-            ii = np.nonzero(bad)[0]
-            failed.append((np.full(len(ii), k), ii, prev[ii], raw[ii]))
+            # row-major, so the pairs come step by step as the bisection expects
+            s, e = np.nonzero(bad)
+            failed.append((k + s, e, ext[s, e], ext[s + 1, e]))
             d[bad] = 0.0
         if grid:
-            vecs[k] = v
-            dtheta[k] = d
+            dtheta[k : k + len(d)] = d
         else:
-            total += d
-        prev = raw
+            for dk in d:  # a running sum, step after step
+                total += dk
+        prev, k = ext[-1], k + len(d)
 
     depth = np.zeros(n, dtype=int)
     if failed:
@@ -122,7 +136,7 @@ def _track(row, vec_at, n, steps, grid):
         else:
             np.add.at(total, ent, sub)
     if grid:
-        return vecs, np.cumsum(dtheta, axis=0), depth
+        return np.cumsum(dtheta, axis=0), depth
     return total, depth
 
 
@@ -253,11 +267,10 @@ class OrbitTrack:
         self.pts = as_xy(pts)
         self._at = []
         self._alloc(n, steps, np.arange(len(self.pts)))
-        times = np.linspace(0.0, 1.0, steps + 1)
         for k in range(n):
             start = self.pos[k - 1, -1].copy() if k else self.pts
             self._at.append(iso.trajectory(start))
-            self._track(k, lambda j: self._at[k](times[j], ALL))
+            self._track(k, slice(None))
 
     def _alloc(self, n, steps, ent):
         # ent maps the entries into the batch the trajectories were built for
@@ -266,10 +279,21 @@ class OrbitTrack:
         self.ang = np.empty((n, steps + 1, len(ent)))
         self.depth = np.zeros(len(ent), dtype=int)
 
-    def _track(self, k, row):
-        at, ent = self._at[k], self._ent
-        self.pos[k], self.ang[k], depth = _track(
-            row, lambda t, idx: at(t, ent[idx]), len(ent), self.steps, grid=True
+    def _track(self, k, rows):
+        """Evaluate iterate k's grid rows `rows` (a slice; pos holds the
+        others already), a column of times per trajectory call, and unwrap
+        the iterate's grid."""
+        at, ent, P = self._at[k], self._ent, self.pos[k]
+        times = np.linspace(0.0, 1.0, self.steps + 1)[rows, None]
+        new = P[rows]
+        for b in _row_blocks(len(times), len(ent)):
+            new[b] = at(times[b], ent)
+        self.ang[k], depth = _track(
+            (P[b] for b in _row_blocks(len(P), len(ent))),
+            lambda t, idx: at(t, ent[idx]),
+            len(ent),
+            self.steps,
+            grid=True,
         )
         np.maximum(self.depth, depth, out=self.depth)
 
@@ -280,11 +304,9 @@ class OrbitTrack:
         old = self.pos
         self.pts = self.pts[idx]
         self._alloc(len(self._at), 2 * self.steps, self._ent[idx])
-        times = np.linspace(0.0, 1.0, self.steps + 1)
-        for k, at in enumerate(self._at):
-            self._track(
-                k, lambda j: at(times[j], self._ent) if j % 2 else old[k, j // 2, idx]
-            )
+        for k in range(len(self._at)):
+            self.pos[k, ::2] = old[k][:, idx]
+            self._track(k, slice(1, None, 2))
 
     def shifts(self, theta0):
         """Branch shifts (n, N) continuing the angles across iterates:
@@ -306,9 +328,9 @@ class OrbitTrack:
         for k, (at, P) in enumerate(zip(self._at, self.pos)):
             if radii_of(start[M:] - start[:M]).min() <= MERGE_EPS:
                 raise CoincidentPoints(f"pair separation <= MERGE_EPS={MERGE_EPS}")
-            rows = lambda j: P[j, M:] - P[j, :M]
+            blocks = (P[b, M:] - P[b, :M] for b in _row_blocks(len(P), M))
             vec_at = lambda t, idx: at(t, ent[M + idx]) - at(t, ent[idx])
-            turn, _ = _track(rows, vec_at, M, self.steps, grid=False)
+            turn, _ = _track(blocks, vec_at, M, self.steps)
             out[k] = turn / TWOPI
             start = P[-1]
         return out

@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diskrot.cli import build_parser, main
+from diskrot.maps import ConjugatedRotation, from_config
+from diskrot.winding import _pair_track, pair_windings
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -89,6 +92,15 @@ def test_winding_command_pairs_file_and_cross_check(tmp_path):
         doc = json.load(f)
     assert doc["pairs"] == 2
     assert doc["cross_check_max_deviation"] < 1e-6
+    # W is the exact winding, refinements the tracked route's depth, and the
+    # cross-check compares W with the tracked deformed isotopy
+    iso = from_config(json.loads(Path(cfg).read_text()))
+    X, Y = np.array([[0.5, 0.1], [0.3, -0.3]]), np.array([[-0.2, 0.4], [0.1, 0.6]])
+    rows = np.loadtxt(tmp_path / "o" / "windings.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 4], pair_windings(iso, X, Y))
+    assert np.array_equal(rows[:, 5], _pair_track(iso, X, Y)[1])
+    alt = ConjugatedRotation(iso.alpha, iso.g, deform=True)
+    assert np.array_equal(rows[:, 6], pair_windings(alt, X, Y))
 
 
 def test_malformed_pairs_file_exits_2_with_row(tmp_path):

@@ -231,6 +231,7 @@ PER_ENTRY_FAMILIES = {
         GOLDEN, GOLDEN + 0.3, core=ConjugatedRotation(GOLDEN, _g())
     ),
     "iterated": lambda: IteratedIsotopy(ConjugatedRotation(GOLDEN, _g(), deform=True), 3),
+    "plane-extension-rigid": lambda: PlaneExtension(GOLDEN, GOLDEN + 0.3),
 }
 
 
@@ -259,6 +260,19 @@ def test_trajectory_matches_eval(family):
     t_arr = rng.random(25)
     t_arr[:2] = (0.0, 1.0)
     assert np.array_equal(at(t_arr, idx), iso.eval(t_arr, pts[idx]))
+
+
+@pytest.mark.parametrize("family", sorted(PER_ENTRY_FAMILIES))
+def test_trajectory_column_of_times_matches_per_time_calls(family):
+    iso = PER_ENTRY_FAMILIES[family]()
+    rng = np.random.default_rng(12)
+    pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
+    at = iso.trajectory(pts)
+    times = np.concatenate([[0.0, 1.0 / 3.0, 1.0], rng.random(14)])[:, None]
+    for idx in (ALL, rng.integers(0, 40, 25)):
+        col = at(times, idx)
+        assert col.shape == (17, len(pts[idx]), 2)
+        assert np.array_equal(col, np.stack([at(t, idx) for t in times[:, 0]]))
 
 
 def test_closed_form_action_is_constant_for_rigid():

@@ -15,8 +15,11 @@ from diskrot.maps import (
     TwistStep,
 )
 from diskrot.winding import (
+    ALL,
+    BLOCK,
     OrbitTrack,
     _pair_track,
+    _track,
     pair_windings,
     pair_windings_iterated,
     winding_matrix,
@@ -287,6 +290,55 @@ def test_refined_track_equals_a_fresh_track():
         assert np.array_equal(trk.pos, fresh.pos)
         assert np.array_equal(trk.ang, fresh.ang)
         assert np.array_equal(trk.depth, fresh.depth)
+
+
+def _row_by_row(iso, pts, n, steps):
+    """Reference orbit-track grids (pos, ang, depth): one trajectory call and
+    one unwrapped row per grid time."""
+    times = np.linspace(0.0, 1.0, steps + 1)
+    pos, ang, depth = [], [], np.zeros(len(pts), dtype=int)
+    start = pts
+    for _ in range(n):
+        at = iso.trajectory(start)
+        rows = np.stack([at(t, ALL) for t in times])
+        theta, d = _track((r[None] for r in rows), at, len(pts), steps, grid=True)
+        pos.append(rows)
+        ang.append(theta)
+        depth = np.maximum(depth, d)
+        start = rows[-1]
+    return np.array(pos), np.array(ang), depth
+
+
+@pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
+def test_block_evaluated_orbit_track_equals_row_by_row(iso):
+    # 300 entries make blocks of 27 rows, which divide neither the 65 rows
+    # of 64 steps nor, for the 150 refined entries, 54 into 129 rows
+    pts = uniform_disk(np.random.default_rng(13), 300, 0.6)
+    assert 65 % (BLOCK // 300) and 129 % (BLOCK // 150)
+    idx = np.arange(0, 300, 2)
+    trk = OrbitTrack(iso, pts, 2)
+    for kept, steps in ((pts, 64), (pts[idx], 128)):
+        if steps == 128:
+            trk.refine(idx)
+        assert trk.depth.max() > 0
+        for got, want in zip((trk.pos, trk.ang, trk.depth), _row_by_row(iso, kept, 2, steps)):
+            assert np.array_equal(got, want)
+
+
+def test_orbit_track_evaluates_rows_in_blocks(monkeypatch):
+    calls = []
+    forward = ConjugacyMap.forward
+
+    def counted(self, pts, scale=1.0):
+        calls.append(np.shape(pts))
+        return forward(self, pts, scale)
+
+    monkeypatch.setattr(ConjugacyMap, "forward", counted)
+    pts = uniform_disk(np.random.default_rng(14), 200, 0.95)
+    trk = OrbitTrack(CONJ, pts, 3)
+    # 40 rows of 200 points a call: 65 rows take two calls per iterate
+    assert trk.depth.max() == 0
+    assert calls == [(40, 200, 2), (25, 200, 2)] * 3
 
 
 def test_track_grid_times_nest_exactly():
