@@ -180,14 +180,19 @@ def cmd_winding(args):
     if args.cross_check and isinstance(iso, ConjugatedRotation) and not iso.deform:
         alt = ConjugatedRotation(iso.alpha, iso.g, deform=True)
 
-    # W is pair_windings' (exact for the conjugated family); the
-    # refinements column is each pair's bisection depth on the tracked route
-    w = pair_windings(iso, pairs[:, :2], pairs[:, 2:])
-    _, depth = _pair_track(iso, pairs[:, :2], pairs[:, 2:])
+    # W is pair_windings': the closed form where the family has one (the
+    # conjugated family), else the tracked winding; the refinements column
+    # is each pair's bisection depth on the tracked route, which is tracked
+    # once for both
+    X, Y = pairs[:, :2], pairs[:, 2:]
+    w, depth = _pair_track(iso, X, Y)
+    exact = iso.windings_closed_form(X, Y, 1)
+    if exact is not None:
+        w = exact[0]
     header = ["x1", "y1", "x2", "y2", "W", "refinements"]
     cols = [*pairs.T, w, depth.tolist()]
     if alt is not None:
-        w_alt = pair_windings(alt, pairs[:, :2], pairs[:, 2:])
+        w_alt = pair_windings(alt, X, Y)
         max_dev = float(np.max(np.abs(w - w_alt)))
         header.append("W_alt_isotopy")
         cols.append(w_alt)

@@ -32,7 +32,9 @@ def angles_of(pts):
 def radii_of(pts):
     # hypot, not sqrt(x*x + y*y): 2-4x cheaper below ~64 points, as in bisection
     # sub-steps and single-point trajectories (the swap slowed orbit-averages 2.25 ->
-    # 2.57 s and raised verify-all --fast peak RSS 86.7 -> 93.1 MB on a 2-vCPU VM)
+    # 2.57 s and raised verify-all --fast peak RSS 86.7 -> 93.1 MB on a 2-vCPU VM).
+    # The twist steps pick their annulus points by squared distance and pass
+    # only those, so large batches no longer reach hypot whole
     pts = np.asarray(pts)
     return np.hypot(pts[..., 0], pts[..., 1])
 

@@ -31,6 +31,10 @@ RATIONAL_TOL = 1e-12
 # pairs per pass of the ramp windings: keeps each complex temporary at
 # 128 KiB; at 1 << 16 a `verify-all --fast` process peaked 1.5 MB higher
 _CHUNK = 1 << 13
+# relative widening of each twist step's annulus when choosing the points
+# a step may move; the roundings of a squared distance and of hypot are
+# some 1e-16 relative
+_MARGIN = 1e-9
 
 
 def check_irrational(value, name):
@@ -97,44 +101,66 @@ class TwistStep:
         half = 0.5 * (self.outer - self.inner)
         return self.amp * _dbump(self._xi(rho)) / half
 
+    def _window(self, x, y):
+        """Mask of the offsets (x, y) from the center whose squared length
+        lies in the annulus widened by a relative _MARGIN.  The step moves
+        no other point: the rounding of a squared length or a radius is far
+        below the margin.  Every kernel does its work on these entries
+        alone and leaves the others' bits untouched."""
+        d2 = x * x + y * y
+        lo = (self.inner * (1.0 - _MARGIN)) ** 2
+        hi = (self.outer * (1.0 + _MARGIN)) ** 2
+        return (d2 >= lo) & (d2 <= hi)
+
+    def _near(self, pts, scale):
+        """(idx, w, scale) for pts (..., 2) and a scale that is a scalar or
+        one per entry: the flat indices of the entries in the window, their
+        offsets from the center and their scales."""
+        flat = pts.reshape(-1, 2)
+        # offsets a coordinate at a time: numpy broadcasts (n, 2) - (2,)
+        # several times slower
+        x, y = flat[:, 0] - self.center[0], flat[:, 1] - self.center[1]
+        idx = self._window(x, y).nonzero()[0]
+        w = np.empty((idx.size, 2))
+        w[:, 0], w[:, 1] = x[idx], y[idx]
+        scale = np.asarray(scale)
+        if scale.ndim:
+            scale = np.broadcast_to(scale, pts.shape[:-1]).reshape(-1)[idx]
+        return idx, w, scale
+
     def apply(self, pts, scale=1.0):
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None]
-        c = np.asarray(self.center)
-        w = pts - c
-        rho = radii_of(w)
-        psi = scale * self.angle(rho)
         out = pts.copy()
-        m = psi != 0.0
-        if m.any():
-            out[m] = c + rotate(w[m], psi[m])
-        return out[0] if single else out
+        idx, w, scale = self._near(pts, scale)
+        if not idx.size:
+            return out
+        psi = scale * self.angle(radii_of(w))
+        # a window point whose bump underflows stays put: c + (p - c) could
+        # move it by an ulp
+        m = psi.nonzero()[0]
+        r, idx = rotate(w[m], psi[m]), idx[m]
+        flat = out.reshape(-1, 2)
+        flat[idx, 0], flat[idx, 1] = r[:, 0] + self.center[0], r[:, 1] + self.center[1]
+        return out
 
     def jac(self, pts, scale=1.0):
         # D = R(psi) + (psi'/rho) * (i R(psi) w) outer w, det = 1 exactly;
         # identity wherever the bump (and with it the shear) vanishes
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None]
-        c = np.asarray(self.center)
-        w = pts - c
+        J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
+        idx, w, scale = self._near(pts, scale)
+        if not idx.size:
+            return J
         rho = radii_of(w)
-        scale = np.broadcast_to(scale, rho.shape)  # one scale per point
         psi = scale * self.angle(rho)
-        J = np.broadcast_to(np.eye(2), rho.shape + (2, 2)).copy()
-        m = psi != 0.0
-        if m.any():
-            wm = w[m]
-            pm = psi[m]
-            Jm = rotation_matrices(pm, shape=pm.shape)
-            k = scale[m] * self.dangle(rho[m]) / rho[m]
-            rw = rot90(rotate(wm, pm))
-            Jm += rw[..., :, None] * (k[..., None, None] * wm[..., None, :])
-            J[m] = Jm
-        return J[0] if single else J
+        m = psi.nonzero()[0]
+        k = (scale * self.dangle(rho))[m] / rho[m]
+        w, psi = w[m], psi[m]
+        Jm = rotation_matrices(psi)
+        rw = rot90(rotate(w, psi))
+        Jm += rw[:, :, None] * (k[:, None, None] * w[:, None, :])
+        J.reshape(-1, 2, 2)[idx[m]] = Jm
+        return J
 
     def _bump_cumulative(self):
         # cumulative integral of bump(xi(r)) r dr over [inner, outer] on a
@@ -164,17 +190,29 @@ class TwistStep:
     def generating(self, pts, scale=1.0):
         """Primitive S of apply*beta - beta for the time-one flow, from the
         flow-line integral of beta(X) - H/pi (S = 0 inside the annulus)."""
-        c = np.asarray(self.center)
-        w = pts - c
+        pts = np.asarray(pts, dtype=float)
+        # outside the window psi = 0, and H is 0 within the inner circle and
+        # scale * amp * cum[-1] beyond the outer one
+        cum = self._bump_cumulative()[1]
+        x, y = pts[..., 0] - self.center[0], pts[..., 1] - self.center[1]
+        beyond = x * x + y * y > self.inner**2
+        S = np.where(beyond, -(scale * self.amp * cum[-1] / np.pi), 0.0)
+        idx, w, scale = self._near(pts, scale)
+        if not idx.size:
+            return S
         rho = radii_of(w)
         psi = scale * self.angle(rho)
         # averaged rotation of w over the flow: (sin psi/psi) w + ((1-cos
         # psi)/psi) i w, in forms safe at psi = 0
         s1 = np.sinc(psi / np.pi)
         s2 = 0.5 * psi * np.sinc(0.5 * psi / np.pi) ** 2
-        mw = s1[..., None] * w + s2[..., None] * rot90(w)
-        circ = rho * rho + mw @ c
-        return psi * circ / TWOPI - self.potential(rho, scale) / np.pi
+        mw = s1[:, None] * w + s2[:, None] * rot90(w)
+        # the dot with c written out: through BLAS (mw @ c) a point's last
+        # bits depend on its place in the batch
+        circ = rho * rho + (mw[:, 0] * self.center[0] + mw[:, 1] * self.center[1])
+        S = S.reshape(-1)
+        S[idx] = psi * circ / TWOPI - self.potential(rho, scale) / np.pi
+        return S.reshape(pts.shape[:-1])
 
     def pair_turn(self, p, q, scale):
         """(p', q', turn) for complex points p, q: their images and the
@@ -182,29 +220,47 @@ class TwistStep:
         to scale.  With A = p - c and B = q - c, the separation turns by psi
         of the point farther from the center plus arg(1 - (near/far)
         e^{i delta}) - arg(1 - near/far), which lies in (-pi, pi) since
-        |near/far| <= 1; so that term is the wrapped remainder."""
+        |near/far| <= 1; so that term is the wrapped remainder.  A pair the
+        step leaves fixed keeps its bits and turns by exactly 0."""
         c = complex(*self.center)
         a, b = p - c, q - c
+        idx = (self._window(a.real, a.imag) | self._window(b.real, b.imag)).nonzero()[0]
+        a, b = a[idx], b[idx]
         ra, rb = np.abs(a), np.abs(b)
         pa, pb = scale * self.angle(ra), scale * self.angle(rb)
-        p1, q1 = c + a * np.exp(1j * pa), c + b * np.exp(1j * pb)
         far = np.where(ra > rb, pa, pb)
-        return p1, q1, far + wrap_to_pi(np.angle(q1 - p1) - np.angle(q - p) - far)
+        m = ((pa != 0.0) | (pb != 0.0)).nonzero()[0]
+        idx, a, b, pa, pb, far = idx[m], a[m], b[m], pa[m], pb[m], far[m]
+        pm, qm = c + a * np.exp(1j * pa), c + b * np.exp(1j * pb)
+        sep = np.angle(q[idx] - p[idx])
+        p1, q1, turn = p.copy(), q.copy(), np.zeros(len(p))
+        p1[idx], q1[idx] = pm, qm
+        turn[idx] = far + wrap_to_pi(np.angle(qm - pm) - sep - far)
+        return p1, q1, turn
 
     def tangent_turn(self, p, v, scale):
         """(p', v', turn) for a complex base point p and tangent vector v:
         DT v = R(psi)[v + (psi'/rho)(w.v) i w] with w = p - c.  The bracket
         shears v along i w and keeps its component along w, so over the ramp
-        it turns v by less than pi and never passes through 0."""
+        it turns v by less than pi and never passes through 0.  A base point
+        the step leaves fixed keeps its bits, and so does its vector."""
         c = complex(*self.center)
         w = p - c
+        idx = self._window(w.real, w.imag).nonzero()[0]
+        w = w[idx]
         rho = np.abs(w)
         psi = scale * self.angle(rho)
         k = np.zeros_like(rho)
         np.divide(scale * self.dangle(rho), rho, out=k, where=rho > 0)
-        sheared = v + k * (w.real * v.real + w.imag * v.imag) * 1j * w
+        m = ((psi != 0.0) | (k != 0.0)).nonzero()[0]
+        idx, w, psi, k = idx[m], w[m], psi[m], k[m]
+        v0 = v[idx]
+        sheared = v0 + k * (w.real * v0.real + w.imag * v0.imag) * 1j * w
         rot = np.exp(1j * psi)
-        return c + rot * w, rot * sheared, psi + wrap_to_pi(np.angle(sheared) - np.angle(v))
+        p1, v1, turn = p.copy(), v.copy(), np.zeros(len(p))
+        p1[idx], v1[idx] = c + rot * w, rot * sheared
+        turn[idx] = psi + wrap_to_pi(np.angle(sheared) - np.angle(v0))
+        return p1, v1, turn
 
 
 # Named Hamiltonians: geometry given for support_radius = 1, scaled at build

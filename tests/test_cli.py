@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from diskrot.cli import build_parser, main
-from diskrot.maps import ConjugatedRotation, from_config
+from diskrot.maps import ConjugatedRotation, Isotopy, from_config
 from diskrot.winding import _pair_track, pair_windings
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -101,6 +101,29 @@ def test_winding_command_pairs_file_and_cross_check(tmp_path):
     assert np.array_equal(rows[:, 5], _pair_track(iso, X, Y)[1])
     alt = ConjugatedRotation(iso.alpha, iso.g, deform=True)
     assert np.array_equal(rows[:, 6], pair_windings(alt, X, Y))
+
+
+def test_winding_command_tracks_pairs_once_without_closed_form(tmp_path, monkeypatch):
+    cfg = {"family": "conjugated", "alpha": "golden", "deform": True}
+    path = _write_config(tmp_path, cfg)
+    calls = []
+    trajectory = Isotopy.trajectory
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return trajectory(self, pts)
+
+    monkeypatch.setattr(Isotopy, "trajectory", counted)
+    out = tmp_path / "o"
+    argv = ["winding", "--config", path, "--pairs", "7", "--cross-check"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert calls == [7, 7]  # one trajectory per side of the pairs
+    monkeypatch.undo()
+    rows = np.loadtxt(out / "windings.csv", delimiter=",", skiprows=1)
+    iso = from_config(cfg)
+    X, Y = rows[:, :2], rows[:, 2:4]
+    assert np.array_equal(rows[:, 4], pair_windings(iso, X, Y))
+    assert np.array_equal(rows[:, 5], _pair_track(iso, X, Y)[1])
 
 
 def test_malformed_pairs_file_exits_2_with_row(tmp_path):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from diskrot.errors import BadInterval, NearRationalWarning, SchemaError
-from diskrot.geometry import GOLDEN, TWOPI, rotate, uniform_disk
+from diskrot.geometry import (
+    GOLDEN,
+    TWOPI,
+    rot90,
+    rotate,
+    rotation_matrices,
+    uniform_disk,
+    wrap_to_pi,
+)
 from diskrot.maps import (
     HAMILTONIANS,
     ConjugacyMap,
@@ -74,6 +82,192 @@ def test_twist_step_generating_differential():
     defect = beta(f, Jv) - beta(pts, dirs)
     # central differences carry O(h^2) truncation against the steep bump
     assert np.max(np.abs(fd - defect)) < 5e-6
+
+
+# The twist-step formulas evaluated at every point, without the window:
+# the reference the kernels must match bit for bit (the ramp turns to
+# roundoff, since a fixed point's c + (p - c) may differ from p by an ulp).
+
+
+def _ref_apply(st, pts, scale):
+    c = np.asarray(st.center)
+    w = pts - c
+    psi = scale * st.angle(np.hypot(w[..., 0], w[..., 1]))
+    out = pts.copy()
+    m = psi != 0.0
+    out[m] = c + rotate(w[m], psi[m])
+    return out
+
+
+def _ref_jac(st, pts, scale):
+    w = pts - np.asarray(st.center)
+    rho = np.hypot(w[..., 0], w[..., 1])
+    scale = np.broadcast_to(scale, rho.shape)
+    psi = scale * st.angle(rho)
+    J = np.broadcast_to(np.eye(2), rho.shape + (2, 2)).copy()
+    m = psi != 0.0
+    wm, pm = w[m], psi[m]
+    Jm = rotation_matrices(pm)
+    k = scale[m] * st.dangle(rho[m]) / rho[m]
+    rw = rot90(rotate(wm, pm))
+    Jm += rw[..., :, None] * (k[..., None, None] * wm[..., None, :])
+    J[m] = Jm
+    return J
+
+
+def _ref_generating(st, pts, scale):
+    c = np.asarray(st.center)
+    w = pts - c
+    rho = np.hypot(w[..., 0], w[..., 1])
+    psi = scale * st.angle(rho)
+    s1 = np.sinc(psi / np.pi)
+    s2 = 0.5 * psi * np.sinc(0.5 * psi / np.pi) ** 2
+    mw = s1[..., None] * w + s2[..., None] * rot90(w)
+    circ = rho * rho + (mw[..., 0] * c[0] + mw[..., 1] * c[1])
+    return psi * circ / TWOPI - st.potential(rho, scale) / np.pi
+
+
+def uncropped(g, name, pts, scale=1.0):
+    """ConjugacyMap.<name>(pts, scale) with every sub-step evaluated at
+    every point."""
+    inverse = name in ("inverse", "jac_inverse")
+    s = (-scale if inverse else scale) / g.repeats
+    J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
+    S = np.zeros(pts.shape[:-1])
+    for st in g._sequence(inverse):
+        J = _ref_jac(st, pts, s) @ J
+        S = S + _ref_generating(st, pts, s)
+        pts = _ref_apply(st, pts, s)
+    return J if name.startswith("jac") else S if name == "generating" else pts
+
+
+def _ref_pair_turn(st, p, q, scale):
+    c = complex(*st.center)
+    a, b = p - c, q - c
+    ra, rb = np.abs(a), np.abs(b)
+    pa, pb = scale * st.angle(ra), scale * st.angle(rb)
+    p1, q1 = c + a * np.exp(1j * pa), c + b * np.exp(1j * pb)
+    far = np.where(ra > rb, pa, pb)
+    return p1, q1, far + wrap_to_pi(np.angle(q1 - p1) - np.angle(q - p) - far)
+
+
+def _ref_tangent_turn(st, p, v, scale):
+    c = complex(*st.center)
+    w = p - c
+    rho = np.abs(w)
+    psi = scale * st.angle(rho)
+    k = np.zeros_like(rho)
+    np.divide(scale * st.dangle(rho), rho, out=k, where=rho > 0)
+    sheared = v + k * (w.real * v.real + w.imag * v.imag) * 1j * w
+    rot = np.exp(1j * psi)
+    return c + rot * w, rot * sheared, psi + wrap_to_pi(np.angle(sheared) - np.angle(v))
+
+
+def _ref_ramped(g, turn_of, P, V):
+    p, v = P[:, 0] + 1j * P[:, 1], V[:, 0] + 1j * V[:, 1]
+    turn = np.zeros(len(p))
+    for st in g._sequence():
+        p, v, dt = turn_of(st, p, v, 1.0 / g.repeats)
+        turn += dt
+    return turn / TWOPI
+
+
+def _window_edges(g, rng, count=64):
+    """Points on and just off each sub-step's annulus circles, in its 1e-9
+    window margin (outside the annulus, or inside it where the bump
+    underflows to 0), its center, the origin and points outside the
+    support."""
+    out = [np.zeros((1, 2)), np.array([[1.0, 0.0], [0.0, -0.999], [0.7, 0.7]])]
+    for st in g.steps:
+        c = np.asarray(st.center)
+        out.append(c[None])
+        for r in (st.inner, st.outer):
+            for f in (1.0, 1 - 5e-10, 1 + 5e-10, 1 + 1e-6, 1 - 1e-6, 1 + 1e-3):
+                t = TWOPI * rng.random(count)
+                # rounded: a point computed as c + d has c + (p - c) = p
+                u = np.column_stack([np.cos(t), np.sin(t)])
+                out.append(np.round(c + r * f * u, 13))
+    return np.concatenate(out)
+
+
+def _moved_by_a_write_back(st, pts):
+    """The points within the window margin of a step's circles, which the
+    step fixes but a write-back c + (p - c) would move."""
+    c = np.asarray(st.center)
+    rho = np.hypot(*(pts - c).T)
+    edge = np.minimum(abs(rho / st.inner - 1.0), abs(rho / st.outer - 1.0)) < 1e-9
+    return edge & (st.angle(rho) == 0.0) & np.any(c + (pts - c) != pts, axis=-1)
+
+
+GS = {
+    "twist-a": ConjugacyMap.from_named("twist-a"),
+    "twist-b-3": ConjugacyMap.from_named("twist-b", repeats=3, support_radius=0.6),
+    "twist-c-1": ConjugacyMap.from_named("twist-c", repeats=1, support_radius=0.95),
+}
+
+
+@pytest.mark.parametrize("g", sorted(GS))
+def test_culled_kernels_match_the_uncropped_formulas_bit_for_bit(g):
+    g = GS[g]
+    rng = np.random.default_rng(14)
+    pts = np.concatenate([_window_edges(g, rng), uniform_disk(rng, 2000, 1.0)])
+    assert all(_moved_by_a_write_back(st, pts).sum() > 10 for st in g.steps)
+    per_entry = rng.random(len(pts))
+    per_entry[:3] = 0.0  # the deformed variant at t = 0
+    for name in ("forward", "inverse", "jac_forward", "jac_inverse", "generating"):
+        for scale in (1.0, 0.37, per_entry):
+            got, want = getattr(g, name)(pts, scale), uncropped(g, name, pts, scale)
+            assert np.array_equal(got, want), (name, np.ndim(scale))
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        grid = pts[:600].reshape(3, 200, 2)  # a column of times' batch
+        assert np.array_equal(getattr(g, name)(grid), uncropped(g, name, grid))
+        for p in pts[::97]:  # single points (2,)
+            assert np.array_equal(getattr(g, name)(p, 0.6), uncropped(g, name, p, 0.6))
+
+
+def test_conjugacy_kernels_of_a_batch_equal_one_point_at_a_time():
+    # a BLAS product in a kernel would make a point's last bits depend on
+    # its place in the batch (S of about 4% of the points did before the
+    # dot with the center was written out)
+    g = _g("twist-b")
+    pts = uniform_disk(np.random.default_rng(18), 300, 1.0)
+    for name in ("forward", "inverse", "jac_forward", "jac_inverse", "generating"):
+        batch = getattr(g, name)(pts, 0.6)
+        single = np.array([getattr(g, name)(p[None], 0.6)[0] for p in pts])
+        assert np.array_equal(batch, single), name
+
+
+def test_ramp_turns_leave_fixed_pairs_and_base_points_alone():
+    rng = np.random.default_rng(16)
+    g = ConjugacyMap(steps=(STEP,), repeats=1)
+    pts = _window_edges(g, rng, count=100)
+    zf = pts[_moved_by_a_write_back(STEP, pts)] @ (1.0, 1j)
+    # a fixed pair, and a fixed point paired with a moving one
+    moving = 0.2 + 0.45 + 0.1j
+    p = np.concatenate([zf, zf[:5]])
+    q = np.concatenate([np.roll(zf, 1), np.full(5, moving)])
+    p1, q1, turn = STEP.pair_turn(p, q, 0.8)
+    n = len(zf)
+    assert np.array_equal(turn[:n], np.zeros(n))
+    assert np.array_equal(p1[:n], p[:n]) and np.array_equal(q1[:n], q[:n])
+    assert np.all(turn[n:] != 0.0) and np.all(q1[n:] != q[n:])
+    v = np.exp(1j * TWOPI * rng.random(n))
+    b1, v1, turn = STEP.tangent_turn(zf, v, 0.8)
+    assert np.array_equal(turn, np.zeros(n))
+    assert np.array_equal(b1, zf) and np.array_equal(v1, v)
+
+
+@pytest.mark.parametrize("name", ["twist-a", "twist-b", "twist-c"])
+def test_ramp_windings_match_the_uncropped_turns(name):
+    g = _g(name)
+    rng = np.random.default_rng(17)
+    P, Q, V = (uniform_disk(rng, 4000, 0.97) for _ in range(3))
+    ramp = _ref_ramped(g, _ref_pair_turn, P, Q)
+    assert np.max(np.abs(g.ramp_winding(P, Q) - ramp)) < 1e-14
+    # an ulp of the base point moves the steep shear psi'/rho by some 1e3
+    # ulps, so the tangent windings agree less closely
+    tangent = _ref_ramped(g, _ref_tangent_turn, P, V)
+    assert np.max(np.abs(g.ramp_tangent_winding(P, V) - tangent)) < 1e-12
 
 
 def test_conjugacy_inverse_is_exact():

@@ -19,6 +19,7 @@ from diskrot.maps import (
     TwistStep,
 )
 from diskrot.winding import OrbitTrack, _pair_track, pair_windings
+from test_maps import uncropped
 
 G = ConjugacyMap.from_named("twist-b")
 CONJ = ConjugatedRotation(GOLDEN, G)
@@ -50,6 +51,19 @@ def test_jacobians_have_unit_determinant(pts, t):
 @given(_disk_points(8), st.floats(0.0, 1.0))
 def test_conjugacy_inverse_undoes_forward(pts, scale):
     assert np.max(np.abs(G.inverse(G.forward(pts, scale), scale) - pts)) < 1e-12
+
+
+@FEW
+@given(
+    _disk_points(16, r_max=1.0),
+    st.floats(-1.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16),
+)
+def test_culled_kernels_equal_the_uncropped_formulas(pts, scale, per_entry):
+    for s in (scale, np.array(per_entry)):
+        for name in ("forward", "inverse", "jac_forward", "jac_inverse", "generating"):
+            got = getattr(G, name)(pts, s)
+            assert np.array_equal(got, uncropped(G, name, pts, s)), name
 
 
 @FEW
