@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -70,7 +71,14 @@ def fraction(text):
     return a, b
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared after it.
+
+    Sharing is sound because parse_args keeps no state between calls here:
+    each call returns a fresh Namespace, no action has a mutable default,
+    and the type= converters are pure.
+    """
     p = argparse.ArgumentParser(
         prog="diskrot",
         description="Numerical laboratory for area-preserving disk maps: "

@@ -61,10 +61,10 @@ def rot90(pts):
 def rotation_matrices(angle, shape=None):
     """Stack of 2x2 rotation matrices for a (broadcastable) angle array."""
     angle = np.asarray(angle, dtype=float)
-    if shape is not None:
-        angle = np.broadcast_to(angle, shape)
+    # cos and sin of the given angles only; the writes below broadcast them
+    # to shape, so one angle over many points costs one cos and one sin
     c, s = np.cos(angle), np.sin(angle)
-    out = np.empty(angle.shape + (2, 2))
+    out = np.empty((angle.shape if shape is None else tuple(shape)) + (2, 2))
     out[..., 0, 0] = c
     out[..., 0, 1] = -s
     out[..., 1, 0] = s
@@ -74,7 +74,13 @@ def rotation_matrices(angle, shape=None):
 
 def wrap_to_pi(a):
     """Wrap angles to the principal interval (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(a), TWOPI)
+    # pi - mod(pi - a, 2pi), with np.mod only on the entries it changes:
+    # mod(b, 2pi) is b itself, bit for bit, where 0 <= b < 2pi
+    b = np.asarray(np.pi - np.asarray(a))
+    far = ~((b >= 0.0) & (b < TWOPI))
+    if far.any():
+        b[far] = np.mod(b[far], TWOPI)
+    return np.pi - b
 
 
 def resample(bad_of, redraw, rounds):

@@ -303,3 +303,32 @@ def test_malformed_alpha_and_convergent_are_usage_errors(capsys):
     ):
         assert f"argument {argv[1]}" in _usage_error(argv, capsys), argv
     assert build_parser().parse_args(["convergents", "--alpha", "0.25"]).alpha == 0.25
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # main() reuses one parser per process; every call in this sequence
+    # must give what the same call gives on a freshly built parser
+    assert build_parser() is build_parser()
+    steps = [
+        ["convergents", "--alpha", "0.3", "--count", "3"],
+        ["convergents"],
+        ["convergents", "--count", "0"],
+        ["mean-action", "--n", "8"],
+    ]
+
+    def run(argv, where):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        try:
+            rc = main([*argv, "--out", "o"])
+        except SystemExit as e:
+            rc = e.code
+        out, err = capsys.readouterr()
+        return rc, out, err, {p.name: p.read_bytes() for p in Path("o").glob("*")}
+
+    shared = [run(argv, tmp_path / f"shared{i}") for i, argv in enumerate(steps)]
+    assert [rc for rc, *_ in shared] == [0, 0, 2, 0]
+    assert "argument --count" in shared[2][2]
+    for i, argv in enumerate(steps):
+        build_parser.cache_clear()
+        assert run(argv, tmp_path / f"fresh{i}") == shared[i], argv

@@ -41,6 +41,14 @@ def test_rotate_matches_matrices():
     via_mat = (R @ pts[..., None])[..., 0]
     assert np.max(np.abs(rotate(pts, ang) - via_mat)) < 1e-14
     assert np.max(np.abs(np.linalg.det(R) - 1.0)) < 1e-14
+    # cos and sin taken before broadcasting give the bits of the
+    # element-wise formula on the broadcast angles
+    for angle, shape in ((0.7 * math.pi, (3, 40)), (ang[:, None], (50, 3))):
+        A = np.broadcast_to(angle, shape)
+        c, s = np.cos(A), np.sin(A)
+        want = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        got = rotation_matrices(angle, shape=shape)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_rot90_is_quarter_rotation():
@@ -54,6 +62,16 @@ def test_wrap_to_pi_range_and_identity():
     assert np.all(w > -math.pi) and np.all(w <= math.pi)
     assert np.max(np.abs(np.sin(w) - np.sin(a))) < 1e-12
     assert np.max(np.abs(np.cos(w) - np.cos(a))) < 1e-12
+    # bit for bit the np.mod formula, on the edge cases as well
+    edges = [0.0, -0.0, math.pi, 2 * math.pi, 3 * math.pi, 1e300, math.inf, math.nan]
+    edges += [np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0)]
+    edges += [-e for e in edges]
+    spread = np.random.default_rng(4).standard_normal(1000) * np.logspace(-10, 3, 1000)
+    for x in (a, np.array(edges), spread, 4.0, -0.5, np.array(7.0)):
+        with np.errstate(invalid="ignore"):
+            want = np.pi - np.mod(np.pi - np.asarray(x), 2 * math.pi)
+            got = wrap_to_pi(x)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
 def test_uniform_disk_statistics():
