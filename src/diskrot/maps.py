@@ -71,6 +71,24 @@ def _dbump(xi):
     return out
 
 
+def _split(pts):
+    """Flat copies px, py of the coordinates of pts (..., 2), and the batch
+    shape; the twist kernels work on these in place."""
+    pts = np.asarray(pts, dtype=float)
+    return pts[..., 0].flatten(), pts[..., 1].flatten(), pts.shape[:-1]
+
+
+def _joined(px, py, shape):
+    out = np.empty(shape + (2,))
+    out[..., 0], out[..., 1] = px.reshape(shape), py.reshape(shape)
+    return out
+
+
+def _per_entry(scale, shape):
+    """A scalar scale as it is; one scale per entry flattened as _split."""
+    return np.broadcast_to(scale, shape).reshape(-1) if np.ndim(scale) else scale
+
+
 _POTENTIAL_CACHE = {}
 
 
@@ -101,66 +119,74 @@ class TwistStep:
         half = 0.5 * (self.outer - self.inner)
         return self.amp * _dbump(self._xi(rho)) / half
 
-    def _window(self, x, y):
-        """Mask of the offsets (x, y) from the center whose squared length
-        lies in the annulus widened by a relative _MARGIN.  The step moves
-        no other point: the rounding of a squared length or a radius is far
-        below the margin.  Every kernel does its work on these entries
-        alone and leaves the others' bits untouched."""
-        d2 = x * x + y * y
+    def _window(self, d2):
+        """Mask of the squared offsets d2 from the center that lie in the
+        annulus widened by a relative _MARGIN.  The step moves no other
+        point: the rounding of a squared length or a radius is far below
+        the margin.  Every kernel does its work on these entries alone and
+        leaves the others' bits untouched."""
         lo = (self.inner * (1.0 - _MARGIN)) ** 2
         hi = (self.outer * (1.0 + _MARGIN)) ** 2
         return (d2 >= lo) & (d2 <= hi)
 
-    def _near(self, pts, scale):
-        """(idx, w, scale) for pts (..., 2) and a scale that is a scalar or
-        one per entry: the flat indices of the entries in the window, their
-        offsets from the center and their scales."""
-        flat = pts.reshape(-1, 2)
-        # offsets a coordinate at a time: numpy broadcasts (n, 2) - (2,)
-        # several times slower
-        x, y = flat[:, 0] - self.center[0], flat[:, 1] - self.center[1]
-        idx = self._window(x, y).nonzero()[0]
-        w = np.empty((idx.size, 2))
-        w[:, 0], w[:, 1] = x[idx], y[idx]
-        scale = np.asarray(scale)
-        if scale.ndim:
-            scale = np.broadcast_to(scale, pts.shape[:-1]).reshape(-1)[idx]
-        return idx, w, scale
-
-    def apply(self, pts, scale=1.0):
-        pts = np.asarray(pts, dtype=float)
-        out = pts.copy()
-        idx, w, scale = self._near(pts, scale)
+    def _move(self, px, py, scale, jac=False, gen=False):
+        """The step's one kernel: moves the points of the flat coordinate
+        arrays px, py in place at `scale`, a scalar or one per entry, and
+        returns (J, S): the step's Jacobian stack (N, 2, 2) if jac and its
+        generating function (N,) if gen, else None.  The window, rho and
+        psi are found once and serve all three."""
+        cx, cy = self.center
+        x, y = px - cx, py - cy
+        d2 = x * x + y * y
+        idx = self._window(d2).nonzero()[0]
+        J = np.broadcast_to(np.eye(2), px.shape + (2, 2)).copy() if jac else None
+        S = None
+        if gen:
+            # outside the window psi = 0, and H is 0 within the inner circle
+            # and scale * amp * cum[-1] beyond the outer one
+            cum = self._bump_cumulative()[1]
+            S = np.where(d2 > self.inner**2, -(scale * self.amp * cum[-1] / np.pi), 0.0)
         if not idx.size:
-            return out
-        psi = scale * self.angle(radii_of(w))
+            return J, S
+        x, y = x[idx], y[idx]
+        if np.ndim(scale):
+            scale = scale[idx]
+        rho = np.hypot(x, y)
+        psi = scale * self.angle(rho)
+        if gen:
+            # the averaged rotation of w over the flow is (sin psi/psi) w +
+            # ((1-cos psi)/psi) i w, in forms safe at psi = 0; its dot with c
+            # is written out, since through BLAS a point's last bits would
+            # depend on its place in the batch
+            s1 = np.sinc(psi / np.pi)
+            s2 = 0.5 * psi * np.sinc(0.5 * psi / np.pi) ** 2
+            circ = rho * rho + ((s1 * x - s2 * y) * cx + (s1 * y + s2 * x) * cy)
+            S[idx] = psi * circ / TWOPI - self.potential(rho, scale) / np.pi
         # a window point whose bump underflows stays put: c + (p - c) could
         # move it by an ulp
         m = psi.nonzero()[0]
-        r, idx = rotate(w[m], psi[m]), idx[m]
-        flat = out.reshape(-1, 2)
-        flat[idx, 0], flat[idx, 1] = r[:, 0] + self.center[0], r[:, 1] + self.center[1]
-        return out
+        idx, x, y, rho, psi = idx[m], x[m], y[m], rho[m], psi[m]
+        c, s = np.cos(psi), np.sin(psi)
+        rx, ry = c * x - s * y, s * x + c * y
+        if jac:
+            # D = R(psi) + (psi'/rho) * (i R(psi) w) outer w, det = 1 exactly;
+            # identity wherever the bump (and with it the shear) vanishes
+            k = (scale[m] if np.ndim(scale) else scale) * self.dangle(rho) / rho
+            kx, ky = k * x, k * y
+            J[idx, 0, 0], J[idx, 0, 1] = c - ry * kx, -s - ry * ky
+            J[idx, 1, 0], J[idx, 1, 1] = s + rx * kx, c + rx * ky
+        px[idx], py[idx] = rx + cx, ry + cy
+        return J, S
+
+    def apply(self, pts, scale=1.0):
+        px, py, shape = _split(pts)
+        self._move(px, py, _per_entry(scale, shape))
+        return _joined(px, py, shape)
 
     def jac(self, pts, scale=1.0):
-        # D = R(psi) + (psi'/rho) * (i R(psi) w) outer w, det = 1 exactly;
-        # identity wherever the bump (and with it the shear) vanishes
-        pts = np.asarray(pts, dtype=float)
-        J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
-        idx, w, scale = self._near(pts, scale)
-        if not idx.size:
-            return J
-        rho = radii_of(w)
-        psi = scale * self.angle(rho)
-        m = psi.nonzero()[0]
-        k = (scale * self.dangle(rho))[m] / rho[m]
-        w, psi = w[m], psi[m]
-        Jm = rotation_matrices(psi)
-        rw = rot90(rotate(w, psi))
-        Jm += rw[:, :, None] * (k[:, None, None] * w[:, None, :])
-        J.reshape(-1, 2, 2)[idx[m]] = Jm
-        return J
+        px, py, shape = _split(pts)
+        J = self._move(px, py, _per_entry(scale, shape), jac=True)[0]
+        return J.reshape(shape + (2, 2))
 
     def _bump_cumulative(self):
         # cumulative integral of bump(xi(r)) r dr over [inner, outer] on a
@@ -190,29 +216,8 @@ class TwistStep:
     def generating(self, pts, scale=1.0):
         """Primitive S of apply*beta - beta for the time-one flow, from the
         flow-line integral of beta(X) - H/pi (S = 0 inside the annulus)."""
-        pts = np.asarray(pts, dtype=float)
-        # outside the window psi = 0, and H is 0 within the inner circle and
-        # scale * amp * cum[-1] beyond the outer one
-        cum = self._bump_cumulative()[1]
-        x, y = pts[..., 0] - self.center[0], pts[..., 1] - self.center[1]
-        beyond = x * x + y * y > self.inner**2
-        S = np.where(beyond, -(scale * self.amp * cum[-1] / np.pi), 0.0)
-        idx, w, scale = self._near(pts, scale)
-        if not idx.size:
-            return S
-        rho = radii_of(w)
-        psi = scale * self.angle(rho)
-        # averaged rotation of w over the flow: (sin psi/psi) w + ((1-cos
-        # psi)/psi) i w, in forms safe at psi = 0
-        s1 = np.sinc(psi / np.pi)
-        s2 = 0.5 * psi * np.sinc(0.5 * psi / np.pi) ** 2
-        mw = s1[:, None] * w + s2[:, None] * rot90(w)
-        # the dot with c written out: through BLAS (mw @ c) a point's last
-        # bits depend on its place in the batch
-        circ = rho * rho + (mw[:, 0] * self.center[0] + mw[:, 1] * self.center[1])
-        S = S.reshape(-1)
-        S[idx] = psi * circ / TWOPI - self.potential(rho, scale) / np.pi
-        return S.reshape(pts.shape[:-1])
+        px, py, shape = _split(pts)
+        return self._move(px, py, _per_entry(scale, shape), gen=True)[1].reshape(shape)
 
     def pair_turn(self, p, q, scale):
         """(p', q', turn) for complex points p, q: their images and the
@@ -224,7 +229,8 @@ class TwistStep:
         step leaves fixed keeps its bits and turns by exactly 0."""
         c = complex(*self.center)
         a, b = p - c, q - c
-        idx = (self._window(a.real, a.imag) | self._window(b.real, b.imag)).nonzero()[0]
+        near = self._window(a.real * a.real + a.imag * a.imag)
+        idx = (near | self._window(b.real * b.real + b.imag * b.imag)).nonzero()[0]
         a, b = a[idx], b[idx]
         ra, rb = np.abs(a), np.abs(b)
         pa, pb = scale * self.angle(ra), scale * self.angle(rb)
@@ -246,7 +252,7 @@ class TwistStep:
         the step leaves fixed keeps its bits, and so does its vector."""
         c = complex(*self.center)
         w = p - c
-        idx = self._window(w.real, w.imag).nonzero()[0]
+        idx = self._window(w.real * w.real + w.imag * w.imag).nonzero()[0]
         w = w[idx]
         rho = np.abs(w)
         psi = scale * self.angle(rho)
@@ -322,48 +328,42 @@ class ConjugacyMap:
             seq.reverse()
         return seq
 
+    def _walk(self, pts, scale, inverse=False, jac=False, gen=False):
+        """One pass of the sub-step kernels of g (g^{-1} with inverse) over
+        split coordinates: (image, Jacobian if jac, S if gen), the Jacobian
+        as the full-stack product of the sub-steps' Jacobians."""
+        px, py, shape = _split(pts)
+        s = _per_entry((-scale if inverse else scale) / self.repeats, shape)
+        J = np.broadcast_to(np.eye(2), px.shape + (2, 2)).copy() if jac else None
+        S = np.zeros(px.shape) if gen else None
+        for st in self._sequence(inverse):
+            Js, dS = st._move(px, py, s, jac, gen)
+            if jac:
+                J = Js @ J
+            if gen:
+                S = S + dS
+        if jac:
+            J = J.reshape(shape + (2, 2))
+        if gen:
+            S = S.reshape(shape)
+        return _joined(px, py, shape), J, S
+
     def forward(self, pts, scale=1.0):
-        pts = np.asarray(pts, dtype=float)
-        s = scale / self.repeats
-        for st in self._sequence():
-            pts = st.apply(pts, s)
-        return pts
+        return self._walk(pts, scale)[0]
 
     def inverse(self, pts, scale=1.0):
-        pts = np.asarray(pts, dtype=float)
-        s = -scale / self.repeats
-        for st in self._sequence(inverse=True):
-            pts = st.apply(pts, s)
-        return pts
+        return self._walk(pts, scale, inverse=True)[0]
 
     def jac_forward(self, pts, scale=1.0):
-        pts = np.asarray(pts, dtype=float)
-        s = scale / self.repeats
-        J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
-        for st in self._sequence():
-            J = st.jac(pts, s) @ J
-            pts = st.apply(pts, s)
-        return J
+        return self._walk(pts, scale, jac=True)[1]
 
     def jac_inverse(self, pts, scale=1.0):
-        pts = np.asarray(pts, dtype=float)
-        s = -scale / self.repeats
-        J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
-        for st in self._sequence(inverse=True):
-            J = st.jac(pts, s) @ J
-            pts = st.apply(pts, s)
-        return J
+        return self._walk(pts, scale, inverse=True, jac=True)[1]
 
     def generating(self, pts, scale=1.0):
         """Primitive S with forward*beta - beta = dS, accumulated over the
         step sequence (S of a composition telescopes along partial images)."""
-        pts = np.asarray(pts, dtype=float)
-        s = scale / self.repeats
-        S = np.zeros(pts.shape[:-1])
-        for st in self._sequence():
-            S = S + st.generating(pts, s)
-            pts = st.apply(pts, s)
-        return S
+        return self._walk(pts, scale, gen=True)[2]
 
     def ramp_winding(self, P, Q):
         """Winding D(P, Q), in turns, of s -> g_s(Q) - g_s(P) as g is
@@ -550,8 +550,7 @@ class ConjugatedRotation(Isotopy):
     def jac(self, t, pts):
         pts = as_xy(pts)
         s = self._scale(t)
-        Ji = self.g.jac_inverse(pts, s)
-        w = self.g.inverse(pts, s)
+        w, Ji, _ = self.g._walk(pts, s, inverse=True, jac=True)
         R = rotation_matrices(TWOPI * t * self.alpha, shape=pts.shape[:-1])
         w = rotate(w, TWOPI * t * self.alpha)
         Jf = self.g.jac_forward(w, s)
@@ -603,7 +602,8 @@ class ConjugatedRotation(Isotopy):
         if self.deform:
             return None
         b = as_xy(base)
-        w, u = self.g.inverse(b), as_xy(dirs) @ self.g.jac_inverse(b).T
+        w, Ji, _ = self.g._walk(b, 1.0, inverse=True, jac=True)
+        u = as_xy(dirs) @ Ji.T
         a = TWOPI * self.alpha
         ramp = self.g.ramp_tangent_winding
         return self.alpha + ramp(rotate(w, a), rotate(u, a)) - ramp(w, u)

@@ -329,7 +329,14 @@ class OrbitTrack:
             if radii_of(start[M:] - start[:M]).min() <= MERGE_EPS:
                 raise CoincidentPoints(f"pair separation <= MERGE_EPS={MERGE_EPS}")
             blocks = (P[b, M:] - P[b, :M] for b in _row_blocks(len(P), M))
-            vec_at = lambda t, idx: at(t, ent[M + idx]) - at(t, ent[idx])
+
+            def vec_at(t, idx):
+                # both sides in one trajectory call, split after: the
+                # kernels are elementwise, so the bits are those of two calls
+                n = len(idx)
+                v = at(np.concatenate([t, t]), ent[np.concatenate([M + idx, idx])])
+                return v[:n] - v[n:]
+
             turn, _ = _track(blocks, vec_at, M, self.steps)
             out[k] = turn / TWOPI
             start = P[-1]

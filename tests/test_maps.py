@@ -237,6 +237,39 @@ def test_conjugacy_kernels_of_a_batch_equal_one_point_at_a_time():
         assert np.array_equal(batch, single), name
 
 
+def test_each_sub_step_finds_its_window_once(monkeypatch):
+    # the image, the Jacobian and S of a sub-step share one window
+    calls = []
+    window = TwistStep._window
+
+    def counted(self, *args):
+        calls.append(args[0].shape)
+        return window(self, *args)
+
+    monkeypatch.setattr(TwistStep, "_window", counted)
+    g = GS["twist-b-3"]
+    pts = uniform_disk(np.random.default_rng(19), 500, 1.0)
+    for name in ("forward", "inverse", "jac_forward", "jac_inverse", "generating"):
+        calls.clear()
+        getattr(g, name)(pts, 0.6)
+        assert calls == [(500,)] * len(g._sequence()), name
+
+
+@pytest.mark.parametrize("deform", [False, True], ids=["plain", "deformed"])
+def test_conjugated_jacobian_equals_the_separate_walks(deform):
+    # jac takes the g^{-1} images from the walk of the inverse Jacobian
+    g = GS["twist-b-3"]
+    iso = ConjugatedRotation(GOLDEN, g, deform=deform)
+    pts = uniform_disk(np.random.default_rng(20), 400, 1.0)
+    for t in (0.0, 0.3, 1.0):
+        s = t if deform else 1.0
+        angle = TWOPI * t * GOLDEN
+        Ji, w = g.jac_inverse(pts, s), g.inverse(pts, s)
+        Jf = g.jac_forward(rotate(w, angle), s)
+        want = Jf @ rotation_matrices(angle, shape=(400,)) @ Ji
+        assert np.array_equal(iso.jac(t, pts), want), t
+
+
 def test_ramp_turns_leave_fixed_pairs_and_base_points_alone():
     rng = np.random.default_rng(16)
     g = ConjugacyMap(steps=(STEP,), repeats=1)

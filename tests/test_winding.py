@@ -358,6 +358,30 @@ def test_orbit_track_pair_windings_equal_iterated_pair_windings():
         X, Y = FAST.map(X), FAST.map(Y)
 
 
+@pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
+def test_orbit_track_pair_windings_make_one_trajectory_call_per_bisection_level(iso):
+    X, Y = _pairs(np.random.default_rng(12), 60, radius=0.6)
+    trk = OrbitTrack(iso, np.concatenate([X, Y]), 3)
+    calls = [[] for _ in trk._at]
+
+    def counted(k, at):
+        def at_counted(t, idx):
+            calls[k].append((len(t), len(idx)))
+            return at(t, idx)
+
+        return at_counted
+
+    trk._at = [counted(k, at) for k, at in enumerate(trk._at)]
+    per_iterate = trk.pair_windings()
+    for k in range(3):
+        turn, depth = _pair_track(iso, X, Y)
+        assert np.array_equal(per_iterate[k], turn)
+        # both sides of the failing pairs in one call per level
+        assert len(calls[k]) == depth.max() > 0
+        assert all(nt == ni and ni % 2 == 0 for nt, ni in calls[k])
+        X, Y = iso.map(X), iso.map(Y)
+
+
 def test_orbit_track_rejects_merged_pairs():
     X = np.array([[0.3, 0.1], [0.5, -0.2]])
     trk = OrbitTrack(CONJ, np.concatenate([X, X + [[1e-10, 0.0], [0.1, 0.0]]]), 1)
