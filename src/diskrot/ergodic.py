@@ -130,12 +130,15 @@ def double_sum_incremental(W, schedule):
 
 
 def linking_average(iso, x, y, n):
-    """Double Birkhoff averages S_n = (1/n^2) sum_ij W(f^i x, f^j y)."""
+    """Double Birkhoff averages S_n = (1/n^2) sum_ij W(f^i x, f^j y), the
+    windings from the family's closed form where it has one."""
     schedule = pow2_schedule(n)
-    X = iso.orbit(as_xy(x), n)
-    Y = iso.orbit(as_xy(y), n)
+    x, y = as_xy(x), as_xy(y)
+    X, Y = iso.orbit(x, n), iso.orbit(y, n)
     admissibility_check(X, Y)
-    W = winding_matrix(iso, X, Y)
+    W = iso.orbit_windings_closed_form(x, y, n)
+    if W is None:
+        W = winding_matrix(iso, X, Y)
     avgs = tuple(double_sum_incremental(W, schedule))
     return ConvergenceReport(
         n_values=tuple(schedule),

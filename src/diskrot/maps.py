@@ -89,6 +89,20 @@ def _per_entry(scale, shape):
     return np.broadcast_to(scale, shape).reshape(-1) if np.ndim(scale) else scale
 
 
+def _tiles(shape, size):
+    """Index tuples of slices that tile an array of `shape` (ndim >= 1) in
+    contiguous blocks of at most `size` entries (one entry at least)."""
+    inner = math.prod(shape[1:])
+    if inner <= size:
+        step = size // max(inner, 1)
+        for lo in range(0, shape[0], step):
+            yield (slice(lo, lo + step),)
+        return
+    for i in range(shape[0]):
+        for rest in _tiles(shape[1:], size):
+            yield (slice(i, i + 1),) + rest
+
+
 _POTENTIAL_CACHE = {}
 
 
@@ -219,31 +233,6 @@ class TwistStep:
         px, py, shape = _split(pts)
         return self._move(px, py, _per_entry(scale, shape), gen=True)[1].reshape(shape)
 
-    def pair_turn(self, p, q, scale):
-        """(p', q', turn) for complex points p, q: their images and the
-        angle their separation q - p turns by as the amplitude ramps from 0
-        to scale.  With A = p - c and B = q - c, the separation turns by psi
-        of the point farther from the center plus arg(1 - (near/far)
-        e^{i delta}) - arg(1 - near/far), which lies in (-pi, pi) since
-        |near/far| <= 1; so that term is the wrapped remainder.  A pair the
-        step leaves fixed keeps its bits and turns by exactly 0."""
-        c = complex(*self.center)
-        a, b = p - c, q - c
-        near = self._window(a.real * a.real + a.imag * a.imag)
-        idx = (near | self._window(b.real * b.real + b.imag * b.imag)).nonzero()[0]
-        a, b = a[idx], b[idx]
-        ra, rb = np.abs(a), np.abs(b)
-        pa, pb = scale * self.angle(ra), scale * self.angle(rb)
-        far = np.where(ra > rb, pa, pb)
-        m = ((pa != 0.0) | (pb != 0.0)).nonzero()[0]
-        idx, a, b, pa, pb, far = idx[m], a[m], b[m], pa[m], pb[m], far[m]
-        pm, qm = c + a * np.exp(1j * pa), c + b * np.exp(1j * pb)
-        sep = np.angle(q[idx] - p[idx])
-        p1, q1, turn = p.copy(), q.copy(), np.zeros(len(p))
-        p1[idx], q1[idx] = pm, qm
-        turn[idx] = far + wrap_to_pi(np.angle(qm - pm) - sep - far)
-        return p1, q1, turn
-
     def tangent_turn(self, p, v, scale):
         """(p', v', turn) for a complex base point p and tangent vector v:
         DT v = R(psi)[v + (psi'/rho)(w.v) i w] with w = p - c.  The bracket
@@ -365,20 +354,90 @@ class ConjugacyMap:
         step sequence (S of a composition telescopes along partial images)."""
         return self._walk(pts, scale, gen=True)[2]
 
+    def _chain(self, Z):
+        """The sub-step chain of each point of Z (..., 2), flattened, as g
+        is ramped from the identity: its L + 1 positions as complex numbers
+        and, at each of the L sub-steps, its psi and its squared distance
+        to the step's center.  A point the step leaves fixed (psi = 0)
+        keeps its bits."""
+        s = 1.0 / self.repeats
+        z = [(Z[..., 0] + 1j * Z[..., 1]).ravel()]
+        psi, d2 = [], []
+        for st in self._sequence():
+            c = complex(*st.center)
+            a = z[-1] - c
+            d2.append(a.real * a.real + a.imag * a.imag)
+            idx = st._window(d2[-1]).nonzero()[0]
+            psi.append(np.zeros(len(a)))
+            psi[-1][idx] = s * st.angle(np.abs(a[idx]))
+            idx = idx[psi[-1][idx] != 0.0]
+            z.append(z[-1].copy())
+            z[-1][idx] = c + a[idx] * np.exp(1j * psi[-1][idx])
+        return z, psi, d2
+
     def ramp_winding(self, P, Q):
         """Winding D(P, Q), in turns, of s -> g_s(Q) - g_s(P) as g is
         ramped from the identity, its sub-steps one after another.
 
         Every ramp gives the same D: the sub-step amplitudes range over a
-        cube, which is contractible.  P and Q broadcast against each other.
+        cube, which is contractible.  P and Q broadcast against each other;
+        each distinct point walks the sub-steps once (`_chain`) and the
+        pairs are read from the chains, _CHUNK pairs at a time.  With
+        A = p - c and B = q - c, a sub-step turns the separation q - p by
+        psi of the point farther from the center plus
+        arg(1 - (near/far) e^{i delta}) - arg(1 - near/far), which lies in
+        (-pi, pi) since |near/far| <= 1; so that term is the wrapped
+        remainder.  A sub-step that moves neither point of a pair turns it
+        by exactly 0.
         """
-        return self._ramped(TwistStep.pair_turn, P, Q)
+        P, Q = as_xy(P), as_xy(Q)
+        shape = np.broadcast_shapes(P.shape, Q.shape)[:-1]
+        ndim = max(len(shape), 1)  # a single pair as a batch of one
+        P = P.reshape((1,) * (ndim + 1 - P.ndim) + P.shape)
+        Q = Q.reshape((1,) * (ndim + 1 - Q.ndim) + Q.shape)
+        turn = np.zeros(np.broadcast_shapes(P.shape, Q.shape)[:-1])
+        last = [None, None]  # each side's last key and chain
+        for tile in _tiles(turn.shape, _CHUNK):
+            t = turn[tile]
+            (zp, pp, dp, ip), (zq, pq, dq, iq) = (
+                self._tile_chain(Z, tile, t.shape, last, side)
+                for side, Z in enumerate((P, Q))
+            )
+            t = t.reshape(-1)  # a view: a tile is contiguous
+            every = slice(None)
+            theta = np.angle(zq[0][iq(every)] - zp[0][ip(every)])
+            for k in range(len(pp)):
+                moved = (pp[k] != 0.0)[ip(every)] | (pq[k] != 0.0)[iq(every)]
+                m = moved.nonzero()[0]
+                if not m.size:
+                    continue
+                i, j = ip(m), iq(m)
+                far = np.where(dp[k][i] > dq[k][j], pp[k][i], pq[k][j])
+                theta1 = np.angle(zq[k + 1][j] - zp[k + 1][i])
+                t[m] += far + wrap_to_pi(theta1 - theta[m] - far)
+                theta[m] = theta1
+        return turn.reshape(shape) / TWOPI
+
+    def _tile_chain(self, Z, tile, shape, last, side):
+        """(z, psi, d2, index) for the points of Z that a tile of pairs of
+        `shape` reads: their `_chain` and index(m), which maps the pairs m
+        of the tile's flat index to the points of the chain.  An axis along
+        which Z broadcasts is read whole, so its chain is kept in
+        last[side] for the next tile."""
+        key = tuple(slice(None) if n == 1 else sl for n, sl in zip(Z.shape, tile))
+        if last[side] is None or last[side][0] != key:
+            last[side] = (key, self._chain(Z[key]))
+        chain = last[side][1]
+        size = len(chain[0][0])
+        if size == math.prod(shape):
+            return chain + (lambda m: m,)
+        if size == 1:
+            return chain + (lambda m: 0,)
+        flat = np.broadcast_to(np.arange(size).reshape(Z[key].shape[:-1]), shape).ravel()
+        return chain + (lambda m: flat[m],)
 
     def ramp_tangent_winding(self, P, V):
         """Winding, in turns, of s -> Dg_s(P) . V along the same ramp."""
-        return self._ramped(TwistStep.tangent_turn, P, V)
-
-    def _ramped(self, turn_of, P, V):
         P, V = np.broadcast_arrays(as_xy(P), as_xy(V))
         shape = P.shape[:-1]
         p = (P[..., 0] + 1j * P[..., 1]).ravel()
@@ -388,7 +447,7 @@ class ConjugacyMap:
         for lo in range(0, len(p), _CHUNK):
             pc, vc = p[lo : lo + _CHUNK], v[lo : lo + _CHUNK]
             for st in self._sequence():
-                pc, vc, dt = turn_of(st, pc, vc, s)
+                pc, vc, dt = st.tangent_turn(pc, vc, s)
                 turn[lo : lo + _CHUNK] += dt
         return turn.reshape(shape) / TWOPI
 
@@ -454,6 +513,12 @@ class Isotopy:
     def windings_closed_form(self, X, Y, n):
         """Windings (n, ...) of the pairs (f^k X, f^k Y) over each iterate
         k < n where the family has a closed form; None where the windings
+        must be tracked."""
+        return None
+
+    def orbit_windings_closed_form(self, x, y, n):
+        """Windings W[i, j] of the pairs (f^i x, f^j y), i, j < n, of two
+        points' orbits where the family has a closed form; None where they
         must be tracked."""
         return None
 
@@ -593,6 +658,20 @@ class ConjugatedRotation(Isotopy):
             for a in self._rotation_angles(range(n + 1))
         ]
         return self.alpha + np.diff(D, axis=0)
+
+    def orbit_windings_closed_form(self, x, y, n):
+        """W[i, j] = W(f^i x, f^j y), i, j < n, by the square of
+        `windings_closed_form` on the orbits in g^{-1} coordinates, where
+        f^i x is R^i w_x: W[i, j] = alpha + M[i+1, j+1] - M[i, j] with
+        M[i, j] = D(R^i w_x, R^j w_y), one (n + 1)^2 matrix of D and no
+        map call; None for the deformed variant."""
+        if self.deform:
+            return None
+        a = self._rotation_angles(range(n + 1))
+        wx = rotate(np.broadcast_to(self.g.inverse(as_xy(x)), (n + 1, 2)), a)
+        wy = rotate(np.broadcast_to(self.g.inverse(as_xy(y)), (n + 1, 2)), a)
+        M = self.g.ramp_winding(wx[:, None], wy[None, :])
+        return self.alpha + (M[1:, 1:] - M[:-1, :-1])
 
     def tangent_windings_closed_form(self, base, dirs):
         """Windings of t -> Df_t(base) . dirs by the same square of tangent

@@ -224,6 +224,17 @@ def test_computation_failure_exits_1(tmp_path):
     assert "FoliationNotTransverse" in res.stderr
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="pair 20's tracked windings are a whole turn off on 4 iterates; "
+    "the pi/2 jump check lets them through",
+)
+def test_foliation_check_passes_at_seed_3(tmp_path):
+    # twist-a, 100 pairs, nmax 32: |Lambda - W| reads 4.06 > 2, all from
+    # one pair whose exact windings would give 0.06
+    assert main(["foliation-check", "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+
+
 def test_verify_all_fast_smoke(tmp_path):
     res = _run(["verify-all", "--fast", "--out", "o"], tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr

@@ -274,20 +274,54 @@ def test_ramp_turns_leave_fixed_pairs_and_base_points_alone():
     rng = np.random.default_rng(16)
     g = ConjugacyMap(steps=(STEP,), repeats=1)
     pts = _window_edges(g, rng, count=100)
-    zf = pts[_moved_by_a_write_back(STEP, pts)] @ (1.0, 1j)
-    # a fixed pair, and a fixed point paired with a moving one
-    moving = 0.2 + 0.45 + 0.1j
-    p = np.concatenate([zf, zf[:5]])
-    q = np.concatenate([np.roll(zf, 1), np.full(5, moving)])
-    p1, q1, turn = STEP.pair_turn(p, q, 0.8)
+    fixed = pts[_moved_by_a_write_back(STEP, pts)]
+    zf = fixed @ (1.0, 1j)
     n = len(zf)
-    assert np.array_equal(turn[:n], np.zeros(n))
-    assert np.array_equal(p1[:n], p[:n]) and np.array_equal(q1[:n], q[:n])
-    assert np.all(turn[n:] != 0.0) and np.all(q1[n:] != q[n:])
+    # a fixed point's chain keeps its bits, whatever it is paired with
+    z, psi, _ = g._chain(fixed)
+    assert np.array_equal(z[1], zf) and not psi[0].any()
+    assert np.array_equal(g.ramp_winding(fixed, np.roll(fixed, 1, axis=0)), np.zeros(n))
+    # a fixed point paired with a moving one: the separation turns as the
+    # moving point's image alone says
+    moving = np.array([0.2 + 0.45, 0.1])
+    c, q = complex(*STEP.center), complex(*moving)
+    psi_q = STEP.angle(abs(q - c))
+    q1 = c + (q - c) * np.exp(1j * psi_q)
+    far = np.where(abs(zf - c) ** 2 > abs(q - c) ** 2, 0.0, psi_q)
+    turn = far + wrap_to_pi(np.angle(q1 - zf) - np.angle(q - zf) - far)
+    got = g.ramp_winding(fixed, moving)
+    assert np.all(got != 0.0)
+    assert np.max(np.abs(got - turn / TWOPI)) < 1e-15
     v = np.exp(1j * TWOPI * rng.random(n))
     b1, v1, turn = STEP.tangent_turn(zf, v, 0.8)
     assert np.array_equal(turn, np.zeros(n))
     assert np.array_equal(b1, zf) and np.array_equal(v1, v)
+
+
+@pytest.mark.parametrize("g", sorted(GS))
+def test_ramp_winding_pairs_each_points_chain_bit_for_bit(g):
+    # a point's sub-step images do not depend on its partner, so the
+    # broadcast pairs equal the same pairs written out one to one; 90 x 100
+    # pairs span two tiles of pairs, and the window edges hold points that
+    # the sub-steps fix next to points that they move
+    g = GS[g]
+    rng = np.random.default_rng(21)
+    edges = _window_edges(g, rng, count=4)
+    P = np.concatenate([edges[::2][:40], uniform_disk(rng, 50, 0.97)])
+    Q = np.concatenate([edges[1::2][:40], uniform_disk(rng, 60, 0.97)])
+    n, m = len(P), len(Q)
+    grid = g.ramp_winding(P[:, None], Q[None, :])
+    pairs = g.ramp_winding(np.repeat(P, m, axis=0), np.tile(Q, (n, 1)))
+    assert grid.shape == (90, 100)
+    assert np.array_equal(grid.ravel(), pairs)
+    for i in (0, 45, 89):  # one point against many
+        assert np.array_equal(g.ramp_winding(P[i], Q), grid[i])
+        assert np.array_equal(g.ramp_winding(P[i], Q[7]), grid[i, 7])
+    # rows longer than a tile are tiled along the row
+    wide = np.concatenate([Q, uniform_disk(rng, 9000, 0.97)])
+    rows = g.ramp_winding(P[:2, None], wide[None, :])
+    assert np.array_equal(rows, [g.ramp_winding(P[0], wide), g.ramp_winding(P[1], wide)])
+    assert np.array_equal(rows[:, :m], grid[:2])
 
 
 @pytest.mark.parametrize("name", ["twist-a", "twist-b", "twist-c"])
