@@ -30,7 +30,6 @@ from .geometry import GOLDEN
 from .maps import (
     ConjugacyMap,
     ConjugatedRotation,
-    IteratedIsotopy,
     Isotopy,
     PlaneExtension,
     RigidRotation,

@@ -495,12 +495,6 @@ class Isotopy:
     def map(self, pts):
         return self.eval(1.0, pts)
 
-    def iterate(self, pts, n):
-        pts = as_xy(pts)
-        for _ in range(n):
-            pts = self.map(pts)
-        return pts
-
     def orbit(self, pts, n):
         """Stack [z, ..., f^(n-1)(z)] on a new leading axis, one map per step."""
         pts = as_xy(pts)
@@ -509,6 +503,11 @@ class Isotopy:
         for i in range(1, n):
             out[i] = self.map(out[i - 1])
         return out
+
+    def action_closed_form(self, pts, n=1):
+        """Action of f^n at pts where the family has a closed form; None
+        where it comes from path integrals."""
+        return None
 
     def windings_closed_form(self, X, Y, n):
         """Windings (n, ...) of the pairs (f^k X, f^k Y) over each iterate
@@ -783,69 +782,6 @@ class PlaneExtension(Isotopy):
         if self.core is not None:
             cfg["core"] = self.core.config()
         return cfg
-
-
-class IteratedIsotopy(Isotopy):
-    """Concatenation of n copies of a base isotopy, parametrized over [0, 1]."""
-
-    family_tag = "iterated"
-
-    def __init__(self, base, n):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.base = base
-        self.n = int(n)
-        self.boundary_rot = n * base.boundary_rot
-        self.domain_radius = base.domain_radius
-
-    def _by_iterate(self, t, pts, fn):
-        """fn(k, sigma, pts) for the points whose time t lies in iterate k,
-        at local time sigma; t is a scalar or one time per point."""
-        pts = as_xy(pts)
-        if not np.ndim(t):
-            s = t * self.n
-            k = min(int(math.floor(s)), self.n - 1)
-            return fn(k, s - k, pts)
-        # per-entry times: group by iterate index, evaluate each group
-        s = np.asarray(t, dtype=float) * self.n
-        k = np.minimum(np.floor(s).astype(int), self.n - 1)
-        sigma = s - k
-        out = None
-        for kv in np.unique(k):
-            m = k == kv
-            val = fn(int(kv), sigma[m], pts[m])
-            if out is None:
-                out = np.empty(k.shape + val.shape[1:])
-            out[m] = val
-        return out
-
-    def eval(self, t, pts):
-        return self._by_iterate(
-            t, pts, lambda k, sigma, p: self.base.eval(sigma, self.base.iterate(p, k))
-        )
-
-    def jac(self, t, pts):
-        def jac_k(k, sigma, pts):
-            J = np.broadcast_to(np.eye(2), pts.shape[:-1] + (2, 2)).copy()
-            for _ in range(k):
-                J = self.base.jac(1.0, pts) @ J
-                pts = self.base.map(pts)
-            return self.base.jac(sigma, pts) @ J
-
-        return self._by_iterate(t, pts, jac_k)
-
-    def velocity(self, t, pts):
-        return self._by_iterate(
-            t,
-            pts,
-            lambda k, sigma, p: self.n * self.base.velocity(sigma, self.base.iterate(p, k)),
-        )
-
-    def action_closed_form(self, pts, n=1):
-        return self.base.action_closed_form(pts, n * self.n)
-
-    def config(self):
-        return {"family": "iterated", "n": self.n, "base": self.base.config()}
 
 
 def _finite(value):

@@ -6,7 +6,7 @@
 conjugated family f_t = g R_t g^{-1} without `deform` has one, and its
 windings are exact, with no time grid.  Every other angle is unwrapped by
 one engine, `track`: rigid rotations, the deformed variant, plane
-extensions, iterated isotopies, `OrbitTrack` (the position grids behind
+extensions, `OrbitTrack` (the position grids behind
 lambda, tau and m) and the `refinements` column of the `winding` command
 (the bisection depth of `_pair_track`).  The angle of a batch of vectors is
 sampled on a uniform time grid and continued against the previous sample,

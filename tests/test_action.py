@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from diskrot.action import ActionField, action_winding_gap, beta, calabi
+from diskrot.action import PATH_TOL, ActionField, action_winding_gap, beta, calabi
 from diskrot.geometry import GOLDEN, as_xy, uniform_disk
-from diskrot.maps import ConjugacyMap, ConjugatedRotation, IteratedIsotopy, RigidRotation
+from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
+from test_maps import Concatenation
 
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
 
@@ -76,13 +78,49 @@ def test_calabi_of_conjugated_rotation_is_the_rotation_number():
 
 
 def test_iterated_action_adds_boundary_rotations():
-    field = ActionField(IteratedIsotopy(CONJ, 3))
     pts = uniform_disk(np.random.default_rng(6), 200, 0.95)
-    a = field.action(pts)
+    closed = CONJ.action_closed_form(pts, 3)
+    summed = ActionField(CONJ).action(CONJ.orbit(pts, 3)).sum(0)
     # away from the conjugacy support the action is the boundary constant
     outside = np.hypot(pts[:, 0], pts[:, 1]) > 0.86
     assert outside.any()
-    assert np.max(np.abs(a[outside] - 3 * GOLDEN)) < 1e-12
+    assert np.max(np.abs(closed[outside] - 3 * GOLDEN)) < 1e-12
+    assert np.max(np.abs(summed[outside] - 3 * GOLDEN)) < 1e-12
+
+
+class _FaultyClosedForm(RigidRotation):
+    def action_closed_form(self, pts, n=1):
+        raise AttributeError("fault inside the closed form")
+
+
+def test_closed_form_hook_none_takes_the_path_route_and_errors_propagate():
+    plane = PlaneExtension(GOLDEN, 0.75)
+    pts = uniform_disk(np.random.default_rng(7), 5, 0.9)
+    assert plane.action_closed_form(pts) is None
+    auto = ActionField(plane).action(pts)
+    assert np.array_equal(auto, ActionField(plane, method="path").action(pts))
+    with pytest.raises(AttributeError, match="fault inside"):
+        ActionField(_FaultyClosedForm(GOLDEN)).action(pts)
+
+
+@pytest.mark.parametrize("name", ["twist-a", "twist-b", "twist-c"])
+def test_action_winding_gap_action_is_the_closed_form_of_f_n(name):
+    iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named(name))
+    x = np.array([0.4, 0.2])
+    ns = (1, 4, 16)
+    rows = action_winding_gap(ActionField(iso), x, ns, 200, np.random.default_rng(5))
+    for n, row in zip(ns, rows):
+        assert abs(row["action_n"] - iso.action_closed_form(x, n)) < 1e-12
+
+
+def test_action_winding_gap_action_matches_the_concatenated_path_integral():
+    cored = PlaneExtension(GOLDEN, 0.9, core=CONJ)
+    x = np.array([0.3, -0.5])
+    ns = (1, 4)
+    rows = action_winding_gap(ActionField(cored), x, ns, 200, np.random.default_rng(5))
+    for n, row in zip(ns, rows):
+        reference = ActionField(Concatenation(cored, n)).action(x)
+        assert abs(row["action_n"] - reference) < (n + 1) * PATH_TOL
 
 
 def test_action_winding_gap_within_bound():

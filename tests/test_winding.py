@@ -10,7 +10,6 @@ from diskrot.geometry import GOLDEN, TWOPI, uniform_disk, wrap_to_pi
 from diskrot.maps import (
     ConjugacyMap,
     ConjugatedRotation,
-    IteratedIsotopy,
     RigidRotation,
     TwistStep,
 )
@@ -26,6 +25,7 @@ from diskrot.winding import (
     track,
     winding_tangent,
 )
+from test_maps import Concatenation
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
@@ -149,7 +149,7 @@ def test_iterated_winding_telescopes():
     X, Y = _pairs(np.random.default_rng(4), 10, radius=0.9)
     n = 5
     per_iter = pair_windings_iterated(CONJ, X, Y, n).sum(axis=0)
-    concat = pair_windings(IteratedIsotopy(CONJ, n), X, Y)
+    concat = pair_windings(Concatenation(CONJ, n), X, Y)
     assert np.max(np.abs(per_iter - concat)) < 1e-8
 
 
