@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CertificateFailed, OrbitCollision, ResampleExhausted
 from .geometry import as_xy, uniform_disk
-from .winding import MERGE_EPS, winding_matrix, winding_tangent
+from .winding import MERGE_EPS, pair_windings, winding_tangent
 
 CAUCHY_POINTS = 3
 DEFAULT_TOL = 0.01
@@ -138,7 +138,7 @@ def linking_average(iso, x, y, n):
     admissibility_check(X, Y)
     W = iso.orbit_windings_closed_form(x, y, n)
     if W is None:
-        W = winding_matrix(iso, X, Y)
+        W = pair_windings(iso, X[:, None], Y[None, :])
     avgs = tuple(double_sum_incremental(W, schedule))
     return ConvergenceReport(
         n_values=tuple(schedule),

@@ -192,16 +192,6 @@ class TwistStep:
         px[idx], py[idx] = rx + cx, ry + cy
         return J, S
 
-    def apply(self, pts, scale=1.0):
-        px, py, shape = _split(pts)
-        self._move(px, py, _per_entry(scale, shape))
-        return _joined(px, py, shape)
-
-    def jac(self, pts, scale=1.0):
-        px, py, shape = _split(pts)
-        J = self._move(px, py, _per_entry(scale, shape), jac=True)[0]
-        return J.reshape(shape + (2, 2))
-
     def _bump_cumulative(self):
         # cumulative integral of bump(xi(r)) r dr over [inner, outer] on a
         # dense grid, each cell integrated by 4-node GL before the cumsum
@@ -226,37 +216,6 @@ class TwistStep:
         """Hamiltonian H(rho) = integral of the angular speed against r dr."""
         grid, cum = self._bump_cumulative()
         return scale * self.amp * np.interp(rho, grid, cum)
-
-    def generating(self, pts, scale=1.0):
-        """Primitive S of apply*beta - beta for the time-one flow, from the
-        flow-line integral of beta(X) - H/pi (S = 0 inside the annulus)."""
-        px, py, shape = _split(pts)
-        return self._move(px, py, _per_entry(scale, shape), gen=True)[1].reshape(shape)
-
-    def tangent_turn(self, p, v, scale):
-        """(p', v', turn) for a complex base point p and tangent vector v:
-        DT v = R(psi)[v + (psi'/rho)(w.v) i w] with w = p - c.  The bracket
-        shears v along i w and keeps its component along w, so over the ramp
-        it turns v by less than pi and never passes through 0.  A base point
-        the step leaves fixed keeps its bits, and so does its vector."""
-        c = complex(*self.center)
-        w = p - c
-        idx = self._window(w.real * w.real + w.imag * w.imag).nonzero()[0]
-        w = w[idx]
-        rho = np.abs(w)
-        psi = scale * self.angle(rho)
-        k = np.zeros_like(rho)
-        np.divide(scale * self.dangle(rho), rho, out=k, where=rho > 0)
-        m = ((psi != 0.0) | (k != 0.0)).nonzero()[0]
-        idx, w, psi, k = idx[m], w[m], psi[m], k[m]
-        v0 = v[idx]
-        sheared = v0 + k * (w.real * v0.real + w.imag * v0.imag) * 1j * w
-        rot = np.exp(1j * psi)
-        p1, v1, turn = p.copy(), v.copy(), np.zeros(len(p))
-        p1[idx], v1[idx] = c + rot * w, rot * sheared
-        turn[idx] = psi + wrap_to_pi(np.angle(sheared) - np.angle(v0))
-        return p1, v1, turn
-
 
 # Named Hamiltonians: geometry given for support_radius = 1, scaled at build
 # time.  Each step needs |center| < inner (origin fixed) and
@@ -437,18 +396,31 @@ class ConjugacyMap:
         return chain + (lambda m: flat[m],)
 
     def ramp_tangent_winding(self, P, V):
-        """Winding, in turns, of s -> Dg_s(P) . V along the same ramp."""
+        """Winding, in turns, of s -> Dg_s(P) . V along the same ramp: each
+        base point walks its `_chain`, _CHUNK at a time, and V is carried by
+        the `_move` Jacobian R(psi)[v + (psi'/rho)(w.v) i w] of each
+        sub-step that moves the point, w = p - c.  The bracket keeps v's
+        component along w, so it turns v by less than pi: the sub-step
+        turns v by psi plus the wrapped remainder arg v' - arg v - psi."""
         P, V = np.broadcast_arrays(as_xy(P), as_xy(V))
         shape = P.shape[:-1]
-        p = (P[..., 0] + 1j * P[..., 1]).ravel()
+        P = P.reshape(-1, 2)
         v = (V[..., 0] + 1j * V[..., 1]).ravel()
         s = 1.0 / self.repeats
-        turn = np.zeros(len(p))
-        for lo in range(0, len(p), _CHUNK):
-            pc, vc = p[lo : lo + _CHUNK], v[lo : lo + _CHUNK]
-            for st in self._sequence():
-                pc, vc, dt = st.tangent_turn(pc, vc, s)
-                turn[lo : lo + _CHUNK] += dt
+        turn = np.zeros(len(v))
+        for lo in range(0, len(v), _CHUNK):
+            z, psi, _ = self._chain(P[lo : lo + _CHUNK])
+            vc, tc = v[lo : lo + _CHUNK], turn[lo : lo + _CHUNK]
+            for k, st in enumerate(self._sequence()):
+                m = psi[k].nonzero()[0]
+                if not m.size:
+                    continue
+                J = st._move(z[k][m].real, z[k][m].imag, s, jac=True)[0]
+                v0 = vc[m]
+                x, y = v0.real, v0.imag
+                v1 = (J[:, 0, 0] * x + J[:, 0, 1] * y) + 1j * (J[:, 1, 0] * x + J[:, 1, 1] * y)
+                tc[m] += psi[k][m] + wrap_to_pi(np.angle(v1) - np.angle(v0) - psi[k][m])
+                vc[m] = v1
         return turn.reshape(shape) / TWOPI
 
 

@@ -16,13 +16,17 @@ import numpy as np
 
 def _atomic_write(path, data):
     """Write via a sibling temp file and rename, so readers never see a
-    partial artifact."""
+    partial artifact.  The file gets the mode open() would give it, 0o666
+    less the umask, not mkstemp's 0o600."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as f:
             f.write(data)
+        mask = os.umask(0)  # os reads the umask only by setting it
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

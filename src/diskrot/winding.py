@@ -1,22 +1,23 @@
 """Winding numbers of point pairs along an isotopy, and tangent extensions.
 
-`pair_windings`, `pair_windings_iterated`, `winding_matrix` and
-`winding_tangent` first ask the isotopy for its closed form
-(`Isotopy.windings_closed_form`, `tangent_windings_closed_form`); only the
-conjugated family f_t = g R_t g^{-1} without `deform` has one, and its
-windings are exact, with no time grid.  Every other angle is unwrapped by
-one engine, `track`: rigid rotations, the deformed variant, plane
-extensions, `OrbitTrack` (the position grids behind
-lambda, tau and m) and the `refinements` column of the `winding` command
-(the bisection depth of `_pair_track`).  The angle of a batch of vectors is
-sampled on a uniform time grid and continued against the previous sample,
-a block of grid rows at a time: `OrbitTrack` evaluates up to BLOCK points
-of grid rows per trajectory call, a column of times, and unwraps them
-with array operations.  Every tracked result carries a no-aliasing check:
-each unwrapped step moves the angle by less than pi/2.  A grid step that
-fails is bisected for its entry alone, and each failing half again, until
-every sub-step passes (up to a depth cap), so a few fast-swinging entries
-do not force the whole batch onto a finer grid.
+`pair_windings` (whose broadcast point arrays also give cross matrices),
+`pair_windings_iterated`, `OrbitTrack.pair_windings` and `winding_tangent`
+first ask the isotopy for its closed form (`Isotopy.windings_closed_form`,
+`tangent_windings_closed_form`); only the conjugated family
+f_t = g R_t g^{-1} without `deform` has one, and its windings are exact,
+with no time grid.  Every other angle is unwrapped by one engine, `track`:
+rigid rotations, the deformed variant, plane extensions, `OrbitTrack` (the
+position grids behind lambda, tau and m) and the `refinements` column of
+the `winding` command (the bisection depth of `_pair_track`).  The angle
+of a batch of vectors is sampled on a uniform time grid and continued
+against the previous sample, a block of grid rows at a time: `OrbitTrack`
+evaluates up to BLOCK points of grid rows per trajectory call, a column of
+times, and unwraps them with array operations.  Every tracked result
+carries a no-aliasing check: each unwrapped step moves the angle by less
+than pi/2.  A grid step that fails is bisected for its entry alone, and
+each failing half again, until every sub-step passes (up to a depth cap),
+so a few fast-swinging entries do not force the whole batch onto a finer
+grid.
 """
 from __future__ import annotations
 
@@ -141,13 +142,16 @@ def _track(blocks, vec_at, n, steps, grid=False):
 
 
 def _entry_trajectory(iso, P, shape):
-    """Trajectory of the pair entries' points P broadcast to `shape`.  One
-    point (2,) shared by every entry is evaluated once per grid time."""
-    if P.ndim == 1:
-        at = iso.trajectory(P[None])
-        return lambda t, idx: at(t, idx if idx is ALL else np.zeros_like(idx))
-    P = np.ascontiguousarray(np.broadcast_to(P, shape), dtype=float).reshape(-1, 2)
-    return iso.trajectory(P)
+    """Trajectory of the pair entries' points P broadcast to `shape`: each
+    distinct point of P is evaluated once per grid time.  With idx = ALL it
+    returns them in P's shape padded to len(shape) axes, which broadcasts
+    against the other side; an index array of entries is mapped to P's
+    points through the flat broadcast index."""
+    P = P.reshape((1,) * (len(shape) - P.ndim) + P.shape)
+    at = iso.trajectory(P.reshape(-1, 2))
+    points = np.arange(math.prod(P.shape[:-1])).reshape(P.shape[:-1])
+    flat = np.broadcast_to(points, shape[:-1]).ravel()
+    return lambda t, idx: at(t, ALL).reshape(P.shape) if idx is ALL else at(t, flat[idx])
 
 
 def _separated(X, Y):
@@ -160,20 +164,26 @@ def _separated(X, Y):
 
 
 def _pair_track(iso, X, Y, init_steps=INIT_STEPS):
-    """(windings, bisection depths) of paired point arrays X[i], Y[i]; either
-    side may be one point (2,) paired with every point of the other."""
+    """(windings, bisection depths) of the pairs of point arrays X and Y
+    broadcast against each other: X[i] with Y[i], one point (2,) with every
+    point of the other side, or X[:, None] with Y[None, :] for the cross
+    matrix of two point sets."""
     X, Y = _separated(X, Y)
     shape = np.broadcast_shapes(X.shape, Y.shape)
     fx = _entry_trajectory(iso, X, shape)
     fy = _entry_trajectory(iso, Y, shape)
     turn, depth = track(
-        lambda t, idx: fy(t, idx) - fx(t, idx), math.prod(shape[:-1]), init_steps
+        lambda t, idx: (fy(t, idx) - fx(t, idx)).reshape(-1, 2),
+        math.prod(shape[:-1]),
+        init_steps,
     )
     return turn.reshape(shape[:-1]) / TWOPI, depth.reshape(shape[:-1])
 
 
 def pair_windings(iso, X, Y):
-    """Windings of paired point arrays X[i] with Y[i] under the isotopy."""
+    """Windings of the pairs of point arrays X and Y broadcast against each
+    other under the isotopy; X[:, None] with Y[None, :] gives the cross
+    matrix W[i, j] of the pairs (X[i], Y[j])."""
     w = iso.windings_closed_form(*_separated(X, Y), 1)
     return _pair_track(iso, X, Y)[0] if w is None else w[0]
 
@@ -222,37 +232,6 @@ def pair_windings_iterated(iso, X, Y, n):
     return np.array(out)
 
 
-def winding_matrix(iso, xs, ys):
-    """All cross windings W[i, j] of the pairs (xs[i], ys[j]) in one sweep.
-
-    Tracked, each grid sample evaluates the two point sets once and forms
-    all n*m separation vectors; a cell whose step fails the certificate is
-    bisected alone, from its own pair of points.
-    """
-    xs = as_xy(xs)
-    ys = as_xy(ys)
-    zx = xs[:, 0] + 1j * xs[:, 1]
-    zy = ys[:, 0] + 1j * ys[:, 1]
-    sep = np.abs(zy[None, :] - zx[:, None])
-    if sep.min() <= MERGE_EPS:
-        i, j = np.unravel_index(np.argmin(sep), sep.shape)
-        raise CoincidentPoints(f"points xs[{i}] and ys[{j}] within merge_eps")
-    exact = iso.windings_closed_form(xs[:, None], ys[None, :], 1)
-    if exact is not None:
-        return exact[0]
-    n, m = len(xs), len(ys)
-    fx, fy = iso.trajectory(xs), iso.trajectory(ys)
-
-    def vec_at(t, idx):
-        if idx is ALL:
-            return (fy(t, ALL)[None, :] - fx(t, ALL)[:, None]).reshape(-1, 2)
-        i, j = np.divmod(idx, m)
-        return fy(t, j) - fx(t, i)
-
-    turn, _ = track(vec_at, n * m, INIT_STEPS)
-    return turn.reshape(n, m) / TWOPI
-
-
 class OrbitTrack:
     """Certified tracks of f_t(f^k z), t in [0, 1], k < n, of a batch of
     points, each iterate on its own uniform grid of T steps: one track that
@@ -264,6 +243,7 @@ class OrbitTrack:
     """
 
     def __init__(self, iso, pts, n, steps=INIT_STEPS):
+        self.iso = iso
         self.pts = as_xy(pts)
         self._at = []
         self._alloc(n, steps, np.arange(len(self.pts)))
@@ -320,14 +300,17 @@ class OrbitTrack:
 
     def pair_windings(self):
         """Windings (n, M) of the entry pairs (i, M + i), M = N/2, over each
-        iterate, equal to `pair_windings` of the iterates' start points; a
-        failing step is bisected through the iterate's trajectory."""
+        iterate, equal to `pair_windings` of the iterates' start points:
+        the family's closed form where it has one, else from the iterates'
+        grids, a failing step bisected through the iterate's trajectory."""
         ent, M = self._ent, len(self._ent) // 2
-        out = np.empty((len(self._at), M))
         start = self.pts
+        exact = self.iso.windings_closed_form(*_separated(start[:M], start[M:]), len(self._at))
+        if exact is not None:
+            return exact
+        out = np.empty((len(self._at), M))
         for k, (at, P) in enumerate(zip(self._at, self.pos)):
-            if radii_of(start[M:] - start[:M]).min() <= MERGE_EPS:
-                raise CoincidentPoints(f"pair separation <= MERGE_EPS={MERGE_EPS}")
+            _separated(start[:M], start[M:])
             blocks = (P[b, M:] - P[b, :M] for b in _row_blocks(len(P), M))
 
             def vec_at(t, idx):

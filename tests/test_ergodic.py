@@ -21,7 +21,7 @@ from diskrot.action import ActionField
 from diskrot.errors import OrbitCollision, ResampleExhausted
 from diskrot.geometry import GOLDEN, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation
-from diskrot.winding import winding_matrix
+from diskrot.winding import pair_windings
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
@@ -92,7 +92,8 @@ def test_orbit_windings_closed_form_match_the_orbit_winding_matrix(name):
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named(name))
     x, y = np.array([0.55, 0.1]), np.array([-0.32, 0.41])
     W = iso.orbit_windings_closed_form(x, y, 64)
-    want = winding_matrix(iso, iso.orbit(x, 64), iso.orbit(y, 64))
+    X, Y = iso.orbit(x, 64), iso.orbit(y, 64)
+    want = pair_windings(iso, X[:, None], Y[None, :])
     assert W.shape == (64, 64)
     # the matrix route applies g^-1 to the orbit points, which rounds
     assert np.max(np.abs(W - want)) < 1e-12
@@ -103,7 +104,8 @@ def test_linking_average_tracks_where_there_is_no_closed_form():
     deformed = ConjugatedRotation(GOLDEN, CONJ.g, deform=True)
     assert deformed.orbit_windings_closed_form(x, y, 16) is None
     assert RIGID.orbit_windings_closed_form(x, y, 16) is None
-    W = winding_matrix(deformed, deformed.orbit(x, 16), deformed.orbit(y, 16))
+    X, Y = deformed.orbit(x, 16), deformed.orbit(y, 16)
+    W = pair_windings(deformed, X[:, None], Y[None, :])
     want = double_sum_incremental(W, pow2_schedule(16))
     assert linking_average(deformed, x, y, 16).partial_averages == tuple(want)
     # and the closed form's averages agree with the tracked ones

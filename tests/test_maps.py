@@ -28,6 +28,8 @@ from diskrot.maps import (
 from diskrot.winding import ALL
 
 STEP = TwistStep(center=(0.2, 0.1), amp=1.1, inner=0.3, outer=0.6)
+# the step alone as a conjugacy: its map, Jacobian and S are the step's
+ONE = ConjugacyMap((STEP,), repeats=1)
 
 
 def _g(name="twist-a"):
@@ -36,25 +38,25 @@ def _g(name="twist-a"):
 
 def test_twist_step_identity_outside_annulus():
     pts = np.array([[0.2, 0.1], [0.25, 0.1], [0.2 + 0.7, 0.1], [0.95, 0.0]])
-    assert np.max(np.abs(STEP.apply(pts) - pts)) == 0.0
-    J = STEP.jac(pts)
+    assert np.max(np.abs(ONE.forward(pts) - pts)) == 0.0
+    J = ONE.jac_forward(pts)
     assert np.max(np.abs(J - np.eye(2))) == 0.0
 
 
 def test_twist_step_unit_jacobian_determinant():
     rng = np.random.default_rng(0)
     pts = uniform_disk(rng, 500, 0.95)
-    det = np.linalg.det(STEP.jac(pts, scale=0.7))
+    det = np.linalg.det(ONE.jac_forward(pts, scale=0.7))
     assert np.max(np.abs(det - 1.0)) < 1e-12
 
 
 def test_twist_step_jacobian_matches_finite_differences():
     rng = np.random.default_rng(1)
     pts = np.array([0.2, 0.1]) + 0.42 * _unit(rng, 30)
-    J = STEP.jac(pts)
+    J = ONE.jac_forward(pts)
     h = 1e-6
     for axis, e in enumerate(np.eye(2)):
-        fd = (STEP.apply(pts + h * e) - STEP.apply(pts - h * e)) / (2 * h)
+        fd = (ONE.forward(pts + h * e) - ONE.forward(pts - h * e)) / (2 * h)
         assert np.max(np.abs(J[:, :, axis] - fd)) < 1e-7
 
 
@@ -64,16 +66,16 @@ def _unit(rng, n):
 
 
 def test_twist_step_generating_differential():
-    # dS = apply*beta - beta, checked against central differences of S
+    # dS = f*beta - beta, checked against central differences of S
     rng = np.random.default_rng(2)
     pts = np.array([0.2, 0.1]) + (0.35 + 0.2 * rng.random(40))[:, None] * _unit(
         rng, 40
     )
     dirs = _unit(rng, 40)
     h = 1e-5
-    fd = (STEP.generating(pts + h * dirs) - STEP.generating(pts - h * dirs)) / (2 * h)
-    f = STEP.apply(pts)
-    Jv = (STEP.jac(pts) @ dirs[..., None])[..., 0]
+    fd = (ONE.generating(pts + h * dirs) - ONE.generating(pts - h * dirs)) / (2 * h)
+    f = ONE.forward(pts)
+    Jv = (ONE.jac_forward(pts) @ dirs[..., None])[..., 0]
 
     def beta(z, v):
         return (z[:, 0] * v[:, 1] - z[:, 1] * v[:, 0]) / TWOPI
@@ -305,7 +307,7 @@ def test_conjugated_jacobian_equals_the_separate_walks(deform):
 
 def test_ramp_turns_leave_fixed_pairs_and_base_points_alone():
     rng = np.random.default_rng(16)
-    g = ConjugacyMap(steps=(STEP,), repeats=1)
+    g = ONE
     pts = _window_edges(g, rng, count=100)
     fixed = pts[_moved_by_a_write_back(STEP, pts)]
     zf = fixed @ (1.0, 1j)
@@ -325,10 +327,10 @@ def test_ramp_turns_leave_fixed_pairs_and_base_points_alone():
     got = g.ramp_winding(fixed, moving)
     assert np.all(got != 0.0)
     assert np.max(np.abs(got - turn / TWOPI)) < 1e-15
-    v = np.exp(1j * TWOPI * rng.random(n))
-    b1, v1, turn = STEP.tangent_turn(zf, v, 0.8)
-    assert np.array_equal(turn, np.zeros(n))
-    assert np.array_equal(b1, zf) and np.array_equal(v1, v)
+    # a fixed base point's tangent vectors do not turn
+    t = TWOPI * rng.random(n)
+    V = np.column_stack([np.cos(t), np.sin(t)])
+    assert np.array_equal(g.ramp_tangent_winding(fixed, V), np.zeros(n))
 
 
 @pytest.mark.parametrize("g", sorted(GS))

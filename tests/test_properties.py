@@ -11,21 +11,15 @@ from hypothesis import strategies as st
 from diskrot.action import PATH_TOL, ActionField
 from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
-from diskrot.maps import (
-    ConjugacyMap,
-    ConjugatedRotation,
-    PlaneExtension,
-    TwistStep,
-)
-from diskrot.winding import OrbitTrack, _pair_track, pair_windings
-from test_maps import Concatenation, uncropped
+from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension
+from diskrot.winding import OrbitTrack, _pair_track, pair_windings, pair_windings_iterated
+from test_maps import ONE, Concatenation, uncropped
 
 G = ConjugacyMap.from_named("twist-b")
 CONJ = ConjugatedRotation(GOLDEN, G)
 # exact windings, and the same map's tracked second isotopy
 TWIST_A = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
 TWIST_A_TRACKED = ConjugatedRotation(GOLDEN, TWIST_A.g, deform=True)
-STEP = TwistStep(center=(0.2, 0.1), amp=1.1, inner=0.3, outer=0.6)
 # no closed form: its actions run through the path integrals
 CORED = PlaneExtension(GOLDEN, 0.75, core=CONJ)
 
@@ -42,7 +36,7 @@ def _disk_points(count, r_min=0.0, r_max=0.95):
 @FEW
 @given(_disk_points(8), st.floats(0.0, 1.0))
 def test_jacobians_have_unit_determinant(pts, t):
-    assert np.max(np.abs(np.linalg.det(STEP.jac(pts, scale=t)) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.linalg.det(ONE.jac_forward(pts, scale=t)) - 1.0)) < 1e-12
     assert np.max(np.abs(np.linalg.det(CONJ.jac(t, pts)) - 1.0)) < 1e-10
 
 
@@ -119,11 +113,14 @@ def test_batched_pair_values_equal_single_pair_calls(Z, Zp):
     m_seq, m_total = displacements(OrbitTrack(CONJ, Z, n))
     assert np.array_equal(batch["m_seq"], m_seq)
     assert np.array_equal(batch["m_total"], m_total)
-    windings = OrbitTrack(CONJ, np.concatenate([Z, Zp]), n).pair_windings()
+    # the closed form, and the tracked grids of a second isotopy
+    exact = OrbitTrack(CONJ, np.concatenate([Z, Zp]), n).pair_windings()
+    assert np.array_equal(exact, pair_windings_iterated(CONJ, Z, Zp, n))
+    windings = OrbitTrack(TWIST_A_TRACKED, np.concatenate([Z, Zp]), n).pair_windings()
     for j, (z, zp) in enumerate(zip(Z, Zp)):
         single = annulus_table(CONJ, z, zp, n=n)
         for key, value in single.items():
             assert np.array_equal(batch[key][..., j], value), key
         m_seq_j, m_total_j = displacements(OrbitTrack(CONJ, z[None], n))
         assert np.array_equal(m_seq_j[:, 0], m_seq[:, j]) and m_total_j[0] == m_total[j]
-        assert windings[0, j] == _pair_track(CONJ, z[None], zp[None])[0][0]
+        assert windings[0, j] == _pair_track(TWIST_A_TRACKED, z[None], zp[None])[0][0]

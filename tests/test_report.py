@@ -70,3 +70,17 @@ def test_report_bundle_writes_all_artifacts(tmp_path):
     header, rows = read_csv(doc["artifacts"]["avgs"])
     assert header == ["n", "partial_average"]
     assert [r[1] for r in rows] == [0.8, 0.7, 0.66]
+
+
+def test_reports_take_the_mode_the_umask_gives(tmp_path):
+    # mkstemp creates 0o600 files; a report is readable as open() makes it
+    for mask, mode in ((0o022, 0o644), (0o077, 0o600), (0o002, 0o664)):
+        old = os.umask(mask)
+        try:
+            write_json(str(tmp_path / "r.json"), {"a": 1})
+            write_csv(str(tmp_path / "r.csv"), ["a"], [[1.0]])
+            write_chart(str(tmp_path / "r.svg"), [1, 2], [0.5, 0.25])
+        finally:
+            os.umask(old)
+        for name in ("r.json", "r.csv", "r.svg"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode, (name, oct(mask))

@@ -21,7 +21,6 @@ from diskrot.winding import (
     _track,
     pair_windings,
     pair_windings_iterated,
-    winding_matrix,
     track,
     winding_tangent,
 )
@@ -107,7 +106,7 @@ def test_exact_windings_match_the_dense_oracle(name):
     dense = _dense_windings(iso, P, Q)
     exact = np.concatenate([
         pair_windings(iso, X, Y),
-        winding_matrix(iso, xs, ys).ravel(),
+        pair_windings(iso, xs[:, None], ys[None, :]).ravel(),
         pair_windings_iterated(iso, Xi, Yi, n).ravel(),
     ])
     assert np.max(np.abs(exact - dense)) < 1e-9
@@ -154,14 +153,19 @@ def test_iterated_winding_telescopes():
 
 
 def test_winding_matrix_matches_pairwise_values():
+    # the cross matrix is pair_windings of broadcast points: the closed form,
+    # the same pairs written out, and the tracked second isotopy agree
     rng = np.random.default_rng(5)
     xs = uniform_disk(rng, 12, 0.9)
     ys = uniform_disk(rng, 15, 0.9)
-    W = winding_matrix(CONJ, xs, ys)
+    W = pair_windings(CONJ, xs[:, None], ys[None, :])
     assert W.shape == (12, 15)
     i, j = np.meshgrid(np.arange(12), np.arange(15), indexing="ij")
     direct = pair_windings(CONJ, xs[i.ravel()], ys[j.ravel()]).reshape(12, 15)
     assert np.max(np.abs(W - direct)) < 1e-10
+    tracked = pair_windings(CONJ_TRACKED, xs[:, None], ys[None, :])
+    assert tracked.shape == (12, 15)
+    assert np.max(np.abs(W - tracked)) < 1e-8
 
 
 def test_bisected_matrix_cells_equal_pair_windings():
@@ -171,18 +175,20 @@ def test_bisected_matrix_cells_equal_pair_windings():
     i, j = np.meshgrid(np.arange(6), np.arange(7), indexing="ij")
     w, depth = _pair_track(FAST_TRACKED, xs[i.ravel()], ys[j.ravel()])
     assert depth.max() > 0
-    W = winding_matrix(FAST_TRACKED, xs, ys)
-    assert np.max(np.abs(W.ravel() - w)) < 1e-12
+    # a failing cell is bisected alone, from its own pair of points
+    W, depth_grid = _pair_track(FAST_TRACKED, xs[:, None], ys[None, :])
+    assert np.array_equal(W.ravel(), w) and np.array_equal(depth_grid.ravel(), depth)
+    assert np.array_equal(pair_windings(FAST_TRACKED, xs[:, None], ys[None, :]), W)
     exact = pair_windings(FAST, xs[i.ravel()], ys[j.ravel()])
-    assert np.max(np.abs(winding_matrix(FAST, xs, ys).ravel() - exact)) < 1e-12
+    assert np.max(np.abs(pair_windings(FAST, xs[:, None], ys[None, :]).ravel() - exact)) < 1e-12
 
 
 def test_shared_reference_point_equals_its_broadcast_copies():
     rng = np.random.default_rng(10)
     xs = uniform_disk(rng, 3, 0.6)
     Y = uniform_disk(rng, 200, 0.6)
-    W = winding_matrix(FAST_TRACKED, xs, Y)
-    exact = winding_matrix(FAST, xs, Y)
+    W = pair_windings(FAST_TRACKED, xs[:, None], Y[None, :])
+    exact = pair_windings(FAST, xs[:, None], Y[None, :])
     for x, row, exact_row in zip(xs, W, exact):
         copies = np.broadcast_to(x, Y.shape)
         w, depth = _pair_track(FAST_TRACKED, x, Y)
@@ -191,6 +197,30 @@ def test_shared_reference_point_equals_its_broadcast_copies():
         assert np.array_equal(row, w)
         assert np.max(np.abs(pair_windings(FAST, x, Y) - exact_row)) < 1e-12
         assert np.max(np.abs(pair_windings(FAST, copies, Y) - exact_row)) < 1e-12
+
+
+def test_cross_matrix_evaluates_each_point_once_per_grid_time(monkeypatch):
+    # n + m points per grid time, not n * m; the bisections evaluate what
+    # they evaluate for the same pairs written out
+    sizes = []
+    evaluate = ConjugatedRotation.eval
+
+    def counted(self, t, pts):
+        sizes.append((np.ndim(t), len(pts)))
+        return evaluate(self, t, pts)
+
+    monkeypatch.setattr(ConjugatedRotation, "eval", counted)
+    rng = np.random.default_rng(8)
+    xs, ys = uniform_disk(rng, 6, 0.6), uniform_disk(rng, 7, 0.6)
+    _, depth = _pair_track(FAST_TRACKED, xs[:, None], ys[None, :])
+    assert depth.max() > 0
+    grid = [n for ndim, n in sizes if ndim == 0]
+    assert sorted(set(grid)) == [6, 7] and len(grid) == 2 * 65
+    bisections = [n for ndim, n in sizes if ndim]
+    sizes.clear()
+    i, j = np.meshgrid(np.arange(6), np.arange(7), indexing="ij")
+    _pair_track(FAST_TRACKED, xs[i.ravel()], ys[j.ravel()])
+    assert [n for ndim, n in sizes if ndim] == bisections
 
 
 @pytest.mark.parametrize("steps", [64, 256])
@@ -349,16 +379,19 @@ def test_track_grid_times_nest_exactly():
 
 def test_orbit_track_pair_windings_equal_iterated_pair_windings():
     X, Y = _pairs(np.random.default_rng(12), 60, radius=0.6)
-    trk = OrbitTrack(FAST, np.concatenate([X, Y]), 3)
-    per_iterate = trk.pair_windings()
+    # the closed form, as pair_windings_iterated gives it
+    exact = OrbitTrack(FAST, np.concatenate([X, Y]), 3).pair_windings()
+    assert np.array_equal(exact, pair_windings_iterated(FAST, X, Y, 3))
+    # tracked on the iterates' grids, as pair_windings tracks each iterate
+    per_iterate = OrbitTrack(FAST_TRACKED, np.concatenate([X, Y]), 3).pair_windings()
     for k in range(3):
-        turn, depth = _pair_track(FAST, X, Y)
+        turn, depth = _pair_track(FAST_TRACKED, X, Y)
         assert depth.max() > 0
         assert np.array_equal(per_iterate[k], turn)
-        X, Y = FAST.map(X), FAST.map(Y)
+        X, Y = FAST_TRACKED.map(X), FAST_TRACKED.map(Y)
 
 
-@pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
+@pytest.mark.parametrize("iso", [FAST_TRACKED], ids=["deformed"])
 def test_orbit_track_pair_windings_make_one_trajectory_call_per_bisection_level(iso):
     X, Y = _pairs(np.random.default_rng(12), 60, radius=0.6)
     trk = OrbitTrack(iso, np.concatenate([X, Y]), 3)
