@@ -85,22 +85,24 @@ def _lift_path_slow(d, ds):
     return ks
 
 
-def _lift_path(d, ds):
+def _lift_path(d, ds_at):
     """Vectorized digital-line lift for a path with no even samples.
 
     Crossings are detected as sign flips of d; the even value passed is
     0 or 2 by the along-coordinate comparison at the interpolated
     crossing, and the lift jumps by +-2 accordingly.  Double crossings
-    inside one step cancel and leave every output unchanged.
+    inside one step cancel and leave every output unchanged.  ds_at(rows)
+    gives the along-coordinate differences at the samples rows alone.
     """
     if np.any(np.abs(d) <= TIE_TOL):
-        return _lift_path_slow(d, ds)
+        return _lift_path_slow(d, ds_at(np.arange(len(d))))
     pos = d > 0
     flips = np.nonzero(pos[1:] != pos[:-1])[0]
     inc = np.zeros(len(d), dtype=int)
     if len(flips):
         w = d[flips] / (d[flips] - d[flips + 1])
-        dsx = ds[flips] + w * (ds[flips + 1] - ds[flips])
+        ds0, ds1 = ds_at(np.stack([flips, flips + 1]))
+        dsx = ds0 + w * (ds1 - ds0)
         # from state 1 the passed even value 2 means +2; from state 3 it is 0
         up = np.where(pos[flips], dsx <= 0, dsx > 0)
         inc[flips + 1] = np.where(up, 2, -2)
@@ -145,17 +147,23 @@ def _pair_lifts(track):
     n, T, M = len(track.ang), track.steps, len(track.pts) // 2
     shift = track.shifts(angles_of(track.pts) % TWOPI)
     # pair differences on the iterate grids joined at integer times (row k*T)
-    d, ds = np.empty((2, n * T + 1, M))
+    d = np.empty((n * T + 1, M))
     for k in range(n):
-        l, s = track.ang[k] + shift[k], radii_of(track.pos[k])
-        j = min(k, 1)
+        l, j = track.ang[k] + shift[k], min(k, 1)
         d[k * T + j : (k + 1) * T + 1] = l[j:, M:] - l[j:, :M]
-        ds[k * T + j : (k + 1) * T + 1] = s[j:, M:] - s[j:, :M]
+
+    def gaps(i, rows):
+        # pair i's radius differences at joined rows: row r > 0 is row
+        # r - kT of iterate k = (r - 1) // T, and row 0 that of iterate 0
+        k = np.maximum(rows - 1, 0) // T
+        s = radii_of(track.pos[k[..., None], (rows - k * T)[..., None], [i, M + i]])
+        return s[..., 1] - s[..., 0]
+
     out = []
-    for dj, sj in zip(d.T, ds.T):
+    for i, dj in enumerate(d.T):
         try:
             decks = _contributing_decks(dj)
-            lifts = (_lift_path(dj + TWOPI * k, sj)[::T].copy() for k in decks)
+            lifts = (_lift_path(dj + TWOPI * k, lambda r: gaps(i, r))[::T].copy() for k in decks)
             out.append(dict(zip(decks, lifts)))
         except StepTooCoarse:
             out.append(None)

@@ -8,6 +8,7 @@ hypothesis used elsewhere in the package holds by construction.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -103,7 +104,26 @@ def _tiles(shape, size):
             yield (slice(i, i + 1),) + rest
 
 
-_POTENTIAL_CACHE = {}
+_CELLS = 1 << 15  # cells of the bump-moment table, uniform over xi in [-1, 1]
+
+
+@functools.cache
+def _bump_moments():
+    """The cumulative moments B0(xi) = int_{-1}^xi bump(u) du and B1(xi) =
+    int_{-1}^xi u bump(u) du at the cell edges, each cell integrated by
+    4-node GL before the cumsum: one table for every step.  (2, _CELLS + 2):
+    the last column repeats xi = 1's, where the interpolation reads it."""
+    x4, w4 = np.polynomial.legendre.leggauss(4)
+    moments = np.zeros((2, _CELLS + 2))
+    # 2048 cells at a time: node arrays for all cells at once would add
+    # megabytes to the peak memory
+    for s in range(0, _CELLS, 2048):
+        u = (np.arange(s, s + 2048)[:, None] + 0.5 * (x4 + 1.0)) * (2.0 / _CELLS) - 1.0
+        f = _bump(u)
+        moments[:, s + 1 : s + 2049] = np.stack([f, u * f]) @ w4 / _CELLS
+    np.cumsum(moments, axis=1, out=moments)
+    moments.flags.writeable = False
+    return moments
 
 
 @dataclass(frozen=True)
@@ -157,9 +177,9 @@ class TwistStep:
         S = None
         if gen:
             # outside the window psi = 0, and H is 0 within the inner circle
-            # and scale * amp * cum[-1] beyond the outer one
-            cum = self._bump_cumulative()[1]
-            S = np.where(d2 > self.inner**2, -(scale * self.amp * cum[-1] / np.pi), 0.0)
+            # and its value at xi = 1 beyond the outer one
+            H = self._from_moments(*_bump_moments()[:, -1], scale)
+            S = np.where(d2 > self.inner**2, -(H / np.pi), 0.0)
         if not idx.size:
             return J, S
         x, y = x[idx], y[idx]
@@ -192,30 +212,20 @@ class TwistStep:
         px[idx], py[idx] = rx + cx, ry + cy
         return J, S
 
-    def _bump_cumulative(self):
-        # cumulative integral of bump(xi(r)) r dr over [inner, outer] on a
-        # dense grid, each cell integrated by 4-node GL before the cumsum
-        key = (self.center, self.inner, self.outer)
-        if key not in _POTENTIAL_CACHE:
-            grid = np.linspace(self.inner, self.outer, 32769)
-            x4, w4 = np.polynomial.legendre.leggauss(4)
-            cum = np.zeros(32769)
-            # 2048 cells at a time: node arrays for all 32768 cells at once
-            # would add megabytes to the peak memory of every table built
-            for s in range(0, 32768, 2048):
-                a, b = grid[s : s + 2048], grid[s + 1 : s + 2049]
-                mid = 0.5 * (a + b)
-                half = 0.5 * (b - a)
-                r = mid[:, None] + half[:, None] * x4[None, :]
-                cum[s + 1 : s + 2049] = half * ((_bump(self._xi(r)) * r) @ w4)
-            cum = np.cumsum(cum)
-            _POTENTIAL_CACHE[key] = (grid, cum)
-        return _POTENTIAL_CACHE[key]
-
     def potential(self, rho, scale=1.0):
-        """Hamiltonian H(rho) = integral of the angular speed against r dr."""
-        grid, cum = self._bump_cumulative()
-        return scale * self.amp * np.interp(rho, grid, cum)
+        """Hamiltonian H(rho) = integral of the angular speed against r dr,
+        both bump moments read at one index and fraction of xi clipped to
+        [-1, 1]."""
+        t = (np.minimum(np.maximum(self._xi(rho), -1.0), 1.0) + 1.0) * (0.5 * _CELLS)
+        i = t.astype(np.intp)
+        f = t - i
+        return self._from_moments(*(m[i] + f * (m[i + 1] - m[i]) for m in _bump_moments()), scale)
+
+    def _from_moments(self, b0, b1, scale):
+        """scale * H from the bump moments b0, b1 at xi: as r = mid + half *
+        xi, amp * half * (mid * B0(xi) + half * B1(xi))."""
+        mid, half = 0.5 * (self.inner + self.outer), 0.5 * (self.outer - self.inner)
+        return scale * self.amp * (half * (mid * b0 + half * b1))
 
 # Named Hamiltonians: geometry given for support_radius = 1, scaled at build
 # time.  Each step needs |center| < inner (origin fixed) and
@@ -269,12 +279,8 @@ class ConjugacyMap:
         return cls(steps=steps, repeats=repeats, h_tag=name, support_radius=s)
 
     def _sequence(self, inverse=False):
-        seq = []
-        for _ in range(self.repeats):
-            seq.extend(self.steps)
-        if inverse:
-            seq.reverse()
-        return seq
+        seq = list(self.steps) * self.repeats
+        return seq[::-1] if inverse else seq
 
     def _walk(self, pts, scale, inverse=False, jac=False, gen=False):
         """One pass of the sub-step kernels of g (g^{-1} with inverse) over

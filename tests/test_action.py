@@ -46,12 +46,16 @@ def test_rigid_action_is_the_rotation_number():
 
 
 def test_closed_form_action_matches_path_integrals():
-    auto = ActionField(CONJ)
-    path = ActionField(CONJ, method="path")
+    # twist-b with three sub-steps and a smaller support: a geometry none
+    # of the named defaults builds
+    twist_b = ConjugatedRotation(
+        GOLDEN, ConjugacyMap.from_named("twist-b", repeats=3, support_radius=0.6)
+    )
     pts = uniform_disk(np.random.default_rng(3), 10, 0.95)
-    a_cf = auto.action(pts)
-    a_path = path.action(pts)
-    assert np.max(np.abs(a_cf - a_path)) < 1e-7
+    for iso in (CONJ, twist_b):
+        a_cf = ActionField(iso).action(pts)
+        a_path = ActionField(iso, method="path").action(pts)
+        assert np.max(np.abs(a_cf - a_path)) < 1e-7
 
 
 def test_action_is_anchor_independent():

@@ -52,10 +52,10 @@ def test_lift_path_matches_state_machine():
     t = np.linspace(0.0, 1.0, 2001)
     d = np.sin(3.0 * TWOPI * t) + 0.2
     ds = 0.5 * np.cos(TWOPI * t) - 0.1
-    fast = _lift_path(d, ds)
+    fast = _lift_path(d, ds.__getitem__)
     slow = _lift_path_slow(d, ds)
     assert np.array_equal(fast, slow)
-    assert np.array_equal(_lift_path(-d, ds), _lift_path_slow(-d, ds))
+    assert np.array_equal(_lift_path(-d, ds.__getitem__), _lift_path_slow(-d, ds))
 
 
 def test_lift_path_slow_rejects_unresolved_jumps():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from diskrot.geometry import (
     wrap_to_pi,
 )
 from diskrot.maps import (
+    _CELLS,
     HAMILTONIANS,
     ConjugacyMap,
     ConjugatedRotation,
@@ -25,6 +28,7 @@ from diskrot.maps import (
     TwistStep,
     from_config,
 )
+from diskrot.quadrature import adaptive_segments
 from diskrot.winding import ALL
 
 STEP = TwistStep(center=(0.2, 0.1), amp=1.1, inner=0.3, outer=0.6)
@@ -258,6 +262,66 @@ def test_culled_kernels_match_the_uncropped_formulas_bit_for_bit(g):
         assert np.array_equal(getattr(g, name)(grid), uncropped(g, name, grid))
         for p in pts[::97]:  # single points (2,)
             assert np.array_equal(getattr(g, name)(p, 0.6), uncropped(g, name, p, 0.6))
+
+
+ORACLE_GS = {**{n: _g(n) for n in ("twist-a", "twist-b", "twist-c")}, "twist-b-3": GS["twist-b-3"]}
+ORACLE_STEPS = {f"{n}-{i}": st for n, g in ORACLE_GS.items() for i, st in enumerate(g.steps)}
+
+
+@pytest.mark.parametrize("step", sorted(ORACLE_STEPS))
+def test_potential_is_the_integral_of_the_angular_speed(step):
+    # H(rho) = integral of angle(r) r dr over [inner, rho] against adaptive
+    # Gauss-Legendre integrals: at the table's nodes (the window edges among
+    # them) within 1e-12, and halfway between them within h^2/8 max|(angle r)'|,
+    # the bound of linear interpolation on cells of width h
+    st = ORACLE_STEPS[step]
+    mid, half = 0.5 * (st.inner + st.outer), 0.5 * (st.outer - st.inner)
+    k = np.linspace(0, _CELLS, 100).round()
+    nodes = mid + half * (k / (_CELLS / 2) - 1.0)
+    nodes[[0, -1]] = st.inner, st.outer
+    between = mid + half * ((k[:-1] + 0.5) / (_CELLS / 2) - 1.0)
+    rho = np.sort(np.concatenate([nodes, between]))
+    a, width = rho[:-1], np.diff(rho)
+
+    def speed(s, idx):
+        r = a[idx] + width[idx] * s
+        return width[idx] * st.angle(r) * r
+
+    pieces, _ = adaptive_segments(speed, len(a), 1e-15)
+    err = np.abs(st.potential(rho) - np.concatenate([[0.0], np.cumsum(pieces)]))
+    on_node = np.isin(rho, nodes)
+    assert err[on_node].max() < 1e-12
+    r = np.linspace(st.inner, st.outer, 100001)
+    slope = np.abs(st.dangle(r) * r + st.angle(r)).max()
+    assert err[~on_node].max() < (2 * half / _CELLS) ** 2 / 8 * slope + 1e-12
+    # zero within the inner circle; from the outer one on, the constant S
+    # that the kernel writes beyond its window
+    assert np.all(st.potential(np.array([0.0, 0.5 * st.inner, st.inner])) == 0.0)
+    beyond = st.outer * np.array([1.0, 1.0 + 1e-6, 1.5, 3.0])
+    t = np.linspace(0.0, TWOPI, 4, endpoint=False)
+    px, py = st.center[0] + 2 * st.outer * np.cos(t), st.center[1] + 2 * st.outer * np.sin(t)
+    for scale in (1.0, 0.37, np.array([0.2, 0.5, 1.0, 0.8])):
+        _, S = st._move(px.copy(), py.copy(), scale, gen=True)
+        assert np.array_equal(S, -(st.potential(beyond, scale) / np.pi))
+
+
+def test_step_potentials_share_one_table():
+    # potentials of a new step geometry allocate no table of their own
+    steps = [
+        TwistStep((0.01 * i, -0.02 * i), amp=1.0, inner=0.3 + 0.01 * i, outer=0.6 + 0.005 * i)
+        for i in range(10)
+    ]
+    rho = np.linspace(0.2, 0.7, 100)
+    steps[0].potential(rho)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for st in steps[1:]:
+            st.potential(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 64 * 1024
 
 
 def test_conjugacy_kernels_of_a_batch_equal_one_point_at_a_time():
