@@ -155,10 +155,10 @@ def off_orbit_samples(rng, orbit, count):
 
 def action_winding_gap(field, x, ns, mc_samples, rng):
     """|a_{f^n}(x) - integral of W_{f^n}(x, .) d omega| with its MC error,
-    one row per n in ns.  One Monte Carlo batch drawn from rng is tracked
-    through max(ns) iterates, so every integral is a prefix of the same
-    per-iterate windings; a_{f^n}(x) is the cocycle sum_{k<n} a(f^k x),
-    a prefix of the actions along the same orbit.
+    one row per n in ns.  Every integral averages the cumulative windings
+    under f^n of one Monte Carlo batch drawn from rng
+    (`pair_windings_iterated`); a_{f^n}(x) is the cocycle
+    sum_{k<n} a(f^k x), a prefix of the actions along x's orbit.
 
     The gap obeys a uniform-in-n bound of 8; the check adds a 3-sigma
     Monte Carlo allowance on top.
@@ -167,13 +167,13 @@ def action_winding_gap(field, x, ns, mc_samples, rng):
     x = as_xy(x)
     orbit = iso.orbit(x, max(ns))
     ys = off_orbit_samples(rng, orbit, mc_samples)
-    totals = np.cumsum(pair_windings_iterated(iso, x, ys, max(ns)), axis=0)
+    totals = pair_windings_iterated(iso, x, ys, ns)
     actions = np.cumsum(field.action(orbit))
     rows = []
-    for n in ns:
+    for n, total in zip(ns, totals):
         a_n = float(actions[n - 1])
-        integral = float(totals[n - 1].mean())
-        stderr = float(totals[n - 1].std(ddof=1) / math.sqrt(mc_samples))
+        integral = float(total.mean())
+        stderr = float(total.std(ddof=1) / math.sqrt(mc_samples))
         gap = abs(a_n - integral)
         bound = 8.0 + 3.0 * n * stderr
         rows.append(

@@ -194,7 +194,7 @@ def cmd_winding(args):
     # once for both
     X, Y = pairs[:, :2], pairs[:, 2:]
     w, depth = _pair_track(iso, X, Y)
-    exact = iso.windings_closed_form(X, Y, 1)
+    exact = iso.windings_closed_form(X, Y, (1,))
     if exact is not None:
         w = exact[0]
     header = ["x1", "y1", "x2", "y2", "W", "refinements"]

@@ -225,9 +225,9 @@ def winding_gaps(track, ns):
     v = leaf_lifts(track)[:, :M]
     floors = np.floor(v / TWOPI).astype(int)
     w0 = (v - v[0]) / TWOPI
-    wp = np.vstack([np.zeros(M), np.cumsum(track.pair_windings(), axis=0)])
+    wp = track.pair_windings(ns)
     m = floors[ns] - floors[0]
-    return np.abs(m - w0[ns]), np.abs(lambda_prefixes(track, ns) + m - wp[ns])
+    return np.abs(m - w0[ns]), np.abs(lambda_prefixes(track, ns) + m - wp)
 
 
 def annulus_table(iso, z, zp, n=1):

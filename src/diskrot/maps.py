@@ -487,10 +487,10 @@ class Isotopy:
         where it comes from path integrals."""
         return None
 
-    def windings_closed_form(self, X, Y, n):
-        """Windings (n, ...) of the pairs (f^k X, f^k Y) over each iterate
-        k < n where the family has a closed form; None where the windings
-        must be tracked."""
+    def windings_closed_form(self, X, Y, ns):
+        """Windings (len(ns), ...) of the pairs (X, Y) under f^n, one row
+        per n in ns, in the order given, where the family has a closed
+        form; None where the windings must be tracked."""
         return None
 
     def orbit_windings_closed_form(self, x, y, n):
@@ -616,25 +616,25 @@ class ConjugatedRotation(Isotopy):
         rw = rotate(w, TWOPI * n * self.alpha)
         return n * self.alpha + self.g.generating(rw) - self.g.generating(w)
 
-    def windings_closed_form(self, X, Y, n):
-        """Windings (n, ...) of the pairs (f^k X, f^k Y) over each iterate
-        k < n, without a time grid; None for the deformed variant, whose
-        g_t moves with t.
+    def windings_closed_form(self, X, Y, ns):
+        """Windings (len(ns), ...) of the pairs (X, Y) under f^n, one row
+        per n in ns, without a time grid; None for the deformed variant,
+        whose g_t moves with t.
 
-        The square (s, t) -> g_s R_t w winds zero times around its boundary,
-        and its s = 0 side is the rigid rotation.  So with w = g^{-1}(.) and
-        D the conjugacy's `ramp_winding`,
-        W_k = alpha + D(R^(k+1) w_X, R^(k+1) w_Y) - D(R^k w_X, R^k w_Y):
-        n iterates cost n + 1 evaluations of D and no map call.
+        The square (s, t) -> g_s R_t w, t in [0, n], winds zero times
+        around its boundary, and its s = 0 side is the rigid rotation.  So
+        with w = g^{-1}(.) and D the conjugacy's `ramp_winding`,
+        W_{f^n} = n alpha + D(R^n w_X, R^n w_Y) - D(w_X, w_Y): len(ns) + 1
+        evaluations of D and no map call.
         """
         if self.deform:
             return None
         wx, wy = self.g.inverse(as_xy(X)), self.g.inverse(as_xy(Y))
-        D = [
+        D0, *D = (
             self.g.ramp_winding(rotate(wx, a), rotate(wy, a))
-            for a in self._rotation_angles(range(n + 1))
-        ]
-        return self.alpha + np.diff(D, axis=0)
+            for a in self._rotation_angles((0, *ns))
+        )
+        return np.array([n * self.alpha + (d - D0) for n, d in zip(ns, D)])
 
     def orbit_windings_closed_form(self, x, y, n):
         """W[i, j] = W(f^i x, f^j y), i, j < n, by the square of

@@ -5,19 +5,19 @@
 first ask the isotopy for its closed form (`Isotopy.windings_closed_form`,
 `tangent_windings_closed_form`); only the conjugated family
 f_t = g R_t g^{-1} without `deform` has one, and its windings are exact,
-with no time grid.  Every other angle is unwrapped by one engine, `track`:
-rigid rotations, the deformed variant, plane extensions, `OrbitTrack` (the
-position grids behind lambda, tau and m) and the `refinements` column of
-the `winding` command (the bisection depth of `_pair_track`).  The angle
-of a batch of vectors is sampled on a uniform time grid and continued
-against the previous sample, a block of grid rows at a time: `OrbitTrack`
-evaluates up to BLOCK points of grid rows per trajectory call, a column of
-times, and unwraps them with array operations.  Every tracked result
-carries a no-aliasing check: each unwrapped step moves the angle by less
-than pi/2.  A grid step that fails is bisected for its entry alone, and
-each failing half again, until every sub-step passes (up to a depth cap),
-so a few fast-swinging entries do not force the whole batch onto a finer
-grid.
+with no time grid; iterated windings are the cumulative W_{f^n}, n in ns.
+Every other angle is unwrapped by one engine, `track`: rigid rotations,
+the deformed variant, plane extensions, `OrbitTrack` (the position grids
+behind lambda, tau and m) and the `refinements` column of the `winding`
+command (the bisection depth of `_pair_track`).  The angle of a batch of
+vectors is sampled on a uniform time grid and continued against the
+previous sample, a block of grid rows at a time: `OrbitTrack` evaluates
+up to BLOCK points of grid rows per trajectory call, a column of times,
+and unwraps them with array operations.  Every tracked result carries a
+no-aliasing check: each unwrapped step moves the angle by less than pi/2.
+A grid step that fails is bisected for its entry alone, and each failing
+half again, until every sub-step passes (up to a depth cap), so a few
+fast-swinging entries do not force the whole batch onto a finer grid.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def pair_windings(iso, X, Y):
     """Windings of the pairs of point arrays X and Y broadcast against each
     other under the isotopy; X[:, None] with Y[None, :] gives the cross
     matrix W[i, j] of the pairs (X[i], Y[j])."""
-    w = iso.windings_closed_form(*_separated(X, Y), 1)
+    w = iso.windings_closed_form(*_separated(X, Y), (1,))
     return _pair_track(iso, X, Y)[0] if w is None else w[0]
 
 
@@ -213,23 +213,22 @@ def winding_tangent(iso, base, direction):
     return w if xi.ndim > 1 else w[0]
 
 
-def pair_windings_iterated(iso, X, Y, n):
-    """Windings (n, N) of paired arrays over each of the first n iterates;
-    their cumulative sum over axis 0 gives the windings under the
-    concatenated isotopies.  A single point (2,) stays one point through the
-    iterates.  The closed form checks only the start pairs against
-    MERGE_EPS: it works in g^{-1} coordinates, where R keeps every iterate
-    pair as far apart as the start pair."""
+def pair_windings_iterated(iso, X, Y, ns):
+    """Windings (len(ns), ...) of paired arrays under f^n (n >= 1), one row
+    per n in ns; the tracked route sums each iterate's `pair_windings`.  A
+    single point (2,) stays one point through the iterates.  The closed
+    form checks only the start pairs against MERGE_EPS: it works in g^{-1}
+    coordinates, where R keeps every iterate pair as far apart."""
     X, Y = _separated(X, Y)
-    exact = iso.windings_closed_form(X, Y, n)
+    exact = iso.windings_closed_form(X, Y, ns)
     if exact is not None:
         return exact
     out = []
-    for k in range(n):
+    for k in range(max(ns)):
         if k:
             X, Y = iso.map(X), iso.map(Y)
         out.append(pair_windings(iso, X, Y))
-    return np.array(out)
+    return np.cumsum(out, axis=0)[np.asarray(ns) - 1]
 
 
 class OrbitTrack:
@@ -298,18 +297,18 @@ class OrbitTrack:
             shift[k] = (self.ang[k - 1, -1] + shift[k - 1]) - self.ang[k, 0]
         return shift
 
-    def pair_windings(self):
-        """Windings (n, M) of the entry pairs (i, M + i), M = N/2, over each
-        iterate, equal to `pair_windings` of the iterates' start points:
-        the family's closed form where it has one, else from the iterates'
-        grids, a failing step bisected through the iterate's trajectory."""
+    def pair_windings(self, ns):
+        """`pair_windings_iterated` (len(ns), M) of the entry pairs
+        (i, M + i), M = N/2, n in ns at most the track's iterates: the
+        closed form where the family has one, else the sum of the iterates'
+        grid tracks, a failing step bisected through its trajectory."""
         ent, M = self._ent, len(self._ent) // 2
         start = self.pts
-        exact = self.iso.windings_closed_form(*_separated(start[:M], start[M:]), len(self._at))
+        exact = self.iso.windings_closed_form(*_separated(start[:M], start[M:]), ns)
         if exact is not None:
             return exact
-        out = np.empty((len(self._at), M))
-        for k, (at, P) in enumerate(zip(self._at, self.pos)):
+        out = []
+        for at, P in zip(self._at[: max(ns)], self.pos):
             _separated(start[:M], start[M:])
             blocks = (P[b, M:] - P[b, :M] for b in _row_blocks(len(P), M))
 
@@ -321,6 +320,6 @@ class OrbitTrack:
                 return v[:n] - v[n:]
 
             turn, _ = _track(blocks, vec_at, M, self.steps)
-            out[k] = turn / TWOPI
+            out.append(turn / TWOPI)
             start = P[-1]
-        return out
+        return np.cumsum(out, axis=0)[np.asarray(ns) - 1]

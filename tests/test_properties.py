@@ -76,6 +76,32 @@ def test_exact_windings_are_symmetric_and_match_the_deformed_track(X, Y):
     assert np.max(np.abs(exact - pair_windings(TWIST_A_TRACKED, X, Y))) < 1e-8
 
 
+@FEW
+@given(
+    _disk_points(4),
+    _disk_points(4),
+    st.sampled_from([TWIST_A, CONJ]),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+def test_cumulative_windings_are_additive_along_the_orbit(X, Y, iso, m, n):
+    # W_{f^(m+n)}(X, Y) = W_{f^m}(X, Y) + W_{f^n}(f^m X, f^m Y)
+    assume(np.hypot(*(Y - X).T).min() > 1e-3)
+    w_m, w_mn = pair_windings_iterated(iso, X, Y, (m, m + n))
+    fX, fY = iso.orbit(X, m + 1)[m], iso.orbit(Y, m + 1)[m]
+    (w_n,) = pair_windings_iterated(iso, fX, fY, (n,))
+    assert np.max(np.abs(w_mn - (w_m + w_n))) < 1e-12
+
+
+@FEW
+@given(_disk_points(4), _disk_points(4), st.integers(1, 8))
+def test_tracked_cumulative_windings_match_the_closed_form(X, Y, n):
+    assume(np.hypot(*(Y - X).T).min() > 1e-3)
+    ns = (1, n)
+    exact = pair_windings_iterated(TWIST_A, X, Y, ns)
+    assert np.max(np.abs(pair_windings_iterated(TWIST_A_TRACKED, X, Y, ns) - exact)) < 1e-10
+
+
 def _action_cocycle_defect(a_n, iso, pts, n):
     """|a_{f^n}(x) - sum_{k<n} a(f^k x)|, the largest over pts."""
     summed = ActionField(iso).action(iso.orbit(pts, n)).sum(0)
@@ -114,9 +140,9 @@ def test_batched_pair_values_equal_single_pair_calls(Z, Zp):
     assert np.array_equal(batch["m_seq"], m_seq)
     assert np.array_equal(batch["m_total"], m_total)
     # the closed form, and the tracked grids of a second isotopy
-    exact = OrbitTrack(CONJ, np.concatenate([Z, Zp]), n).pair_windings()
-    assert np.array_equal(exact, pair_windings_iterated(CONJ, Z, Zp, n))
-    windings = OrbitTrack(TWIST_A_TRACKED, np.concatenate([Z, Zp]), n).pair_windings()
+    exact = OrbitTrack(CONJ, np.concatenate([Z, Zp]), n).pair_windings((1, 2))
+    assert np.array_equal(exact, pair_windings_iterated(CONJ, Z, Zp, (1, 2)))
+    windings = OrbitTrack(TWIST_A_TRACKED, np.concatenate([Z, Zp]), n).pair_windings((1, 2))
     for j, (z, zp) in enumerate(zip(Z, Zp)):
         single = annulus_table(CONJ, z, zp, n=n)
         for key, value in single.items():

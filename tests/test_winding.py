@@ -104,10 +104,13 @@ def test_exact_windings_match_the_dense_oracle(name):
     P = np.concatenate([X, xs[i.ravel()], *orbit_x])
     Q = np.concatenate([Y, ys[j.ravel()], *orbit_y])
     dense = _dense_windings(iso, P, Q)
+    # the iterates' pairs summed: the windings under f, ..., f^n
+    k = len(X) + i.size
+    dense[k:] = np.cumsum(dense[k:].reshape(n, -1), axis=0).ravel()
     exact = np.concatenate([
         pair_windings(iso, X, Y),
         pair_windings(iso, xs[:, None], ys[None, :]).ravel(),
-        pair_windings_iterated(iso, Xi, Yi, n).ravel(),
+        pair_windings_iterated(iso, Xi, Yi, range(1, n + 1)).ravel(),
     ])
     assert np.max(np.abs(exact - dense)) < 1e-9
     ang = np.linspace(0.0, TWOPI, 5)[:-1]
@@ -147,9 +150,35 @@ def test_coincident_pair_rejected():
 def test_iterated_winding_telescopes():
     X, Y = _pairs(np.random.default_rng(4), 10, radius=0.9)
     n = 5
-    per_iter = pair_windings_iterated(CONJ, X, Y, n).sum(axis=0)
+    (cumulative,) = pair_windings_iterated(CONJ, X, Y, (n,))
     concat = pair_windings(Concatenation(CONJ, n), X, Y)
-    assert np.max(np.abs(per_iter - concat)) < 1e-8
+    assert np.max(np.abs(cumulative - concat)) < 1e-8
+
+
+def test_closed_form_walks_the_pairs_once_per_n_and_once_at_the_start(monkeypatch):
+    X, Y = _pairs(np.random.default_rng(4), 10, radius=0.9)
+    calls = []
+    ramp_winding = ConjugacyMap.ramp_winding
+
+    def counted(self, P, Q):
+        calls.append(np.shape(P))
+        return ramp_winding(self, P, Q)
+
+    monkeypatch.setattr(ConjugacyMap, "ramp_winding", counted)
+    assert CONJ.windings_closed_form(X, Y, (1, 4, 16)).shape == (3, 10)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("iso", [CONJ, CONJ_TRACKED], ids=["closed-form", "deformed"])
+def test_cumulative_rows_follow_the_order_of_ns(iso):
+    X, Y = _pairs(np.random.default_rng(6), 8, radius=0.9)
+    ns = (4, 1, 4)
+    rows = pair_windings_iterated(iso, X, Y, ns)
+    trk = OrbitTrack(iso, np.concatenate([X, Y]), 4)
+    assert np.array_equal(trk.pair_windings(ns), rows)
+    for n, row in zip(ns, rows):
+        assert np.array_equal(row, pair_windings_iterated(iso, X, Y, (n,))[0])
+        assert np.array_equal(row, trk.pair_windings((n,))[0])
 
 
 def test_winding_matrix_matches_pairwise_values():
@@ -379,16 +408,20 @@ def test_track_grid_times_nest_exactly():
 
 def test_orbit_track_pair_windings_equal_iterated_pair_windings():
     X, Y = _pairs(np.random.default_rng(12), 60, radius=0.6)
+    ns = (1, 2, 3)
     # the closed form, as pair_windings_iterated gives it
-    exact = OrbitTrack(FAST, np.concatenate([X, Y]), 3).pair_windings()
-    assert np.array_equal(exact, pair_windings_iterated(FAST, X, Y, 3))
-    # tracked on the iterates' grids, as pair_windings tracks each iterate
-    per_iterate = OrbitTrack(FAST_TRACKED, np.concatenate([X, Y]), 3).pair_windings()
+    exact = OrbitTrack(FAST, np.concatenate([X, Y]), 3).pair_windings(ns)
+    assert np.array_equal(exact, pair_windings_iterated(FAST, X, Y, ns))
+    # tracked on the iterates' grids and summed, as pair_windings tracks
+    # each iterate
+    cumulative = OrbitTrack(FAST_TRACKED, np.concatenate([X, Y]), 3).pair_windings(ns)
+    turns = []
     for k in range(3):
         turn, depth = _pair_track(FAST_TRACKED, X, Y)
         assert depth.max() > 0
-        assert np.array_equal(per_iterate[k], turn)
+        turns.append(turn)
         X, Y = FAST_TRACKED.map(X), FAST_TRACKED.map(Y)
+    assert np.array_equal(cumulative, np.cumsum(turns, axis=0))
 
 
 @pytest.mark.parametrize("iso", [FAST_TRACKED], ids=["deformed"])
@@ -405,18 +438,20 @@ def test_orbit_track_pair_windings_make_one_trajectory_call_per_bisection_level(
         return at_counted
 
     trk._at = [counted(k, at) for k, at in enumerate(trk._at)]
-    per_iterate = trk.pair_windings()
+    cumulative = trk.pair_windings((1, 2, 3))
+    turns = []
     for k in range(3):
         turn, depth = _pair_track(iso, X, Y)
-        assert np.array_equal(per_iterate[k], turn)
+        turns.append(turn)
         # both sides of the failing pairs in one call per level
         assert len(calls[k]) == depth.max() > 0
         assert all(nt == ni and ni % 2 == 0 for nt, ni in calls[k])
         X, Y = iso.map(X), iso.map(Y)
+    assert np.array_equal(cumulative, np.cumsum(turns, axis=0))
 
 
 def test_orbit_track_rejects_merged_pairs():
     X = np.array([[0.3, 0.1], [0.5, -0.2]])
     trk = OrbitTrack(CONJ, np.concatenate([X, X + [[1e-10, 0.0], [0.1, 0.0]]]), 1)
     with pytest.raises(CoincidentPoints):
-        trk.pair_windings()
+        trk.pair_windings((1,))
