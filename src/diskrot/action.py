@@ -140,11 +140,12 @@ def off_orbit_samples(rng, orbit, count):
     ys = uniform_disk(rng, count)
 
     def near_orbit():
-        d = np.min(
-            np.hypot(ys[:, 0] - orbit[:, None, 0], ys[:, 1] - orbit[:, None, 1]),
-            axis=0,
-        )
-        return d <= 1e-6
+        # a running minimum of squared distances, one orbit point at a time
+        d2 = np.full(len(ys), np.inf)
+        for ox, oy in orbit:
+            dx, dy = ys[:, 0] - ox, ys[:, 1] - oy
+            np.minimum(d2, dx * dx + dy * dy, out=d2)
+        return d2 <= 1e-12
 
     def redraw(bad):
         ys[bad] = uniform_disk(rng, int(bad.sum()))

@@ -27,7 +27,7 @@ from .geometry import GOLDEN, resample, uniform_disk
 from .maps import ConjugatedRotation, PlaneExtension, from_config
 from .report import ReportBundle, write_csv, write_json
 from .verify import run_all
-from .winding import OrbitTrack, _pair_track, pair_windings
+from .winding import _pair_track, pair_windings
 
 DEFAULT_CONFIG = {
     "family": "conjugated",
@@ -306,8 +306,7 @@ def cmd_foliation_check(args):
     t = annulus_table(iso, Z, Zp, n=1)
     ineq21_slack = max(0.0, float(np.max(np.abs(t["lambda_sum"]) - t["tau_bar"])))
 
-    track = OrbitTrack(iso, np.concatenate([Z, Zp]), args.nmax)
-    d_m, d_L = winding_gaps(track, [args.nmax])
+    d_m, d_L = winding_gaps(iso, Z, Zp, [args.nmax])
     prop1_slack, L_worst = float(d_m.max()), float(d_L.max())
 
     ok = ineq21_slack <= 0.0 and prop1_slack <= 1.0 + 1e-9 and L_worst <= 2.0 + 1e-9

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import FoliationNotTransverse, RationalInput
 from .foliation import displacements
 from .geometry import TWOPI, angles_of, resample, uniform_disk
-from .winding import OrbitTrack, pair_windings
+from .winding import pair_windings
 
 _CHUNK = 1 << 15
 
@@ -135,11 +135,9 @@ def rotation_of_measure(iso, samples=100_000, seed=0):
     """
     rng = np.random.default_rng(seed)
     pts = uniform_disk(rng, samples)
-    # one track: windings from its angles, displacements from their lifts
-    track = OrbitTrack(iso, pts, 1)
-    w = (track.ang[0, -1] - track.ang[0, 0]) / TWOPI
-    m_seq, _ = displacements(track)
-    m = m_seq[0].astype(float)
+    # f_t fixes the origin: one winding W(0, z) per point gives both routes
+    (w,), (m,) = displacements(iso, pts, (1,))
+    m = m.astype(float)
     out = {
         "winding_value": float(w.mean()),
         "winding_stderr": float(w.std(ddof=1) / math.sqrt(samples)),

@@ -5,11 +5,14 @@ lifted angle and the along-leaf coordinate its radius.  Pair configurations
 are classified by quarter turns in Z/4Z (0: further out on the same
 lifted leaf, 1: leaf strictly to the left, 2: behind on the same leaf,
 3: leaf strictly to the right), and paths of configurations are lifted
-through the digital-line covering Z -> Z/4Z.  The paths are read off one
-shared orbit track: `pair_table` gives each pair's tau, lambda and
-displacement integers, summed over deck copies, `displacements` those of
-single orbits, and `winding_gaps` their distances from the windings.  All
-are differences of lift values, so the additive constant of the lift cancels.
+through the digital-line covering Z -> Z/4Z.  The paths are read off an
+orbit track of each pair batch: `pair_table` gives each pair's tau and
+lambda integers, summed over deck copies, and `lambda_prefixes` the
+lambda of f^n.  Every isotopy here fixes the origin, so the leaf
+coordinate of f^n z changes by 2 pi W_{f^n}(0, z): `displacements` reads
+the displacement m of integer times off that winding, and `winding_gaps`
+compares m and Lambda = lambda + m with the windings.  All are
+differences of lift values, so the additive constant of the lift cancels.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import SamePoint, StepTooCoarse, TailNotCertified, ZeroPoint
 from .geometry import TWOPI, angles_of, as_xy, radii_of
-from .winding import OrbitTrack
+from .winding import OrbitTrack, pair_windings_iterated
 
 TIE_TOL = 1e-12
 K_MAX = 10
@@ -110,22 +113,12 @@ def _lift_path(d, ds_at):
     return k0 + np.cumsum(inc)
 
 
-def leaf_lifts(track):
-    """Lifted leaf coordinates l(f^k z), k = 0..n, of an orbit track's
-    points, (n+1, N), starting from the principal lift."""
-    shift = track.shifts(angles_of(track.pts) % TWOPI)
-    return np.concatenate([track.ang[:1, 0] + shift[:1], track.ang[:, -1] + shift])
-
-
-def displacements(track):
-    """Per-iterate displacements m(f^i z) of an orbit track's points and
-    their total, (m_seq (n, N), m_total (N,)), from the same lifted leaf
-    values, so sum(m_seq) = m_total exactly (telescoping floors)."""
-    v = leaf_lifts(track)
-    # normalize the starting lift into the fundamental sector [0, 2pi)
-    v = v - TWOPI * np.floor(v[0] / TWOPI)
-    floors = np.floor(v / TWOPI).astype(int)
-    return floors[1:] - floors[:-1], floors[-1] - floors[0]
+def displacements(iso, Z, ns):
+    """Windings W_{f^n}(0, z) of the points Z (N, 2) about the fixed origin
+    and their displacements m = floor((theta_0 + 2 pi W) / 2 pi), with
+    theta_0 the principal angle in [0, 2 pi), for n in ns: both (len(ns), N)."""
+    w = pair_windings_iterated(iso, np.zeros(2), Z, ns)
+    return w, np.floor((angles_of(Z) % TWOPI + TWOPI * w) / TWOPI).astype(int)
 
 
 def _contributing_decks(d):
@@ -214,20 +207,14 @@ def lambda_prefixes(track, ns):
     return np.array([values(t) for t in tables], dtype=float).T
 
 
-def winding_gaps(track, ns):
+def winding_gaps(iso, Z, Zp, ns):
     """|m - W(0, z)| and |Lambda - W(z, z')| of f^n, n in ns, both
-    (len(ns), M), for the pairs (i, M + i) of an orbit track over Z and Z':
-    m is z's displacement, Lambda = lambda + m.  Refines the track."""
-    M = len(track.pts) // 2
-    ns = list(ns)
-    # W(0, z) is the change of z's lifted angle; the pair windings are read
-    # before the lambda tables refine the track
-    v = leaf_lifts(track)[:, :M]
-    floors = np.floor(v / TWOPI).astype(int)
-    w0 = (v - v[0]) / TWOPI
-    wp = track.pair_windings(ns)
-    m = floors[ns] - floors[0]
-    return np.abs(m - w0[ns]), np.abs(lambda_prefixes(track, ns) + m - wp)
+    (len(ns), M), for the pairs (Z_i, Z'_i): m is z's displacement,
+    Lambda = lambda + m."""
+    w0, m = displacements(iso, Z, ns)
+    wp = pair_windings_iterated(iso, Z, Zp, ns)
+    lam = lambda_prefixes(OrbitTrack(iso, np.concatenate([Z, Zp]), max(ns)), ns)
+    return np.abs(m - w0), np.abs(lam + m - wp)
 
 
 def annulus_table(iso, z, zp, n=1):
@@ -235,20 +222,20 @@ def annulus_table(iso, z, zp, n=1):
     z, zp = as_xy(z), as_xy(zp)
     if radii_of(zp - z).min() <= TIE_TOL:
         raise SamePoint("pair projects to one point")
-    pts = np.concatenate([z.reshape(-1, 2), zp.reshape(-1, 2)])
-    if np.any(radii_of(pts) == 0.0):
+    if np.any(radii_of(z) == 0.0) or np.any(radii_of(zp) == 0.0):
         raise ZeroPoint("the origin has no leaf coordinate")
-    out = pair_table(OrbitTrack(iso, pts, n))
+    out = pair_table(iso, z.reshape(-1, 2), zp.reshape(-1, 2), n)
     return {key: v[..., 0] for key, v in out.items()} if z.ndim == 1 else out
 
 
-def pair_table(track):
-    """Deck-summed lift data of the pairs (i, M + i) of an orbit track over Z
-    and Z': per pair tau_bar, tau_sum, lambda_seq (one value an iterate),
-    lambda_sum and Z's displacements m_seq, m_total.  A pair settles once its
-    lift tables agree at two successive resolutions; refines the track."""
-    n, M = len(track.ang), len(track.pts) // 2
-    m_seq, m_total = displacements(track)
+def pair_table(iso, Z, Zp, n):
+    """Deck-summed lift data of the pairs (Z_i, Z'_i) over n iterates: per
+    pair tau_bar, tau_sum, lambda_seq (one value an iterate), lambda_sum and
+    Z's displacements m_seq, m_total, where m_seq differences the
+    displacements of f^1 .. f^n, so sum(m_seq) = m_total exactly.  A pair
+    settles once its lift tables agree at two successive resolutions."""
+    _, m = displacements(iso, Z, range(1, n + 1))
+    track = OrbitTrack(iso, np.concatenate([Z, Zp]), n)
     tables = _settled_lifts(track, lambda t: {k: v.tobytes() for k, v in t.items()})
     taus = [[int(ks[-1] - ks[0]) for ks in t.values()] for t in tables]
     return {
@@ -258,6 +245,6 @@ def pair_table(track):
             [[_lambda_sum(t, i, i + 1) for t in tables] for i in range(n)], dtype=float
         ),
         "lambda_sum": np.array([_lambda_sum(t, 0, -1) for t in tables], dtype=float),
-        "m_seq": m_seq[:, :M],
-        "m_total": m_total[:M],
+        "m_seq": np.diff(m, axis=0, prepend=0),
+        "m_total": m[-1],
     }

@@ -31,7 +31,7 @@ from .farey import (
 from .foliation import annulus_table, lambda_int, winding_gaps
 from .geometry import GOLDEN, resample, uniform_disk
 from .maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
-from .winding import OrbitTrack, pair_windings
+from .winding import pair_windings
 
 _HAMILTONIANS = ("twist-a", "twist-b", "twist-c")
 
@@ -224,7 +224,7 @@ def criterion_6(seed=0, fast=False):
         32,
     )
 
-    d_m, d_L = winding_gaps(OrbitTrack(iso, np.concatenate([Z, Zp]), ns[-1]), ns)
+    d_m, d_L = winding_gaps(iso, Z, Zp, ns)
     violations = int(np.sum(d_m > 1.0 + 1e-9)) + int(np.sum(d_L > 2.0 + 1e-9))
     return {
         "criterion": 6,

@@ -1,23 +1,24 @@
 """Winding numbers of point pairs along an isotopy, and tangent extensions.
 
 `pair_windings` (whose broadcast point arrays also give cross matrices),
-`pair_windings_iterated`, `OrbitTrack.pair_windings` and `winding_tangent`
-first ask the isotopy for its closed form (`Isotopy.windings_closed_form`,
+`pair_windings_iterated` and `winding_tangent` first ask the isotopy for
+its closed form (`Isotopy.windings_closed_form`,
 `tangent_windings_closed_form`); only the conjugated family
 f_t = g R_t g^{-1} without `deform` has one, and its windings are exact,
-with no time grid; iterated windings are the cumulative W_{f^n}, n in ns.
-Every other angle is unwrapped by one engine, `track`: rigid rotations,
-the deformed variant, plane extensions, `OrbitTrack` (the position grids
-behind lambda, tau and m) and the `refinements` column of the `winding`
-command (the bisection depth of `_pair_track`).  The angle of a batch of
-vectors is sampled on a uniform time grid and continued against the
-previous sample, a block of grid rows at a time: `OrbitTrack` evaluates
-up to BLOCK points of grid rows per trajectory call, a column of times,
-and unwraps them with array operations.  Every tracked result carries a
-no-aliasing check: each unwrapped step moves the angle by less than pi/2.
-A grid step that fails is bisected for its entry alone, and each failing
-half again, until every sub-step passes (up to a depth cap), so a few
-fast-swinging entries do not force the whole batch onto a finer grid.
+with no time grid.  Iterated windings are the cumulative W_{f^n}, n in ns,
+and give every integer-time winding, the origin windings behind m too.
+Every other angle is unwrapped by one engine, `track`: tracked pair
+windings (`_pair_track`, whose bisection depth is the `refinements` column
+of the `winding` command) and `OrbitTrack`, the grids behind the lambda
+and tau lifts.  The angle of a batch of vectors is sampled on a uniform
+time grid and continued against the previous sample, a block of grid rows
+at a time: `OrbitTrack` evaluates up to BLOCK points of grid rows per
+trajectory call, a column of times, and unwraps them with array
+operations.  Every tracked result carries a no-aliasing check: each
+unwrapped step moves the angle by less than pi/2.  A grid step that fails
+is bisected for its entry alone, and each failing half again, until every
+sub-step passes (up to a depth cap), so a few fast-swinging entries do
+not force the whole batch onto a finer grid.
 """
 from __future__ import annotations
 
@@ -215,7 +216,7 @@ def winding_tangent(iso, base, direction):
 
 def pair_windings_iterated(iso, X, Y, ns):
     """Windings (len(ns), ...) of paired arrays under f^n (n >= 1), one row
-    per n in ns; the tracked route sums each iterate's `pair_windings`.  A
+    per n in ns; the tracked route sums each iterate's `_pair_track`.  A
     single point (2,) stays one point through the iterates.  The closed
     form checks only the start pairs against MERGE_EPS: it works in g^{-1}
     coordinates, where R keeps every iterate pair as far apart."""
@@ -227,14 +228,14 @@ def pair_windings_iterated(iso, X, Y, ns):
     for k in range(max(ns)):
         if k:
             X, Y = iso.map(X), iso.map(Y)
-        out.append(pair_windings(iso, X, Y))
+        out.append(_pair_track(iso, X, Y)[0])
     return np.cumsum(out, axis=0)[np.asarray(ns) - 1]
 
 
 class OrbitTrack:
     """Certified tracks of f_t(f^k z), t in [0, 1], k < n, of a batch of
-    points, each iterate on its own uniform grid of T steps: one track that
-    every consumer reads instead of tracking the same orbits again.
+    points, each iterate on its own uniform grid of T steps: the sampled
+    paths that the digital-line lifts of lambda and tau are read from.
 
     pos (n, T+1, N, 2): row 0 is iterate k's own start sample f_0(f^k z),
     row T is f^(k+1) z.  ang (n, T+1, N): each iterate's unwrapped angles
@@ -242,7 +243,6 @@ class OrbitTrack:
     """
 
     def __init__(self, iso, pts, n, steps=INIT_STEPS):
-        self.iso = iso
         self.pts = as_xy(pts)
         self._at = []
         self._alloc(n, steps, np.arange(len(self.pts)))
@@ -296,30 +296,3 @@ class OrbitTrack:
         for k in range(1, len(shift)):
             shift[k] = (self.ang[k - 1, -1] + shift[k - 1]) - self.ang[k, 0]
         return shift
-
-    def pair_windings(self, ns):
-        """`pair_windings_iterated` (len(ns), M) of the entry pairs
-        (i, M + i), M = N/2, n in ns at most the track's iterates: the
-        closed form where the family has one, else the sum of the iterates'
-        grid tracks, a failing step bisected through its trajectory."""
-        ent, M = self._ent, len(self._ent) // 2
-        start = self.pts
-        exact = self.iso.windings_closed_form(*_separated(start[:M], start[M:]), ns)
-        if exact is not None:
-            return exact
-        out = []
-        for at, P in zip(self._at[: max(ns)], self.pos):
-            _separated(start[:M], start[M:])
-            blocks = (P[b, M:] - P[b, :M] for b in _row_blocks(len(P), M))
-
-            def vec_at(t, idx):
-                # both sides in one trajectory call, split after: the
-                # kernels are elementwise, so the bits are those of two calls
-                n = len(idx)
-                v = at(np.concatenate([t, t]), ent[np.concatenate([M + idx, idx])])
-                return v[:n] - v[n:]
-
-            turn, _ = _track(blocks, vec_at, M, self.steps)
-            out.append(turn / TWOPI)
-            start = P[-1]
-        return np.cumsum(out, axis=0)[np.asarray(ns) - 1]

@@ -18,7 +18,7 @@ from diskrot.farey import (
 from diskrot.foliation import displacements
 from diskrot.geometry import GOLDEN, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
-from diskrot.winding import OrbitTrack, pair_windings
+from diskrot.winding import pair_windings
 
 
 def test_golden_convergents_are_fibonacci_ratios():
@@ -97,15 +97,25 @@ def test_rotation_of_measure_routes_agree():
     assert abs(rot["difference"]) <= 3.0 * rot["combined_stderr"]
 
 
-def test_rotation_of_measure_reads_both_routes_off_one_track():
+def test_rotation_of_measure_reads_both_routes_off_one_winding():
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
     rot = rotation_of_measure(iso, samples=500, seed=3)
     pts = uniform_disk(np.random.default_rng(3), 500)
-    m_seq, _ = displacements(OrbitTrack(iso, pts, 1))
+    _, (m,) = displacements(iso, pts, (1,))
     # f_t fixes the origin, so W(0, z) is the change of z's lifted angle
     w = pair_windings(iso, np.zeros(2), pts)
     assert abs(rot["winding_value"] - float(w.mean())) < 1e-12
-    assert rot["displacement_value"] == float(m_seq[0].astype(float).mean())
+    assert rot["displacement_value"] == float(m.astype(float).mean())
+
+
+def test_rotation_of_measure_of_the_conjugated_family_tracks_nothing(monkeypatch):
+    def untracked(self, pts):
+        raise AssertionError("trajectory called")
+
+    monkeypatch.setattr(ConjugatedRotation, "trajectory", untracked)
+    iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
+    rot = rotation_of_measure(iso, samples=500, seed=3)
+    assert abs(rot["difference"]) <= 3.0 * rot["combined_stderr"]
 
 
 def test_product_integral_estimates_the_rotation():

@@ -7,20 +7,25 @@ import math
 import numpy as np
 import pytest
 
-from diskrot.errors import SamePoint, StepTooCoarse, ZeroPoint
+from diskrot.errors import CoincidentPoints, SamePoint, StepTooCoarse, ZeroPoint
 from diskrot.foliation import (
     _lift_path,
     _lift_path_slow,
     annulus_table,
     displacements,
     lambda_int,
+    winding_gaps,
 )
-from diskrot.geometry import GOLDEN, TWOPI, uniform_disk
-from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation
-from diskrot.winding import OrbitTrack, pair_windings_iterated
+from diskrot.geometry import GOLDEN, TWOPI, angles_of, uniform_disk
+from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation, TwistStep
+from diskrot.winding import _pair_track, pair_windings_iterated
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
+# a strong twist: points in its annulus swing through many turns per unit time
+FAST = ConjugatedRotation(
+    GOLDEN, ConjugacyMap((TwistStep((0.2, 0.08), 20.0, 0.25, 0.5),), repeats=1)
+)
 
 
 def _lambda_oracle(k, l):
@@ -69,7 +74,7 @@ def test_rigid_displacement_matches_floor_formula():
     thetas = np.array([0.1, 1.5, 3.0, 4.4, 6.1])
     pts = 0.6 * np.column_stack([np.cos(thetas), np.sin(thetas)])
     for n in (1, 3, 7):
-        _, m = displacements(OrbitTrack(RIGID, pts, n))
+        _, (m,) = displacements(RIGID, pts, (n,))
         want = np.floor((thetas % TWOPI + TWOPI * n * GOLDEN) / TWOPI).astype(int)
         assert np.array_equal(m, want)
 
@@ -78,9 +83,41 @@ def test_displacement_birkhoff_identity():
     rng = np.random.default_rng(0)
     pts = uniform_disk(rng, 20, 0.9)
     pts = pts[np.hypot(*pts.T) > 0.05]
-    m_seq, m_total = displacements(OrbitTrack(CONJ, pts, 8))
+    t = annulus_table(CONJ, pts, -pts, n=8)
+    m_seq, m_total = t["m_seq"], t["m_total"]
     assert np.array_equal(m_seq.sum(axis=0), m_total)
     assert m_total.dtype.kind == "i"
+    # each iterate's m is the displacement of f at that orbit point
+    for k, orbit_pts in enumerate(CONJ.orbit(pts, 8)):
+        assert np.array_equal(displacements(CONJ, orbit_pts, (1,))[1][0], m_seq[k])
+
+
+def test_fast_twist_displacements_match_a_fine_track():
+    # a 64-step track of the origin windings is whole turns off here
+    pts = uniform_disk(np.random.default_rng(0), 400, 0.95)
+    pts = pts[np.hypot(*pts.T) > 0.05]
+    (w,), (m,) = displacements(FAST, pts, (1,))
+    fine, _ = _pair_track(FAST, np.zeros(2), pts, init_steps=4096)
+    assert np.max(np.abs(w - fine)) < 1e-9
+    assert np.array_equal(m, np.floor((angles_of(pts) % TWOPI + TWOPI * fine) / TWOPI))
+
+
+def test_deformed_displacements_equal_the_closed_form():
+    # two isotopies of one map wind alike at integer times
+    deformed = ConjugatedRotation(GOLDEN, CONJ.g, deform=True)
+    pts = uniform_disk(np.random.default_rng(4), 200, 0.9)
+    pts = pts[np.hypot(*pts.T) > 0.05]
+    ns = (1, 2, 4)
+    w, m = displacements(deformed, pts, ns)
+    w_exact, m_exact = displacements(CONJ, pts, ns)
+    assert np.max(np.abs(w - w_exact)) < 1e-10
+    assert np.array_equal(m, m_exact)
+
+
+def test_winding_gaps_reject_merged_pairs():
+    X = np.array([[0.3, 0.1], [0.5, -0.2]])
+    with pytest.raises(CoincidentPoints):
+        winding_gaps(CONJ, X, X + [[1e-10, 0.0], [0.1, 0.0]], (1,))
 
 
 def test_displacement_rejects_the_origin():

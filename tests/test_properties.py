@@ -12,7 +12,7 @@ from diskrot.action import PATH_TOL, ActionField
 from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension
-from diskrot.winding import OrbitTrack, _pair_track, pair_windings, pair_windings_iterated
+from diskrot.winding import _pair_track, pair_windings, pair_windings_iterated
 from test_maps import ONE, Concatenation, uncropped
 
 G = ConjugacyMap.from_named("twist-b")
@@ -136,17 +136,17 @@ def test_batched_pair_values_equal_single_pair_calls(Z, Zp):
     assume(np.hypot(*(Zp - Z).T).min() > 1e-2)
     n = 2
     batch = annulus_table(CONJ, Z, Zp, n=n)
-    m_seq, m_total = displacements(OrbitTrack(CONJ, Z, n))
-    assert np.array_equal(batch["m_seq"], m_seq)
-    assert np.array_equal(batch["m_total"], m_total)
-    # the closed form, and the tracked grids of a second isotopy
-    exact = OrbitTrack(CONJ, np.concatenate([Z, Zp]), n).pair_windings((1, 2))
-    assert np.array_equal(exact, pair_windings_iterated(CONJ, Z, Zp, (1, 2)))
-    windings = OrbitTrack(TWIST_A_TRACKED, np.concatenate([Z, Zp]), n).pair_windings((1, 2))
+    w0, m = displacements(CONJ, Z, (1, 2))
+    assert np.array_equal(batch["m_seq"], np.diff(m, axis=0, prepend=0))
+    assert np.array_equal(batch["m_total"], m[-1])
+    # the closed form, and the tracked fallback of a second isotopy
+    exact = pair_windings_iterated(CONJ, Z, Zp, (1, 2))
+    windings = pair_windings_iterated(TWIST_A_TRACKED, Z, Zp, (1, 2))
     for j, (z, zp) in enumerate(zip(Z, Zp)):
         single = annulus_table(CONJ, z, zp, n=n)
         for key, value in single.items():
             assert np.array_equal(batch[key][..., j], value), key
-        m_seq_j, m_total_j = displacements(OrbitTrack(CONJ, z[None], n))
-        assert np.array_equal(m_seq_j[:, 0], m_seq[:, j]) and m_total_j[0] == m_total[j]
+        w0_j, m_j = displacements(CONJ, z[None], (1, 2))
+        assert np.array_equal(w0_j[:, 0], w0[:, j]) and np.array_equal(m_j[:, 0], m[:, j])
+        assert np.array_equal(pair_windings_iterated(CONJ, z, zp, (1, 2)), exact[:, j])
         assert windings[0, j] == _pair_track(TWIST_A_TRACKED, z[None], zp[None])[0][0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diskrot.errors import CoincidentPoints, RefinementExhausted, SingularJacobian
+from diskrot.foliation import displacements
 from diskrot.geometry import GOLDEN, TWOPI, uniform_disk, wrap_to_pi
 from diskrot.maps import (
     ConjugacyMap,
@@ -174,11 +175,11 @@ def test_cumulative_rows_follow_the_order_of_ns(iso):
     X, Y = _pairs(np.random.default_rng(6), 8, radius=0.9)
     ns = (4, 1, 4)
     rows = pair_windings_iterated(iso, X, Y, ns)
-    trk = OrbitTrack(iso, np.concatenate([X, Y]), 4)
-    assert np.array_equal(trk.pair_windings(ns), rows)
-    for n, row in zip(ns, rows):
+    w0, m = displacements(iso, X, ns)
+    for n, row, w0_row, m_row in zip(ns, rows, w0, m):
         assert np.array_equal(row, pair_windings_iterated(iso, X, Y, (n,))[0])
-        assert np.array_equal(row, trk.pair_windings((n,))[0])
+        w0_n, m_n = displacements(iso, X, (n,))
+        assert np.array_equal(w0_row, w0_n[0]) and np.array_equal(m_row, m_n[0])
 
 
 def test_winding_matrix_matches_pairwise_values():
@@ -406,15 +407,19 @@ def test_track_grid_times_nest_exactly():
         assert np.array_equal(fine[::2], np.linspace(0.0, 1.0, steps + 1))
 
 
-def test_orbit_track_pair_windings_equal_iterated_pair_windings():
+def test_tracked_iterated_windings_sum_each_iterates_pair_track(monkeypatch):
     X, Y = _pairs(np.random.default_rng(12), 60, radius=0.6)
-    ns = (1, 2, 3)
-    # the closed form, as pair_windings_iterated gives it
-    exact = OrbitTrack(FAST, np.concatenate([X, Y]), 3).pair_windings(ns)
-    assert np.array_equal(exact, pair_windings_iterated(FAST, X, Y, ns))
-    # tracked on the iterates' grids and summed, as pair_windings tracks
-    # each iterate
-    cumulative = OrbitTrack(FAST_TRACKED, np.concatenate([X, Y]), 3).pair_windings(ns)
+    asked = []
+    closed_form = ConjugatedRotation.windings_closed_form
+
+    def counted(self, *args):
+        asked.append(1)
+        return closed_form(self, *args)
+
+    monkeypatch.setattr(ConjugatedRotation, "windings_closed_form", counted)
+    cumulative = pair_windings_iterated(FAST_TRACKED, X, Y, (1, 2, 3))
+    # the closed form is asked once, not again on every iterate
+    assert len(asked) == 1
     turns = []
     for k in range(3):
         turn, depth = _pair_track(FAST_TRACKED, X, Y)
@@ -422,36 +427,3 @@ def test_orbit_track_pair_windings_equal_iterated_pair_windings():
         turns.append(turn)
         X, Y = FAST_TRACKED.map(X), FAST_TRACKED.map(Y)
     assert np.array_equal(cumulative, np.cumsum(turns, axis=0))
-
-
-@pytest.mark.parametrize("iso", [FAST_TRACKED], ids=["deformed"])
-def test_orbit_track_pair_windings_make_one_trajectory_call_per_bisection_level(iso):
-    X, Y = _pairs(np.random.default_rng(12), 60, radius=0.6)
-    trk = OrbitTrack(iso, np.concatenate([X, Y]), 3)
-    calls = [[] for _ in trk._at]
-
-    def counted(k, at):
-        def at_counted(t, idx):
-            calls[k].append((len(t), len(idx)))
-            return at(t, idx)
-
-        return at_counted
-
-    trk._at = [counted(k, at) for k, at in enumerate(trk._at)]
-    cumulative = trk.pair_windings((1, 2, 3))
-    turns = []
-    for k in range(3):
-        turn, depth = _pair_track(iso, X, Y)
-        turns.append(turn)
-        # both sides of the failing pairs in one call per level
-        assert len(calls[k]) == depth.max() > 0
-        assert all(nt == ni and ni % 2 == 0 for nt, ni in calls[k])
-        X, Y = iso.map(X), iso.map(Y)
-    assert np.array_equal(cumulative, np.cumsum(turns, axis=0))
-
-
-def test_orbit_track_rejects_merged_pairs():
-    X = np.array([[0.3, 0.1], [0.5, -0.2]])
-    trk = OrbitTrack(CONJ, np.concatenate([X, X + [[1e-10, 0.0], [0.1, 0.0]]]), 1)
-    with pytest.raises(CoincidentPoints):
-        trk.pair_windings((1,))
