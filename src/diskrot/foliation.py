@@ -5,8 +5,9 @@ lifted angle and the along-leaf coordinate its radius.  Pair configurations
 are classified by quarter turns in Z/4Z (0: further out on the same
 lifted leaf, 1: leaf strictly to the left, 2: behind on the same leaf,
 3: leaf strictly to the right), and paths of configurations are lifted
-through the digital-line covering Z -> Z/4Z.  The paths are read off an
-orbit track of each pair batch: `pair_table` gives each pair's tau and
+through the digital-line covering Z -> Z/4Z.  The paths are read off one
+orbit track of each pair batch over t in [0, n], its integer times at
+rows kT: `annulus_table` gives each pair's tau and
 lambda integers, summed over deck copies, and `lambda_prefixes` the
 lambda of f^n.  Every isotopy here fixes the origin, so the leaf
 coordinate of f^n z changes by 2 pi W_{f^n}(0, z): `displacements` reads
@@ -137,19 +138,14 @@ def _pair_lifts(track):
     lifts at the integer times {deck shift: lifts} of the contributing
     decks (the others stay open and contribute zero; the window must fit
     in [-K_MAX, K_MAX]), or None where a tie needs finer steps."""
-    n, T, M = len(track.ang), track.steps, len(track.pts) // 2
-    shift = track.shifts(angles_of(track.pts) % TWOPI)
-    # pair differences on the iterate grids joined at integer times (row k*T)
-    d = np.empty((n * T + 1, M))
-    for k in range(n):
-        l, j = track.ang[k] + shift[k], min(k, 1)
-        d[k * T + j : (k + 1) * T + 1] = l[j:, M:] - l[j:, :M]
+    T, M, ang = track.steps, len(track.pts) // 2, track.ang
+    # each entry's branch at t = 0 is that of its angle in [0, 2 pi)
+    shift = np.round((angles_of(track.pts) % TWOPI - ang[0]) / TWOPI) * TWOPI
+    d = ang[:, M:] - ang[:, :M]
+    d += shift[M:] - shift[:M]
 
     def gaps(i, rows):
-        # pair i's radius differences at joined rows: row r > 0 is row
-        # r - kT of iterate k = (r - 1) // T, and row 0 that of iterate 0
-        k = np.maximum(rows - 1, 0) // T
-        s = radii_of(track.pos[k[..., None], (rows - k * T)[..., None], [i, M + i]])
+        s = radii_of(track.pos[rows[..., None], [i, M + i]])
         return s[..., 1] - s[..., 0]
 
     out = []
@@ -218,27 +214,23 @@ def winding_gaps(iso, Z, Zp, ns):
 
 
 def annulus_table(iso, z, zp, n=1):
-    """`pair_table` of pairs (z_i, z'_i) ((N, 2) or (2,)) over n iterates."""
+    """Deck-summed lift data of the pairs (z_i, z'_i) ((N, 2) or (2,)) over
+    n iterates: per pair tau_bar, tau_sum, lambda_seq (one value an
+    iterate), lambda_sum and z's displacements m_seq, m_total, where m_seq
+    differences the displacements of f^1 .. f^n, so sum(m_seq) = m_total
+    exactly.  A pair settles once its lift tables agree at two successive
+    resolutions."""
     z, zp = as_xy(z), as_xy(zp)
     if radii_of(zp - z).min() <= TIE_TOL:
         raise SamePoint("pair projects to one point")
     if np.any(radii_of(z) == 0.0) or np.any(radii_of(zp) == 0.0):
         raise ZeroPoint("the origin has no leaf coordinate")
-    out = pair_table(iso, z.reshape(-1, 2), zp.reshape(-1, 2), n)
-    return {key: v[..., 0] for key, v in out.items()} if z.ndim == 1 else out
-
-
-def pair_table(iso, Z, Zp, n):
-    """Deck-summed lift data of the pairs (Z_i, Z'_i) over n iterates: per
-    pair tau_bar, tau_sum, lambda_seq (one value an iterate), lambda_sum and
-    Z's displacements m_seq, m_total, where m_seq differences the
-    displacements of f^1 .. f^n, so sum(m_seq) = m_total exactly.  A pair
-    settles once its lift tables agree at two successive resolutions."""
+    Z = z.reshape(-1, 2)
     _, m = displacements(iso, Z, range(1, n + 1))
-    track = OrbitTrack(iso, np.concatenate([Z, Zp]), n)
+    track = OrbitTrack(iso, np.concatenate([Z, zp.reshape(-1, 2)]), n)
     tables = _settled_lifts(track, lambda t: {k: v.tobytes() for k, v in t.items()})
     taus = [[int(ks[-1] - ks[0]) for ks in t.values()] for t in tables]
-    return {
+    out = {
         "tau_bar": np.array([sum(map(abs, ts)) for ts in taus]),
         "tau_sum": np.array([sum(ts) for ts in taus]),
         "lambda_seq": np.array(
@@ -248,3 +240,4 @@ def pair_table(iso, Z, Zp, n):
         "m_seq": np.diff(m, axis=0, prepend=0),
         "m_total": m[-1],
     }
+    return {key: v[..., 0] for key, v in out.items()} if z.ndim == 1 else out

@@ -434,8 +434,11 @@ class Isotopy:
     """A time-parametrized family of area-preserving disk maps.
 
     Subclasses provide eval/jac (and velocity where the action module needs
-    it).  Instances are immutable after construction and all evaluators are
-    pure, so they are freely shareable.
+    it).  eval(t) with t in [0, n] is the isotopy of f^n: n copies of the
+    isotopy of f run one after another, so f_k = f^k at every integer k;
+    jac and velocity are asked for t in [0, 1] only.  Instances are
+    immutable after construction and all evaluators are pure, so they are
+    freely shareable.
     """
 
     boundary_rot = 0.0
@@ -452,7 +455,8 @@ class Isotopy:
         raise NotImplementedError(f"{self.family_tag} has no analytic velocity")
 
     def trajectory(self, pts):
-        """at(t, idx) = f_t(pts[idx]), for tracking a fixed batch over time.
+        """at(t, idx) = f_t(pts[idx]), for tracking a fixed batch over time;
+        t in [0, n] follows the isotopy of f^n, as eval does.
 
         t is a scalar (with idx a slice, usually all entries), one time per
         entry of an index array, or a column of S times (S, 1), which gives
@@ -541,7 +545,9 @@ class ConjugatedRotation(Isotopy):
 
     With deform=True the conjugacy amplitude is also ramped with t
     (g_t R g_t^{-1}), giving a second isotopy of the same map with the same
-    boundary rotation number, used for winding cross-checks.
+    boundary rotation number, used for winding cross-checks.  It is not a
+    flow, so past t = 1 it runs the ramp again over t - k from f^k z,
+    k = floor(t).
     """
 
     def __init__(self, alpha, g, deform=False):
@@ -556,8 +562,15 @@ class ConjugatedRotation(Isotopy):
         return t if self.deform else 1.0
 
     def eval(self, t, pts):
+        pts = as_xy(pts)
+        if self.deform and np.max(t) > 1.0:
+            # f^k z = g R^k g^{-1} z; at k = 0 the point itself, whose bits
+            # g g^{-1} would not keep
+            k = np.floor(t)
+            fk = self.g.forward(rotate(self.g.inverse(pts), TWOPI * k * self.alpha))
+            pts, t = np.where((k > 0)[..., None], fk, pts), t - k
         s = self._scale(t)
-        w = self.g.inverse(as_xy(pts), s)
+        w = self.g.inverse(pts, s)
         w = rotate(w, TWOPI * t * self.alpha)
         return self.g.forward(w, s)
 

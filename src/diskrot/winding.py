@@ -1,24 +1,24 @@
 """Winding numbers of point pairs along an isotopy, and tangent extensions.
 
-`pair_windings` (whose broadcast point arrays also give cross matrices),
-`pair_windings_iterated` and `winding_tangent` first ask the isotopy for
-its closed form (`Isotopy.windings_closed_form`,
+`pair_windings_iterated` (with `pair_windings` its n = 1 row, whose
+broadcast point arrays also give cross matrices) and `winding_tangent`
+first ask the isotopy for its closed form (`Isotopy.windings_closed_form`,
 `tangent_windings_closed_form`); only the conjugated family
 f_t = g R_t g^{-1} without `deform` has one, and its windings are exact,
 with no time grid.  Iterated windings are the cumulative W_{f^n}, n in ns,
 and give every integer-time winding, the origin windings behind m too.
 Every other angle is unwrapped by one engine, `track`: tracked pair
 windings (`_pair_track`, whose bisection depth is the `refinements` column
-of the `winding` command) and `OrbitTrack`, the grids behind the lambda
-and tau lifts.  The angle of a batch of vectors is sampled on a uniform
-time grid and continued against the previous sample, a block of grid rows
-at a time: `OrbitTrack` evaluates up to BLOCK points of grid rows per
-trajectory call, a column of times, and unwraps them with array
-operations.  Every tracked result carries a no-aliasing check: each
-unwrapped step moves the angle by less than pi/2.  A grid step that fails
-is bisected for its entry alone, and each failing half again, until every
-sub-step passes (up to a depth cap), so a few fast-swinging entries do
-not force the whole batch onto a finer grid.
+of the `winding` command) and `OrbitTrack`, the grid of f_t z over
+t in [0, n] behind the lambda and tau lifts.  The angle of a batch of
+vectors is sampled on a uniform time grid and continued against the
+previous sample, a block of grid rows at a time: `OrbitTrack` evaluates
+up to BLOCK points of grid rows per trajectory call, a column of times,
+and unwraps them with array operations.  Every tracked result carries a
+no-aliasing check: each unwrapped step moves the angle by less than pi/2.
+A grid step that fails is bisected for its entry alone, and each failing
+half again, until every sub-step passes (up to a depth cap), so a few
+fast-swinging entries do not force the whole batch onto a finer grid.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def track(vec_at, n, steps):
     deepest bisection of each entry, both (n,).
     """
     times = np.linspace(0.0, 1.0, steps + 1)
-    return _track((vec_at(t, ALL)[None] for t in times), vec_at, n, steps)
+    return _track((vec_at(t, ALL)[None] for t in times), vec_at, n, times)
 
 
 def _row_blocks(rows, width):
@@ -71,15 +71,15 @@ def _row_blocks(rows, width):
     return (slice(lo, lo + per) for lo in range(0, rows, per))
 
 
-def _track(blocks, vec_at, n, steps, grid=False):
-    """`track` of grid vectors given as blocks (B, n, 2) of consecutive rows,
-    from row 0 to row `steps`, so a grid already evaluated is not evaluated
-    again; vec_at serves bisections.  With grid=True returns (theta, depth)
-    instead: the unwrapped angles (steps+1, n) at the grid times."""
-    times = np.linspace(0.0, 1.0, steps + 1)
+def _track(blocks, vec_at, n, times, grid=False):
+    """`track` of the vectors at the grid `times`, given as blocks (B, n, 2)
+    of consecutive rows from the first time to the last, so a grid already
+    evaluated is not evaluated again; vec_at serves bisections.  With
+    grid=True returns (theta, depth) instead: the unwrapped angles
+    (len(times), n) at the grid times."""
     if grid:
         # row 0 holds the start angles, so the cumulative sum unwraps
-        dtheta = np.empty((steps + 1, n))
+        dtheta = np.empty((len(times), n))
     else:
         total = np.zeros(n)
     failed = []
@@ -138,7 +138,7 @@ def _track(blocks, vec_at, n, steps, grid=False):
         else:
             np.add.at(total, ent, sub)
     if grid:
-        return np.cumsum(dtheta, axis=0), depth
+        return np.cumsum(dtheta, axis=0, out=dtheta), depth
     return total, depth
 
 
@@ -185,8 +185,7 @@ def pair_windings(iso, X, Y):
     """Windings of the pairs of point arrays X and Y broadcast against each
     other under the isotopy; X[:, None] with Y[None, :] gives the cross
     matrix W[i, j] of the pairs (X[i], Y[j])."""
-    w = iso.windings_closed_form(*_separated(X, Y), (1,))
-    return _pair_track(iso, X, Y)[0] if w is None else w[0]
+    return pair_windings_iterated(iso, X, Y, (1,))[0]
 
 
 def winding_tangent(iso, base, direction):
@@ -233,48 +232,45 @@ def pair_windings_iterated(iso, X, Y, ns):
 
 
 class OrbitTrack:
-    """Certified tracks of f_t(f^k z), t in [0, 1], k < n, of a batch of
-    points, each iterate on its own uniform grid of T steps: the sampled
-    paths that the digital-line lifts of lambda and tau are read from.
+    """Certified tracks of f_t z, t in [0, n], of a batch of points on one
+    uniform grid of T steps per unit time: the sampled paths that the
+    digital-line lifts of lambda and tau are read from.  T is a power of
+    two, so row kT is time k exactly and holds f^k z.
 
-    pos (n, T+1, N, 2): row 0 is iterate k's own start sample f_0(f^k z),
-    row T is f^(k+1) z.  ang (n, T+1, N): each iterate's unwrapped angles
-    from its own row-0 angle.  depth (N,): each entry's deepest bisection.
+    pos (nT+1, N, 2): the positions.  ang (nT+1, N): the unwrapped angles
+    from each entry's principal start angle.  depth (N,): each entry's
+    deepest bisection.
     """
 
     def __init__(self, iso, pts, n, steps=INIT_STEPS):
         self.pts = as_xy(pts)
-        self._at = []
-        self._alloc(n, steps, np.arange(len(self.pts)))
-        for k in range(n):
-            start = self.pos[k - 1, -1].copy() if k else self.pts
-            self._at.append(iso.trajectory(start))
-            self._track(k, slice(None))
+        self.n = n
+        self._at = iso.trajectory(self.pts)
+        self._alloc(steps, np.arange(len(self.pts)))
+        self._track(slice(None))
 
-    def _alloc(self, n, steps, ent):
-        # ent maps the entries into the batch the trajectories were built for
+    def _alloc(self, steps, ent):
+        # ent maps the entries into the batch the trajectory was built for
         self.steps, self._ent = steps, ent
-        self.pos = np.empty((n, steps + 1, len(ent), 2))
-        self.ang = np.empty((n, steps + 1, len(ent)))
-        self.depth = np.zeros(len(ent), dtype=int)
+        self.pos = np.empty((self.n * steps + 1, len(ent), 2))
+        self.ang = None  # at most one grid of angles alive
 
-    def _track(self, k, rows):
-        """Evaluate iterate k's grid rows `rows` (a slice; pos holds the
-        others already), a column of times per trajectory call, and unwrap
-        the iterate's grid."""
-        at, ent, P = self._at[k], self._ent, self.pos[k]
-        times = np.linspace(0.0, 1.0, self.steps + 1)[rows, None]
-        new = P[rows]
-        for b in _row_blocks(len(times), len(ent)):
-            new[b] = at(times[b], ent)
-        self.ang[k], depth = _track(
+    def _track(self, rows):
+        """Evaluate the grid rows `rows` (a slice; pos holds the others
+        already), a column of times per trajectory call, and unwrap the
+        grid."""
+        at, ent, P = self._at, self._ent, self.pos
+        times = np.linspace(0.0, self.n, len(P))
+        column, new = times[rows, None], P[rows]
+        for b in _row_blocks(len(column), len(ent)):
+            new[b] = at(column[b], ent)
+        self.ang, self.depth = _track(
             (P[b] for b in _row_blocks(len(P), len(ent))),
             lambda t, idx: at(t, ent[idx]),
             len(ent),
-            self.steps,
+            times,
             grid=True,
         )
-        np.maximum(self.depth, depth, out=self.depth)
 
     def refine(self, idx):
         """Keep the entries idx and double their steps, in place.  The even
@@ -282,17 +278,8 @@ class OrbitTrack:
         evaluated, so the result equals a fresh track bit for bit."""
         old = self.pos
         self.pts = self.pts[idx]
-        self._alloc(len(self._at), 2 * self.steps, self._ent[idx])
-        for k in range(len(self._at)):
-            self.pos[k, ::2] = old[k][:, idx]
-            self._track(k, slice(1, None, 2))
-
-    def shifts(self, theta0):
-        """Branch shifts (n, N) continuing the angles across iterates:
-        ang[k] + shifts[k] starts where iterate k-1 ended, and iterate 0
-        is moved onto the branch of theta0 at t = 0."""
-        shift = np.empty((len(self.ang), len(self._ent)))
-        shift[0] = np.round((np.asarray(theta0) - self.ang[0, 0]) / TWOPI) * TWOPI
-        for k in range(1, len(shift)):
-            shift[k] = (self.ang[k - 1, -1] + shift[k - 1]) - self.ang[k, 0]
-        return shift
+        self._alloc(2 * self.steps, self._ent[idx])
+        even = self.pos[::2]
+        for b in _row_blocks(len(old), len(idx)):  # no full-grid temporary
+            even[b] = old[b, idx]
+        self._track(slice(1, None, 2))

@@ -4,6 +4,8 @@ values equal to one-at-a-time values."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from diskrot.action import PATH_TOL, ActionField
 from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
-from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension
+from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
 from diskrot.winding import _pair_track, pair_windings, pair_windings_iterated
 from test_maps import ONE, Concatenation, uncropped
 
@@ -100,6 +102,30 @@ def test_tracked_cumulative_windings_match_the_closed_form(X, Y, n):
     ns = (1, n)
     exact = pair_windings_iterated(TWIST_A, X, Y, ns)
     assert np.max(np.abs(pair_windings_iterated(TWIST_A_TRACKED, X, Y, ns) - exact)) < 1e-10
+
+
+@FEW
+@given(
+    _disk_points(8, r_max=1.2),
+    st.sampled_from(
+        [
+            RigidRotation(GOLDEN),
+            CONJ,
+            TWIST_A_TRACKED,
+            PlaneExtension(GOLDEN, 0.75),
+            PlaneExtension(GOLDEN, 0.9, core=TWIST_A_TRACKED),
+        ]
+    ),
+    st.integers(1, 8),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+)
+def test_isotopy_over_0_n_is_the_isotopy_of_f_n(pts, iso, n, u, per_entry):
+    # eval(t), t in [0, n], runs n copies of the isotopy of f one after
+    # another: the flows by themselves, the deformed ramp by restarting
+    concat = Concatenation(iso, n)
+    for t in (u * n, np.array(per_entry) * n, float(n), float(math.ceil(u * n))):
+        assert np.max(np.abs(iso.eval(t, pts) - concat.eval(t / n, pts))) < 1e-12
 
 
 def _action_cocycle_defect(a_n, iso, pts, n):

@@ -286,11 +286,11 @@ def test_bisected_position_tracks_stay_on_the_requested_grid():
     pts = uniform_disk(np.random.default_rng(9), 50, 0.95)
     _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4)
     assert depth.max() > 0
-    coarse = OrbitTrack(CONJ, pts, 1, 4)
-    assert coarse.pos.shape == (1, 5, 50, 2)
-    fine = OrbitTrack(CONJ, pts, 1, 1024)
-    assert np.array_equal(coarse.pos[0], fine.pos[0][::256])
-    assert np.max(np.abs(coarse.ang[0] - fine.ang[0][::256])) < 1e-9
+    coarse = OrbitTrack(CONJ, pts, 3, 4)
+    assert coarse.pos.shape == (13, 50, 2) and coarse.ang.shape == (13, 50)
+    fine = OrbitTrack(CONJ, pts, 3, 1024)
+    assert np.array_equal(coarse.pos, fine.pos[::256])
+    assert np.max(np.abs(coarse.ang - fine.ang[::256])) < 1e-9
 
 
 def test_discontinuous_vector_exhausts_the_refinement():
@@ -353,28 +353,22 @@ def test_refined_track_equals_a_fresh_track():
 
 
 def _row_by_row(iso, pts, n, steps):
-    """Reference orbit-track grids (pos, ang, depth): one trajectory call and
-    one unwrapped row per grid time."""
-    times = np.linspace(0.0, 1.0, steps + 1)
-    pos, ang, depth = [], [], np.zeros(len(pts), dtype=int)
-    start = pts
-    for _ in range(n):
-        at = iso.trajectory(start)
-        rows = np.stack([at(t, ALL) for t in times])
-        theta, d = _track((r[None] for r in rows), at, len(pts), steps, grid=True)
-        pos.append(rows)
-        ang.append(theta)
-        depth = np.maximum(depth, d)
-        start = rows[-1]
-    return np.array(pos), np.array(ang), depth
+    """Reference orbit track (pos, ang, depth): one grid over [0, n], one
+    trajectory call and one unwrapped row per grid time."""
+    times = np.linspace(0.0, n, n * steps + 1)
+    at = iso.trajectory(pts)
+    pos = np.stack([at(t, ALL) for t in times])
+    ang, depth = _track((r[None] for r in pos), at, len(pts), times, grid=True)
+    return pos, ang, depth
 
 
 @pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
 def test_block_evaluated_orbit_track_equals_row_by_row(iso):
-    # 300 entries make blocks of 27 rows, which divide neither the 65 rows
-    # of 64 steps nor, for the 150 refined entries, 54 into 129 rows
+    # 300 entries make blocks of 27 rows, which divide neither the 129 rows
+    # of 64 steps over two iterates nor, for the 150 refined entries, 54
+    # into 257 rows
     pts = uniform_disk(np.random.default_rng(13), 300, 0.6)
-    assert 65 % (BLOCK // 300) and 129 % (BLOCK // 150)
+    assert 129 % (BLOCK // 300) and 257 % (BLOCK // 150)
     idx = np.arange(0, 300, 2)
     trk = OrbitTrack(iso, pts, 2)
     for kept, steps in ((pts, 64), (pts[idx], 128)):
@@ -396,15 +390,46 @@ def test_orbit_track_evaluates_rows_in_blocks(monkeypatch):
     monkeypatch.setattr(ConjugacyMap, "forward", counted)
     pts = uniform_disk(np.random.default_rng(14), 200, 0.95)
     trk = OrbitTrack(CONJ, pts, 3)
-    # 40 rows of 200 points a call: 65 rows take two calls per iterate
+    # 40 rows of 200 points a call: the 193 rows of three iterates take five
     assert trk.depth.max() == 0
-    assert calls == [(40, 200, 2), (25, 200, 2)] * 3
+    assert calls == [(40, 200, 2)] * 4 + [(33, 200, 2)]
+
+
+@pytest.mark.parametrize("iso", [RIGID, FAST], ids=["rigid", "conjugated"])
+def test_orbit_track_makes_one_trajectory_call_per_batch(monkeypatch, iso):
+    # the generic trajectory and the conjugated family's own
+    calls = []
+    trajectory = type(iso).trajectory
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return trajectory(self, pts)
+
+    monkeypatch.setattr(type(iso), "trajectory", counted)
+    pts = uniform_disk(np.random.default_rng(15), 40, 0.6)
+    trk = OrbitTrack(iso, pts, 5)
+    trk.refine(np.arange(0, 40, 2))
+    assert calls == [40]
+
+
+def test_deformed_orbit_track_meets_the_plain_one_at_integer_times():
+    # floor(t) = k puts the deformed ramp at scale 0 at t = k, where the
+    # track holds f^k z = g R^k g^{-1} z, as the flow's track does
+    pts = uniform_disk(np.random.default_rng(16), 60, 0.95)
+    plain, deformed = OrbitTrack(CONJ, pts, 4), OrbitTrack(CONJ_TRACKED, pts, 4)
+    T = plain.steps
+    for k in range(1, 5):
+        assert np.array_equal(deformed.pos[k * T], plain.pos[k * T])
 
 
 def test_track_grid_times_nest_exactly():
-    for steps in (64, 128, 1024):
-        fine = np.linspace(0.0, 1.0, 2 * steps + 1)
-        assert np.array_equal(fine[::2], np.linspace(0.0, 1.0, steps + 1))
+    # row kT of an orbit track is time k, and refine's even rows are the
+    # coarser grid, bit for bit
+    for n in (1, 3, 32):
+        for steps in (4, 64, 128, 1024):
+            coarse = np.linspace(0.0, n, n * steps + 1)
+            assert np.array_equal(np.linspace(0.0, n, 2 * n * steps + 1)[::2], coarse)
+            assert np.array_equal(coarse[::steps], np.arange(n + 1.0))
 
 
 def test_tracked_iterated_windings_sum_each_iterates_pair_track(monkeypatch):
