@@ -7,9 +7,11 @@ lifted leaf, 1: leaf strictly to the left, 2: behind on the same leaf,
 3: leaf strictly to the right), and paths of configurations are lifted
 through the digital-line covering Z -> Z/4Z.  The paths are read off one
 orbit track of each pair batch over t in [0, n], its integer times at
-rows kT: `annulus_table` gives each pair's tau and
-lambda integers, summed over deck copies, and `lambda_prefixes` the
-lambda of f^n.  Every isotopy here fixes the origin, so the leaf
+rows kT, and `_lift_table` lifts every pair at every deck copy in one
+array pass over that grid: a table of integer lifts (pair, deck, integer
+time).  `annulus_table` gives each pair's tau and lambda integers, summed
+over deck copies, and `lambda_prefixes` the lambda of f^n, as array
+expressions over the table.  Every isotopy here fixes the origin, so the leaf
 coordinate of f^n z changes by 2 pi W_{f^n}(0, z): `displacements` reads
 the displacement m of integer times off that winding, and `winding_gaps`
 compares m and Lambda = lambda + m with the windings.  All are
@@ -17,32 +19,40 @@ differences of lift values, so the additive constant of the lift cancels.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import SamePoint, StepTooCoarse, TailNotCertified, ZeroPoint
 from .geometry import TWOPI, angles_of, as_xy, radii_of
-from .winding import OrbitTrack, pair_windings_iterated
+from .winding import OrbitTrack, _row_blocks, pair_windings_iterated
 
 TIE_TOL = 1e-12
 K_MAX = 10
 MAX_DOUBLINGS = 7
+# turns of slack in the scan for levels of d: a sign flip or a tie of
+# d + 2 pi k in floats lies far closer than this to the level -k turns
+LEVEL_EPS = 1e-9
 
 
 def lambda_int(k, l):
-    """Signed crossing count of 4Z for a digital-line path from k to l.
+    """Signed crossing count of 4Z for digital-line paths from k to l,
+    elementwise over broadcast integer arrays.
 
     Endpoints on 4Z count one half; the value is antisymmetric and
     satisfies the cocycle law lambda(k,l) + lambda(l,m) = lambda(k,m).
     """
-    if k == l:
-        return 0.0
-    a, b = (k, l) if k < l else (l, k)
-    interior = (b - 1) // 4 - a // 4
-    ends = (1 if a % 4 == 0 else 0) + (1 if b % 4 == 0 else 0)
-    val = interior + 0.5 * ends
-    return val if k < l else -val
+    a, b = np.minimum(k, l), np.maximum(k, l)
+    val = (b - 1) // 4 - a // 4 + 0.5 * (a % 4 == 0) + 0.5 * (b % 4 == 0)
+    # + 0.0 makes the -0.0 of a path down without a crossing 0.0
+    return np.where(k < l, val, -val) + 0.0
+
+
+def _crossing_step(d0, d1, ds0, ds1):
+    """Lift step of +-2 across a sign flip of d between two samples: the
+    even value passed is 0 or 2 by the along-coordinate comparison at the
+    interpolated crossing, and from state 1 a passed 2 means +2, from state
+    3 a passed 0."""
+    dsx = ds0 + d0 / (d0 - d1) * (ds1 - ds0)
+    return np.where(np.where(d0 > 0, dsx <= 0, dsx > 0), 2, -2)
 
 
 def _lift_path_slow(d, ds):
@@ -78,40 +88,11 @@ def _lift_path_slow(d, ds):
         elif cur_even:
             e = even_val(ds[t])
             k = k + 1 if (k + 1) % 4 == e else k - 1
-        else:
-            if odd_val(d[t]) != k % 4:
-                w = d[t - 1] / (d[t - 1] - d[t])
-                dsx = ds[t - 1] + w * (ds[t] - ds[t - 1])
-                e = even_val(dsx)
-                k = k + 2 if (k + 1) % 4 == e else k - 2
+        elif odd_val(d[t]) != k % 4:
+            k += int(_crossing_step(d[t - 1], d[t], ds[t - 1], ds[t]))
         state_even = cur_even
         ks[t] = k
     return ks
-
-
-def _lift_path(d, ds_at):
-    """Vectorized digital-line lift for a path with no even samples.
-
-    Crossings are detected as sign flips of d; the even value passed is
-    0 or 2 by the along-coordinate comparison at the interpolated
-    crossing, and the lift jumps by +-2 accordingly.  Double crossings
-    inside one step cancel and leave every output unchanged.  ds_at(rows)
-    gives the along-coordinate differences at the samples rows alone.
-    """
-    if np.any(np.abs(d) <= TIE_TOL):
-        return _lift_path_slow(d, ds_at(np.arange(len(d))))
-    pos = d > 0
-    flips = np.nonzero(pos[1:] != pos[:-1])[0]
-    inc = np.zeros(len(d), dtype=int)
-    if len(flips):
-        w = d[flips] / (d[flips] - d[flips + 1])
-        ds0, ds1 = ds_at(np.stack([flips, flips + 1]))
-        dsx = ds0 + w * (ds1 - ds0)
-        # from state 1 the passed even value 2 means +2; from state 3 it is 0
-        up = np.where(pos[flips], dsx <= 0, dsx > 0)
-        inc[flips + 1] = np.where(up, 2, -2)
-    k0 = 1 if pos[0] else 3
-    return k0 + np.cumsum(inc)
 
 
 def displacements(iso, Z, ns):
@@ -122,73 +103,98 @@ def displacements(iso, Z, ns):
     return w, np.floor((angles_of(Z) % TWOPI + TWOPI * w) / TWOPI).astype(int)
 
 
-def _contributing_decks(d):
-    """Deck shifts k for which d + 2 pi k can change sign along the path."""
-    lo = int(math.floor(-d.max() / TWOPI))
-    hi = int(math.ceil(-d.min() / TWOPI))
-    if lo < -K_MAX or hi > K_MAX:
-        raise TailNotCertified(
-            f"contributing deck shifts [{lo}, {hi}] exceed K_MAX={K_MAX}"
-        )
-    return range(lo, hi + 1)
-
-
-def _pair_lifts(track):
-    """Per pair (i, M + i) of an orbit track over Z and Z', the digital-line
-    lifts at the integer times {deck shift: lifts} of the contributing
-    decks (the others stay open and contribute zero; the window must fit
-    in [-K_MAX, K_MAX]), or None where a tie needs finer steps."""
-    T, M, ang = track.steps, len(track.pts) // 2, track.ang
+def _lift_table(track):
+    """Digital-line lifts of the pairs (i, M + i) of an orbit track over Z
+    and Z' in one array pass over its grid: (L, win, ok).  L (M, 2 K_MAX + 1,
+    n + 1) holds the lift of d + 2 pi k, d the pairs' leaf-coordinate
+    difference, at every deck shift |k| <= K_MAX and integer time; win (M, 2)
+    is each pair's window [lo, hi] of decks whose d + 2 pi k can change sign
+    (the others are 2 pi clear of d and keep their lift); ok (M,) is False
+    where a tie needs finer steps.  Sign flips are tested only at the grid
+    steps within LEVEL_EPS turns of a level of d, found a block of rows at a
+    time; decks with a tie (|d + 2 pi k| <= TIE_TOL) take the state machine.
+    """
+    K, T, M, ang, pos = K_MAX, track.steps, len(track.pts) // 2, track.ang, track.pos
     # each entry's branch at t = 0 is that of its angle in [0, 2 pi)
     shift = np.round((angles_of(track.pts) % TWOPI - ang[0]) / TWOPI) * TWOPI
-    d = ang[:, M:] - ang[:, :M]
-    d += shift[M:] - shift[:M]
+    off = shift[M:] - shift[:M]
+    top, low = np.full(M, -np.inf), np.full(M, np.inf)
+    steps, ties = [], set()
+    for b in _row_blocks(len(ang), M):
+        # one row past the block, for the step into the next block
+        d = ang[b.start : b.stop + 1, M:] - ang[b.start : b.stop + 1, :M] + off
+        np.maximum(top, d.max(axis=0), out=top)
+        np.minimum(low, d.min(axis=0), out=low)
+        under, over = np.floor(d / TWOPI - LEVEL_EPS), np.floor(d / TWOPI + LEVEL_EPS)
+        r, i = np.nonzero(np.abs(d - TWOPI * over) <= TIE_TOL)
+        ties.update(zip(i.tolist(), (-over[r, i]).astype(int).tolist()))
+        r, i = np.nonzero(np.minimum(under[:-1], under[1:]) != np.maximum(over[:-1], over[1:]))
+        steps.append((b.start + r, i))
 
-    def gaps(i, rows):
-        s = radii_of(track.pos[rows[..., None], [i, M + i]])
-        return s[..., 1] - s[..., 0]
+    lo, hi = np.floor(-top / TWOPI).astype(int), np.ceil(-low / TWOPI).astype(int)
+    bad = np.flatnonzero((lo < -K) | (hi > K))
+    if len(bad):
+        i = bad[0]
+        raise TailNotCertified(
+            f"pair {i}: contributing deck shifts [{lo[i]}, {hi[i]}] exceed K_MAX={K}"
+        )
 
-    out = []
-    for i, dj in enumerate(d.T):
+    def d_at(rows, i):
+        return ang[rows, M + i] - ang[rows, i] + off[i]
+
+    def gaps(rows, i):
+        return radii_of(pos[rows, M + i]) - radii_of(pos[rows, i])
+
+    # every deck at the steps near a level; a step that bisection made
+    # longer than pi may cross several
+    ks = np.arange(-K, K + 1)
+    r, i = (np.concatenate(c) for c in zip(*steps))
+    d0, d1 = d_at(r, i)[:, None] + TWOPI * ks, d_at(r + 1, i)[:, None] + TWOPI * ks
+    c, k = np.nonzero((d0 > 0) != (d1 > 0))
+    r, i = r[c], i[c]
+    L = np.zeros((M, len(ks), (len(ang) - 1) // T + 1), dtype=int)
+    # the step into row r + 1 shows from the first integer time at or after it
+    step = _crossing_step(d0[c, k], d1[c, k], gaps(r, i), gaps(r + 1, i))
+    np.add.at(L, (i, k, -(-(r + 1) // T)), step)
+    np.cumsum(L, axis=2, out=L)
+    L += np.where(d_at(0, np.arange(M))[:, None] + TWOPI * ks > 0, 1, 3)[..., None]
+
+    ok = np.ones(M, dtype=bool)
+    rows = np.arange(len(ang))
+    for i, k in ties:
         try:
-            decks = _contributing_decks(dj)
-            lifts = (_lift_path(dj + TWOPI * k, lambda r: gaps(i, r))[::T].copy() for k in decks)
-            out.append(dict(zip(decks, lifts)))
+            L[i, k + K] = _lift_path_slow(d_at(rows, i) + TWOPI * k, gaps(rows, i))[::T]
         except StepTooCoarse:
-            out.append(None)
-    return out
+            ok[i] = False
+    return L, np.column_stack([lo, hi]), ok
 
 
 def _settled_lifts(track, report):
-    """`_pair_lifts` of each pair, accepted once report(lifts) agrees
-    between two successive resolutions: pairs near a shared leaf need fine
-    steps to catch every crossing, so the unsettled ones alone are refined
-    in place, MAX_DOUBLINGS times at most."""
-    settled = [None] * (len(track.pts) // 2)
-    prev = list(settled)
-    pending = np.arange(len(settled))
+    """`_lift_table` of the batch, each pair's rows accepted once its key,
+    row i of the (M, ...) report(L, win), agrees between two successive
+    resolutions: pairs near a shared leaf need fine steps to catch every
+    crossing, so the unsettled ones alone are refined in place,
+    MAX_DOUBLINGS times at most."""
+    pending = np.arange(len(track.pts) // 2)
+    seen = np.zeros(len(pending), dtype=bool)
+    prev, done = None, []
     for doubling in range(MAX_DOUBLINGS + 1):
-        still = []
-        lifts_of = _pair_lifts(track)
-        for j, (p, lifts) in enumerate(zip(pending, lifts_of)):
-            key = None if lifts is None else report(lifts)
-            if key is not None and key == prev[p]:
-                settled[p] = lifts
-            else:
-                prev[p] = key
-                still.append(j)
-        if not still:
-            return settled
+        L, win, ok = _lift_table(track)
+        key = report(L, win)
+        if prev is None:
+            prev = np.empty_like(key)
+        same = ok & seen[pending] & np.all(key == prev[pending], axis=1)
+        done.append((pending[same], L[same]))
+        prev[pending], seen[pending] = key, ok
+        still = np.flatnonzero(~same)
+        del L, key  # only the settled rows stay alive while the track refines
+        if not len(still):
+            p, L = (np.concatenate(c) for c in zip(*done))
+            return L[np.argsort(p)]
         if doubling < MAX_DOUBLINGS:
-            still = np.asarray(still)
             track.refine(np.concatenate([still, len(pending) + still]))
             pending = pending[still]
     raise StepTooCoarse(f"lift tables of {len(still)} pairs did not settle")
-
-
-def _lambda_sum(lifts, i, j):
-    """Deck-summed lambda between the integer times i and j."""
-    return sum(lambda_int(int(ks[i]), int(ks[j])) for ks in lifts.values())
 
 
 def lambda_prefixes(track, ns):
@@ -196,11 +202,10 @@ def lambda_prefixes(track, ns):
     pairs (i, M + i) of an orbit track over Z and Z'.  A pair settles once
     these agree between two successive resolutions; refines the track."""
 
-    def values(lifts):
-        return tuple(_lambda_sum(lifts, 0, n) for n in ns)
+    def values(L):
+        return lambda_int(L[..., :1], L[..., ns]).sum(axis=1)
 
-    tables = _settled_lifts(track, values)
-    return np.array([values(t) for t in tables], dtype=float).T
+    return values(_settled_lifts(track, lambda L, win: values(L))).T
 
 
 def winding_gaps(iso, Z, Zp, ns):
@@ -228,15 +233,14 @@ def annulus_table(iso, z, zp, n=1):
     Z = z.reshape(-1, 2)
     _, m = displacements(iso, Z, range(1, n + 1))
     track = OrbitTrack(iso, np.concatenate([Z, zp.reshape(-1, 2)]), n)
-    tables = _settled_lifts(track, lambda t: {k: v.tobytes() for k, v in t.items()})
-    taus = [[int(ks[-1] - ks[0]) for ks in t.values()] for t in tables]
+    # the key is the window with its decks' tables (the others are fixed by it)
+    L = _settled_lifts(track, lambda L, win: np.hstack([win, L.reshape(len(L), -1)]))
+    tau = L[..., -1] - L[..., 0]
     out = {
-        "tau_bar": np.array([sum(map(abs, ts)) for ts in taus]),
-        "tau_sum": np.array([sum(ts) for ts in taus]),
-        "lambda_seq": np.array(
-            [[_lambda_sum(t, i, i + 1) for t in tables] for i in range(n)], dtype=float
-        ),
-        "lambda_sum": np.array([_lambda_sum(t, 0, -1) for t in tables], dtype=float),
+        "tau_bar": np.abs(tau).sum(axis=1),
+        "tau_sum": tau.sum(axis=1),
+        "lambda_seq": lambda_int(L[..., :-1], L[..., 1:]).sum(axis=1).T,
+        "lambda_sum": lambda_int(L[..., 0], L[..., -1]).sum(axis=1),
         "m_seq": np.diff(m, axis=0, prepend=0),
         "m_total": m[-1],
     }

@@ -561,14 +561,17 @@ class ConjugatedRotation(Isotopy):
     def _scale(self, t):
         return t if self.deform else 1.0
 
+    def _restart(self, t, pts):
+        """(t - k, f^k z, k), k = floor(t), where the deformed ramp restarts;
+        at k = 0 the point itself, whose bits g g^{-1} would not keep."""
+        k = np.floor(t)
+        fk = self.g.forward(rotate(self.g.inverse(pts), TWOPI * k * self.alpha))
+        return t - k, np.where((k > 0)[..., None], fk, pts), k
+
     def eval(self, t, pts):
         pts = as_xy(pts)
         if self.deform and np.max(t) > 1.0:
-            # f^k z = g R^k g^{-1} z; at k = 0 the point itself, whose bits
-            # g g^{-1} would not keep
-            k = np.floor(t)
-            fk = self.g.forward(rotate(self.g.inverse(pts), TWOPI * k * self.alpha))
-            pts, t = np.where((k > 0)[..., None], fk, pts), t - k
+            t, pts, _ = self._restart(t, pts)
         s = self._scale(t)
         w = self.g.inverse(pts, s)
         w = rotate(w, TWOPI * t * self.alpha)
@@ -604,7 +607,15 @@ class ConjugatedRotation(Isotopy):
 
     def jac(self, t, pts):
         pts = as_xy(pts)
-        s = self._scale(t)
+        if self.deform and np.max(t) > 1.0:
+            # the chain rule through the restart: J_ramp(t - k, f^k z) Df^k(z)
+            tk, fk, k = self._restart(t, pts)
+            Dk = np.where((k > 0)[..., None, None], self._jac(k, pts, 1.0), np.eye(2))
+            return self._jac(tk, fk, tk) @ Dk
+        return self._jac(t, pts, self._scale(t))
+
+    def _jac(self, t, pts, s):
+        """Jacobian of g_s R_t g_s^{-1}."""
         w, Ji, _ = self.g._walk(pts, s, inverse=True, jac=True)
         R = rotation_matrices(TWOPI * t * self.alpha, shape=pts.shape[:-1])
         w = rotate(w, TWOPI * t * self.alpha)

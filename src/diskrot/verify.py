@@ -296,16 +296,12 @@ def criterion_8(seed=0, fast=False):
 
 def criterion_9(seed=0, fast=False):
     """Lambda-calculus cocycle and exact Birkhoff identities."""
-    span = range(-20, 21)
-    cocycle_ok = True
-    for k in span:
-        lk = {l: lambda_int(k, l) for l in span}
-        for l in span:
-            if lambda_int(l, k) != -lk[l]:
-                cocycle_ok = False
-            for m in (-20, -7, 0, 3, 20):
-                if lk[l] + lambda_int(l, m) != lambda_int(k, m):
-                    cocycle_ok = False
+    span = np.arange(-20, 21)
+    lam = lambda_int(span[:, None], span)  # lam[k, l]
+    m = np.searchsorted(span, (-20, -7, 0, 3, 20))
+    cocycle_ok = bool(
+        np.all(lam.T == -lam) and np.all(lam[:, :, None] + lam[:, m] == lam[:, None, m])
+    )
 
     iso = conjugated_rotation("twist-b")
     rng = np.random.default_rng(seed)

@@ -3,22 +3,26 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from diskrot.errors import CoincidentPoints, SamePoint, StepTooCoarse, ZeroPoint
+from diskrot import foliation
+from diskrot.errors import CoincidentPoints, SamePoint, StepTooCoarse, TailNotCertified, ZeroPoint
 from diskrot.foliation import (
-    _lift_path,
+    K_MAX,
+    TIE_TOL,
     _lift_path_slow,
+    _lift_table,
     annulus_table,
     displacements,
     lambda_int,
     winding_gaps,
 )
-from diskrot.geometry import GOLDEN, TWOPI, angles_of, uniform_disk
+from diskrot.geometry import GOLDEN, TWOPI, angles_of, radii_of, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation, TwistStep
-from diskrot.winding import _pair_track, pair_windings_iterated
+from diskrot.winding import OrbitTrack, _pair_track, pair_windings_iterated
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
@@ -39,9 +43,17 @@ def _lambda_oracle(k, l):
 
 
 def test_lambda_int_against_direct_count():
-    for k in range(-15, 16):
-        for l in range(-15, 16):
+    span = range(-15, 16)
+    for k in span:
+        for l in span:
             assert lambda_int(k, l) == _lambda_oracle(k, l)
+    # broadcast arrays, elementwise
+    table = np.array([[_lambda_oracle(k, l) for l in span] for k in span])
+    ks = np.arange(-15, 16)
+    lam = lambda_int(ks[:, None], ks)
+    assert np.array_equal(lam, table)
+    # no -0.0, which deck sums would carry into the reports
+    assert not np.any(np.signbit(lam[lam == 0.0]))
 
 
 def test_lambda_int_cocycle_and_antisymmetry():
@@ -53,14 +65,82 @@ def test_lambda_int_cocycle_and_antisymmetry():
                 assert lambda_int(k, l) + lambda_int(l, m) == lambda_int(k, m)
 
 
-def test_lift_path_matches_state_machine():
+def _track_of(d, ds, steps):
+    """A stand-in orbit track whose pairs have the leaf-coordinate and
+    along-leaf differences d and ds ((R,) for one pair, (R, M) for M) at
+    its grid rows, `steps` rows per unit time: the first points of the
+    pairs stay at radius 1 on the ray at angle pi."""
+    d, ds = d.reshape(len(d), -1), ds.reshape(len(ds), -1)
+    ang = np.concatenate([np.full(d.shape, np.pi), np.pi + d], axis=1)
+    r = np.concatenate([np.ones(d.shape), 1.0 + ds], axis=1)
+    pos = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    return SimpleNamespace(steps=steps, pts=pos[0], ang=ang, pos=pos)
+
+
+def _reference_lifts(track, i, k):
+    """Pair i's lifts of deck k at the integer times by the state machine."""
+    M = len(track.pts) // 2
+    shift = np.round((angles_of(track.pts) % TWOPI - track.ang[0]) / TWOPI) * TWOPI
+    d = track.ang[:, M + i] - track.ang[:, i] + (shift[M + i] - shift[i])
+    ds = radii_of(track.pos[:, M + i]) - radii_of(track.pos[:, i])
+    return _lift_path_slow(d + TWOPI * k, ds)[:: track.steps]
+
+
+def test_lift_table_matches_state_machine():
     t = np.linspace(0.0, 1.0, 2001)
     d = np.sin(3.0 * TWOPI * t) + 0.2
     ds = 0.5 * np.cos(TWOPI * t) - 0.1
-    fast = _lift_path(d, ds.__getitem__)
-    slow = _lift_path_slow(d, ds)
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(_lift_path(-d, ds.__getitem__), _lift_path_slow(-d, ds))
+    for sign in (1.0, -1.0):
+        track = _track_of(sign * d, ds, 100)
+        L, win, ok = _lift_table(track)
+        assert ok.all() and L.shape == (1, 2 * K_MAX + 1, 21)
+        lo, hi = win[0]
+        assert (lo, hi) == (-1, 1)
+        for k in range(lo, hi + 1):
+            assert np.array_equal(L[0, k + K_MAX], _reference_lifts(track, 0, k))
+        # the decks outside the window never cross
+        assert np.all(L[0, : lo + K_MAX] == 3) and np.all(L[0, hi + K_MAX + 1 :] == 1)
+
+
+def test_lift_table_matches_state_machine_on_the_fast_twist():
+    # grid steps that bisection made longer than pi cross several levels at once
+    rng = np.random.default_rng(1)
+    Z, Zp = uniform_disk(rng, 200, 0.9), uniform_disk(rng, 200, 0.9)
+    track = OrbitTrack(FAST, np.concatenate([Z, Zp]), 3)
+    d = track.ang[:, 200:] - track.ang[:, :200]
+    assert np.any(np.abs(np.diff(np.floor(d / TWOPI), axis=0)) >= 2)
+    L, win, ok = _lift_table(track)
+    assert ok.all()
+    crossings = 0
+    for i, (lo, hi) in enumerate(win):
+        for k in range(lo, hi + 1):
+            ref = _reference_lifts(track, i, k)
+            assert np.array_equal(L[i, k + K_MAX], ref), (i, k)
+            crossings += np.count_nonzero(np.diff(ref))
+    assert crossings > 0
+
+
+def test_lift_table_sends_ties_to_the_state_machine():
+    # pair 0 sits on a leaf coincidence at time 1; pair 1 jumps between the
+    # two even states in one step, which needs finer steps
+    d = np.column_stack([np.linspace(-1.0, 1.0, 9), np.zeros(9)])
+    ds = np.column_stack([np.full(9, 0.3), np.where(np.arange(9) < 4, 0.3, -0.3)])
+    track = _track_of(d, ds, 4)
+    assert np.abs(track.ang[4, 2] - track.ang[4, 0]) <= TIE_TOL
+    L, win, ok = _lift_table(track)
+    assert ok.tolist() == [True, False]
+    assert np.array_equal(L[0, K_MAX], _reference_lifts(track, 0, 0))
+    # the even state at the tie, which no sign flip gives
+    assert L[0, K_MAX, 1] % 2 == 0
+
+
+def test_lift_table_names_the_pair_beyond_k_max(monkeypatch):
+    # pair 1 turns three times round pair 0: its window needs decks -4 .. 0
+    t = np.linspace(0.0, 1.0, 65)
+    d = np.column_stack([np.full(65, 0.1), 3.0 * TWOPI * t + 0.1])
+    monkeypatch.setattr(foliation, "K_MAX", 1)
+    with pytest.raises(TailNotCertified, match=r"pair 1: contributing deck shifts \[-4, 0\]"):
+        _lift_table(_track_of(d, np.full(d.shape, 0.2), 64))
 
 
 def test_lift_path_slow_rejects_unresolved_jumps():

@@ -519,6 +519,23 @@ def test_deformed_isotopy_shares_the_time_one_map():
     assert np.max(np.abs(alt.eval(0.0, pts) - pts)) == 0.0
 
 
+def test_deformed_jacobian_matches_central_differences_past_time_one():
+    # past t = 1 the ramp restarts from f^k z, and the Jacobian follows it
+    alt = ConjugatedRotation(GOLDEN, _g(), deform=True)
+    pts = np.array([[0.4, 0.3], [-0.5, 0.2], [0.1, -0.6]])
+    h = 1e-6
+    for t in (0.5, 1.5, 2.25):
+        fd = np.stack(
+            [(alt.eval(t, pts + h * e) - alt.eval(t, pts - h * e)) / (2 * h) for e in np.eye(2)],
+            axis=-1,
+        )
+        assert np.max(np.abs(alt.jac(t, pts) - fd)) < 1e-6, t
+    # per-entry times on both sides of t = 1 give the single-time values
+    ts = np.array([0.5, 1.5, 2.25])
+    want = np.stack([alt.jac(t, p) for t, p in zip(ts, pts)])
+    assert np.max(np.abs(alt.jac(ts, pts) - want)) < 1e-13
+
+
 def test_closed_form_orbit_starts_with_the_point_and_its_image():
     g = _g()
     iso = ConjugatedRotation(GOLDEN, g)
