@@ -1,8 +1,11 @@
 """Batched adaptive Gauss-Legendre quadrature on [0, 1].
 
-Integrands map a node array (M,) to values (M, ...) so a whole batch of
-line integrals shares one set of nodes.  Accuracy is certified by doubling
-the panel count until successive composite values agree to tolerance.
+`composite_gl` and `adaptive_gl` take integrands that map a node array
+(M,) to values (M, ...), so a whole batch of line integrals shares one set
+of nodes; accuracy is certified by doubling the panel count until
+successive composite values agree to tolerance.  `adaptive_segments` works
+panel by panel: its integrands take a (P, ORDER) block of nodes, one row
+per open panel, and a (P, 1) column naming each row's integrand.
 """
 from __future__ import annotations
 
@@ -38,10 +41,14 @@ def composite_gl(f, panels):
 def adaptive_segments(f, count, tol):
     """Locally adaptive GL over [0, 1] for `count` independent integrands.
 
-    f(ss, idx) evaluates integrand idx[k] at parameter ss[k] (flat arrays of
-    equal length) and returns the flat value array.  Each panel is accepted
-    when the whole-panel rule agrees with its two halves to tol * width, so
-    the per-integrand error sums to at most tol; otherwise it is bisected.
+    f(ss, idx) takes the (P, ORDER) node block ss of the P open panels and
+    the (P, 1) column idx of their integrands, and returns the (P, ORDER)
+    values: row k is integrand idx[k, 0] at the nodes ss[k].  A column
+    broadcasts against the block, so `g[idx]` indexing per-integrand data
+    needs no repeat per node.  Each level makes three calls, one per rule
+    (whole panel, left half, right half).  Each panel is accepted when the
+    whole-panel rule agrees with its two halves to tol * width, so the
+    per-integrand error sums to at most tol; otherwise it is bisected.
     Returns (values, error_estimates), both of shape (count,).
     """
     x, w = np.polynomial.legendre.leggauss(ORDER)
@@ -57,10 +64,12 @@ def adaptive_segments(f, count, tol):
             return total, err_tot
         width = b - a
         mid = a + 0.5 * width
-        ii = np.repeat(idx, ORDER)
-        fw = f((a[:, None] + width[:, None] * u).ravel(), ii).reshape(-1, ORDER)
-        fl = f((a[:, None] + 0.5 * width[:, None] * u).ravel(), ii).reshape(-1, ORDER)
-        fr = f((mid[:, None] + 0.5 * width[:, None] * u).ravel(), ii).reshape(-1, ORDER)
+        # three calls, not one (P, 3 * ORDER) block: the wider block
+        # raises the peak memory of a criterion-1 round
+        col = idx[:, None]
+        fw = f(a[:, None] + width[:, None] * u, col)
+        fl = f(a[:, None] + 0.5 * width[:, None] * u, col)
+        fr = f(mid[:, None] + 0.5 * width[:, None] * u, col)
         whole = width * (fw @ uw)
         halves = 0.5 * width * ((fl + fr) @ uw)
         err = np.abs(whole - halves)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diskrot.action import PATH_TOL, ActionField, action_winding_gap, beta, calabi
-from diskrot.geometry import GOLDEN, as_xy, uniform_disk
+from diskrot.geometry import GOLDEN, TWOPI, as_xy, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
 from test_maps import Concatenation
 
@@ -144,3 +144,35 @@ def test_action_winding_gap_rows_are_prefixes_of_one_pass():
     for n, row in zip(ns, rows):
         (single,) = action_winding_gap(field, x, [n], 500, np.random.default_rng(3))
         assert row == single
+
+
+@pytest.mark.parametrize(
+    "iso",
+    [
+        RigidRotation(GOLDEN),
+        ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-b", repeats=3)),
+        ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"), deform=True),
+        PlaneExtension(GOLDEN, 0.9, core=CONJ),
+    ],
+    ids=["rigid", "twist-b-steps-3", "deformed", "plane-cored"],
+)
+def test_pullback_defect_writes_out_the_jacobian_vector_product(iso):
+    # the path route's call shape: a (P, 16) block of points on P segments
+    # and one (P, 1) direction per segment
+    rng = np.random.default_rng(8)
+    radius = getattr(iso, "domain_radius", 1.0)
+    pts = uniform_disk(rng, 40 * 16, radius).reshape(40, 16, 2)
+    v = rng.standard_normal((40, 1, 2))
+    got = ActionField(iso).pullback_defect(pts, v)
+    assert got.shape == (40, 16)
+    f, J = iso.eval(1.0, pts), iso.jac(1.0, pts)
+    px, py, vx, vy = pts[..., 0], pts[..., 1], v[..., 0], v[..., 1]
+    jx = J[..., 0, 0] * vx + J[..., 0, 1] * vy
+    jy = J[..., 1, 0] * vx + J[..., 1, 1] * vy
+    reference = (f[..., 0] * jy - f[..., 1] * jx) / TWOPI - (px * vy - py * vx) / TWOPI
+    assert np.array_equal(got, reference)
+    # the stacked matmul rounds its sums its own way: 1e-15 relative to
+    # |J v|, whose twist Jacobians reach entries of a few hundred
+    stacked = (J @ np.broadcast_to(v, pts.shape)[..., None])[..., 0]
+    scale = np.maximum(1.0, np.hypot(stacked[..., 0], stacked[..., 1]))
+    assert np.all(np.abs(got - (beta(f, stacked) - beta(pts, v))) <= 1e-15 * scale)

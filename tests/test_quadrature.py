@@ -66,3 +66,36 @@ def test_adaptive_segments_rejects_discontinuities():
 
     with pytest.raises(QuadratureFailure):
         adaptive_segments(f, 1, tol=1e-9)
+
+
+def test_adaptive_segments_integrands_take_panel_blocks():
+    # every level makes three calls, one per rule (whole panel, left half,
+    # right half), each with the (P, ORDER) node block of the P open panels
+    # and their (P, 1) integrand column; a level's P is twice the panels
+    # rejected at the level before, by the accept rule recomputed here
+    centers = np.array([0.137, 0.5, 0.912345, 0.25])
+    a, tol = 1e-4, 1e-9
+    calls = []
+
+    def f(ss, idx):
+        u = ss - centers[idx]
+        vals = a / (a * a + u * u)
+        calls.append((ss, idx, vals))
+        return vals
+
+    adaptive_segments(f, len(centers), tol=tol)
+    assert len(calls) % 3 == 0
+    x, w = np.polynomial.legendre.leggauss(ORDER)
+    u, uw = 0.5 * (x + 1.0), 0.5 * w
+    expected = len(centers)
+    for lvl in range(0, len(calls), 3):
+        (sw, iw, fw), (sl, il, fl), (sr, ir, fr) = calls[lvl : lvl + 3]
+        assert sw.shape == sl.shape == sr.shape == (expected, ORDER)
+        assert iw.shape == (expected, 1)
+        assert np.array_equal(iw, il) and np.array_equal(iw, ir)
+        width = (sw[:, -1] - sw[:, 0]) / (u[-1] - u[0])
+        err = np.abs(width * (fw @ uw) - 0.5 * width * ((fl + fr) @ uw))
+        expected = 2 * int(np.count_nonzero(err > 0.1 * tol * width))
+    # the last level rejects nothing
+    assert expected == 0
+    assert len(calls) > 3
