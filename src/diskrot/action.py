@@ -45,12 +45,6 @@ class ActionField:
         self.iso = iso
         self.method = method
 
-    def _closed_form(self, pts):
-        """Closed-form action when the isotopy provides one; None otherwise."""
-        if self.method != "auto":
-            return None
-        return self.iso.action_closed_form(pts)
-
     def boundary_value(self, thetas):
         """Integral of beta along t -> f_t(x0) for boundary points x0 at thetas."""
         x0 = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -99,7 +93,8 @@ class ActionField:
         """Action values at a batch of points (any shape with trailing 2)."""
         pts = as_xy(pts)
         single = pts.ndim == 1
-        cf = self._closed_form(pts)
+        # the closed form where the isotopy has one, unless the path is asked for
+        cf = self.iso.action_closed_form(pts) if self.method == "auto" else None
         if cf is not None:
             return float(cf) if single else cf
         flat = pts.reshape(-1, 2)

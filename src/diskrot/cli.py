@@ -185,13 +185,12 @@ def cmd_winding(args):
         pairs = np.hstack([uniform_disk(rng, args.pairs, 0.95) for _ in range(2)])
 
     alt = None
-    if args.cross_check and isinstance(iso, ConjugatedRotation) and not iso.deform:
-        alt = ConjugatedRotation(iso.alpha, iso.g, deform=True)
+    if args.cross_check and not iso.deform:
+        alt = ConjugatedRotation(iso.alpha, iso.g, deform=True, beta=iso.beta)
 
-    # W is pair_windings': the closed form where the family has one (the
-    # conjugated family), else the tracked winding; the refinements column
-    # is each pair's bisection depth on the tracked route, which is tracked
-    # once for both
+    # W is pair_windings': the closed form, except for the deformed variant,
+    # whose windings are tracked; the refinements column is each pair's
+    # bisection depth on the tracked route, which is tracked once for both
     X, Y = pairs[:, :2], pairs[:, 2:]
     w, depth = _pair_track(iso, X, Y)
     exact = iso.windings_closed_form(X, Y, (1,))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FoliationNotTransverse, RationalInput
 from .foliation import displacements
-from .geometry import TWOPI, angles_of, resample, uniform_disk
+from .geometry import TWOPI, resample, uniform_disk
 from .winding import pair_windings
 
 _CHUNK = 1 << 15
@@ -82,12 +82,10 @@ def crossing_counts(iso, conv, pts):
 
     A cover point lies in O when it lies strictly left of a lifted leaf
     while its image under f^b o T^(-a) lies weakly to the right.  A disk
-    point's multiplicity is minus the displacement m of f^b o T^(-a), which
-    is m of f^b minus a, under iso, a plane extension without core.
+    point's multiplicity is minus the displacement m of f^b o T^(-a),
+    which is m of f^b minus a; m comes from `foliation.displacements`.
     """
-    theta = angles_of(pts) % TWOPI
-    delta = iso.angle_displacement_exact(pts, conv.b)
-    m = np.floor((theta + delta) / TWOPI).astype(int) - conv.a
+    m = displacements(iso, pts, (conv.b,))[1][0] - conv.a
     if np.any(m > 0):
         bad = int(np.argmax(m))
         raise FoliationNotTransverse(

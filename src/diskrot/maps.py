@@ -1,10 +1,12 @@
 """Exactly area-preserving disk maps and isotopies.
 
-All families are built from maps whose Jacobians are available in closed
-form: rigid rotations, localized twists (exact flows of annular-bump
-Hamiltonians), and radial-profile rotations.  Compositions of these are
-exactly area-preserving up to roundoff, so every invariant-measure
-hypothesis used elsewhere in the package holds by construction.
+Every family is one shape, g o T_p o g^{-1}: a radial twist T_p, which
+turns each point by 2 pi p(r) (a rigid rotation where p is constant),
+conjugated by a composition of localized twists (exact flows of
+annular-bump Hamiltonians) or by the identity.  All of these have
+Jacobians in closed form and are exactly area-preserving up to roundoff,
+so every invariant-measure hypothesis used elsewhere in the package holds
+by construction.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .errors import BadInterval, NearRationalWarning, SchemaError
 from .geometry import (
     GOLDEN,
     TWOPI,
+    angles_of,
     as_xy,
     radii_of,
     rot90,
@@ -438,11 +441,11 @@ class Isotopy:
     isotopy of f run one after another, so f_k = f^k at every integer k;
     jac and velocity are asked for t in [0, 1] only.  Instances are
     immutable after construction and all evaluators are pure, so they are
-    freely shareable.
+    freely shareable.  The closed-form hooks answer None here: actions then
+    come from path integrals, and windings are tracked.
     """
 
     boundary_rot = 0.0
-    family_tag = "abstract"
     domain_radius = 1.0
 
     def eval(self, t, pts):
@@ -452,7 +455,7 @@ class Isotopy:
         raise NotImplementedError
 
     def velocity(self, t, pts):
-        raise NotImplementedError(f"{self.family_tag} has no analytic velocity")
+        raise NotImplementedError(f"{type(self).__name__} has no analytic velocity")
 
     def trajectory(self, pts):
         """at(t, idx) = f_t(pts[idx]), for tracking a fixed batch over time;
@@ -487,100 +490,107 @@ class Isotopy:
         return out
 
     def action_closed_form(self, pts, n=1):
-        """Action of f^n at pts where the family has a closed form; None
-        where it comes from path integrals."""
+        """Action of f^n at pts."""
         return None
 
     def windings_closed_form(self, X, Y, ns):
         """Windings (len(ns), ...) of the pairs (X, Y) under f^n, one row
-        per n in ns, in the order given, where the family has a closed
-        form; None where the windings must be tracked."""
+        per n in ns, in the order given."""
         return None
 
     def orbit_windings_closed_form(self, x, y, n):
-        """Windings W[i, j] of the pairs (f^i x, f^j y), i, j < n, of two
-        points' orbits where the family has a closed form; None where they
-        must be tracked."""
+        """Windings W[i, j] of the pairs (f^i x, f^j y), i, j < n."""
         return None
 
     def tangent_windings_closed_form(self, base, dirs):
-        """Windings of t -> Df_t(base) . dirs where the family has a closed
-        form; None where they must be tracked."""
+        """Windings of t -> Df_t(base) . dirs."""
         return None
-
-    def config(self):
-        return {"family": self.family_tag}
-
-
-class RigidRotation(Isotopy):
-    """f_t = rotation by 2*pi*t*alpha."""
-
-    family_tag = "rigid"
-
-    def __init__(self, alpha):
-        check_irrational(alpha, "alpha")
-        self.alpha = float(alpha)
-        self.boundary_rot = self.alpha
-
-    def eval(self, t, pts):
-        return rotate(as_xy(pts), TWOPI * t * self.alpha)
-
-    def jac(self, t, pts):
-        pts = as_xy(pts)
-        return rotation_matrices(TWOPI * t * self.alpha, shape=pts.shape[:-1])
-
-    def velocity(self, t, pts):
-        return TWOPI * self.alpha * rot90(self.eval(t, pts))
-
-    def action_closed_form(self, pts, n=1):
-        pts = as_xy(pts)
-        return np.full(pts.shape[:-1], n * self.alpha)
-
-    def config(self):
-        return {"family": "rigid", "alpha": self.alpha}
 
 
 class ConjugatedRotation(Isotopy):
-    """f_t = g o R_{2 pi t alpha} o g^{-1} for a compactly supported g.
+    """f_t = g o T_p^t o g^{-1}: the radial twist T_p, which turns each
+    point by 2 pi t p(r), conjugated by a compactly supported g (None for
+    the identity).  p is alpha, or with beta the plane extension's profile
+    alpha + clip(r - 1, 0, beta - alpha) on the disk of radius
+    1 + beta - alpha.  g is supported in r <= support_radius < 1, where
+    p = alpha, so f turns the unit circle rigidly by alpha.  Every
+    closed-form hook answers: the square (s, t) -> g_s T_p^t w splits each
+    quantity into the radial twist's, in closed form, and g's ramp.
 
     With deform=True the conjugacy amplitude is also ramped with t
-    (g_t R g_t^{-1}), giving a second isotopy of the same map with the same
-    boundary rotation number, used for winding cross-checks.  It is not a
-    flow, so past t = 1 it runs the ramp again over t - k from f^k z,
+    (g_t T_p^t g_t^{-1}), a second isotopy of the same map for winding
+    cross-checks, whose windings have no closed form.  It is not a flow,
+    so past t = 1 it runs the ramp again over t - k from f^k z,
     k = floor(t).
     """
 
-    def __init__(self, alpha, g, deform=False):
+    def __init__(self, alpha, g, deform=False, beta=None):
         check_irrational(alpha, "alpha")
-        self.alpha = float(alpha)
-        self.g = g
-        self.deform = bool(deform)
-        self.boundary_rot = self.alpha
-        self.family_tag = "conjugated-deformed" if deform else "conjugated"
+        self.alpha, self.g, self.deform = float(alpha), g, bool(deform)
+        self.boundary_rot, self.beta = self.alpha, None if beta is None else float(beta)
+        if beta is not None:
+            if beta <= alpha:
+                raise BadInterval(f"need beta > alpha, got alpha={alpha}, beta={beta}")
+            if math.floor(beta) > math.floor(alpha):
+                msg = f"(alpha, beta)=({alpha}, {beta}) straddles an integer"
+                warnings.warn(msg, NearRationalWarning, stacklevel=3)
+            self.domain_radius = 1.0 + self.beta - self.alpha
 
-    def _scale(self, t):
-        return t if self.deform else 1.0
+    def _conj(self, pts, s=1.0, inverse=False):
+        """g_s(pts), or g_s^{-1}(pts) with inverse; pts itself for g = None."""
+        if self.g is None:
+            return pts
+        return self.g.inverse(pts, s) if inverse else self.g.forward(pts, s)
+
+    def _unwalk(self, pts, s=1.0, jac=False, gen=False):
+        """g_s^{-1}(pts) with its Jacobian if jac and its primitive if gen,
+        from one walk (`ConjugacyMap._walk`); pts and Nones for g = None."""
+        if self.g is None:
+            return pts, None, None
+        return self.g._walk(pts, s, inverse=True, jac=jac, gen=gen)
+
+    def _band(self, w):
+        """p(|w|) - alpha at the points w: clip(|w| - 1, 0, beta - alpha) on
+        a plane, else the scalar 0."""
+        if self.beta is None:
+            return 0.0
+        return np.clip(radii_of(w) - 1.0, 0.0, self.beta - self.alpha)
+
+    def _turns(self, w, b, ks):
+        """The angles 2 pi k p(|w|) of T_p^k at the points w of bands b,
+        one row per k in ks, with k alpha mod 1 exact in integers."""
+        num, den = self.alpha.as_integer_ratio()
+        col = (-1,) + (1,) * (w.ndim - 1)
+        a = TWOPI * np.array([k * num % den / den for k in ks]).reshape(col)
+        return a if self.beta is None else a + TWOPI * np.reshape(ks, col) * b
+
+    def _power(self, w, b, n):
+        """T_p^n w, for the points w of bands b."""
+        return rotate(w, self._turns(w, b, (n,))[0])
+
+    def _twist(self, w, t):
+        """T_p^t w at a time t, scalar or one per point."""
+        return rotate(w, TWOPI * t * (self.alpha + self._band(w)))
 
     def _restart(self, t, pts):
         """(t - k, f^k z, k), k = floor(t), where the deformed ramp restarts;
         at k = 0 the point itself, whose bits g g^{-1} would not keep."""
         k = np.floor(t)
-        fk = self.g.forward(rotate(self.g.inverse(pts), TWOPI * k * self.alpha))
+        fk = self._conj(self._twist(self._conj(pts, inverse=True), k))
         return t - k, np.where((k > 0)[..., None], fk, pts), k
 
     def eval(self, t, pts):
         pts = as_xy(pts)
         if self.deform and np.max(t) > 1.0:
             t, pts, _ = self._restart(t, pts)
-        s = self._scale(t)
-        w = self.g.inverse(pts, s)
-        w = rotate(w, TWOPI * t * self.alpha)
-        return self.g.forward(w, s)
+        s = t if self.deform else 1.0
+        return self._conj(self._twist(self._conj(pts, s, inverse=True), t), s)
 
     def trajectory(self, pts):
         if self.deform:  # g_t depends on t
             return super().trajectory(pts)
-        w = self.g.inverse(as_xy(pts))
+        w = self._conj(as_xy(pts), inverse=True)
+        p = self.alpha + self._band(w)
 
         def at(t, idx):
             wi = w[idx]
@@ -588,22 +598,17 @@ class ConjugatedRotation(Isotopy):
                 # broadcast here, not in `rotate`: a broadcasting `rotate`
                 # slows the single-point calls of orbit averages
                 wi = np.broadcast_to(wi, (len(t),) + wi.shape)
-            return self.g.forward(rotate(wi, TWOPI * t * self.alpha))
+            return self._conj(rotate(wi, TWOPI * t * (p[idx] if np.ndim(p) else p)))
 
         return at
 
-    def _rotation_angles(self, ks):
-        """Rotation angles of R^k, with k alpha mod 1 exact in integers."""
-        num, den = self.alpha.as_integer_ratio()
-        return TWOPI * np.array([k * num % den / den for k in ks])
-
     def orbit(self, pts, n):
-        """g R^k g^{-1} in one conjugacy pass."""
+        """g T_p^k g^{-1} in one conjugacy pass."""
         pts = as_xy(pts)
-        angle = self._rotation_angles(range(1, n))
-        w = np.broadcast_to(self.g.inverse(pts), (n - 1,) + pts.shape)
-        rw = rotate(w, angle.reshape((-1,) + (1,) * (pts.ndim - 1)))
-        return np.concatenate([pts[None], self.g.forward(rw)])
+        w = self._conj(pts, inverse=True)
+        a = self._turns(w, self._band(w), range(1, n))
+        rw = rotate(np.broadcast_to(w, (n - 1,) + pts.shape), a)
+        return np.concatenate([pts[None], self._conj(rw)])
 
     def jac(self, t, pts):
         pts = as_xy(pts)
@@ -612,178 +617,168 @@ class ConjugatedRotation(Isotopy):
             tk, fk, k = self._restart(t, pts)
             Dk = np.where((k > 0)[..., None, None], self._jac(k, pts, 1.0), np.eye(2))
             return self._jac(tk, fk, tk) @ Dk
-        return self._jac(t, pts, self._scale(t))
+        return self._jac(t, pts, t if self.deform else 1.0)
 
     def _jac(self, t, pts, s):
-        """Jacobian of g_s R_t g_s^{-1}."""
-        w, Ji, _ = self.g._walk(pts, s, inverse=True, jac=True)
-        R = rotation_matrices(TWOPI * t * self.alpha, shape=pts.shape[:-1])
-        w = rotate(w, TWOPI * t * self.alpha)
-        Jf = self.g.jac_forward(w, s)
-        return Jf @ R @ Ji
+        """Jacobian Dg_s DT_p^t Dg_s^{-1} of g_s T_p^t g_s^{-1}, without the
+        conjugacy's factors for g = None."""
+        w, Ji, _ = self._unwalk(pts, s, jac=True)
+        psi = TWOPI * t * (self.alpha + self._band(w))
+        J = rotation_matrices(psi, shape=w.shape[:-1])
+        if self.g is None and self.beta is None:  # a rigid rotation
+            return J
+        tw = rotate(w, psi)
+        if self.beta is not None:
+            # the band's shear (psi'/r) (i T w) outer w, with psi' = 2 pi t
+            r = radii_of(w)
+            k = np.zeros_like(r)
+            np.divide(TWOPI * t * ((r > 1.0) & (r < self.domain_radius)), r, out=k, where=r > 0)
+            J = J + rot90(tw)[..., :, None] * (k[..., None, None] * w[..., None, :])
+        return J if self.g is None else self.g.jac_forward(tw, s) @ J @ Ji
 
     def velocity(self, t, pts):
         if self.deform:
             raise NotImplementedError("deformed variant has no analytic velocity")
-        pts = as_xy(pts)
-        w = self.g.inverse(pts)
-        w = rotate(w, TWOPI * t * self.alpha)
-        v = TWOPI * self.alpha * rot90(w)
-        Jf = self.g.jac_forward(w)
-        return (Jf @ v[..., None])[..., 0]
+        w = self._conj(as_xy(pts), inverse=True)
+        p = self.alpha + self._band(w)
+        tw = rotate(w, TWOPI * t * p)
+        v = TWOPI * np.expand_dims(p, -1) * rot90(tw)
+        return v if self.g is None else (self.g.jac_forward(tw) @ v[..., None])[..., 0]
 
     def action_closed_form(self, pts, n=1):
-        """Action of the n-th iterate from the conjugacy's primitive:
-        a(z) = n alpha + S_g(R^n w) - S_g(w) with w = g^{-1}(z); the
-        boundary constant is n alpha because g is the identity there."""
-        w = self.g.inverse(as_xy(pts))
-        rw = rotate(w, TWOPI * n * self.alpha)
-        return n * self.alpha + self.g.generating(rw) - self.g.generating(w)
+        """Action of f^n: a(z) = n a_T(|w|) + S_g(T_p^n w) - S_g(w) with
+        w = g^{-1}(z), where a_T(r) = alpha + ((1 + b)^3 - 1)/3, b = p(r) -
+        alpha, is the radial twist's action, alpha on the unit circle.  One
+        walk gives w and -S_g(w), g^{-1}'s primitive at z.  The deformed
+        variant has the same action: it depends on the isotopy only through
+        f and the boundary path, which g_t leaves alone."""
+        z = as_xy(pts)
+        w, _, S = self._unwalk(z, gen=True)
+        b = self._band(w)
+        a = n * (self.alpha + b * (1.0 + b * (1.0 + b / 3.0)))
+        if self.g is None:
+            return np.full(z.shape[:-1], a)
+        return a + self.g.generating(self._power(w, b, n)) + S
+
+    def _twist_windings(self, wx, wy, bx, by, n):
+        """Windings W_{T_p^n} of the pairs (wx, wy) of bands (bx, by), which
+        broadcast against the pairs' shape: n p(r_far) turns, plus the
+        wrapped remainder of `ramp_winding`'s sub-step at centre 0 where the
+        two points have different p, so a pair that T_p turns rigidly keeps
+        its bits."""
+        if self.beta is None:
+            return n * self.alpha
+        shape = np.broadcast_shapes(wx.shape, wy.shape)[:-1]
+        # b grows with r, so the farther point has the larger b
+        W = np.array(np.broadcast_to(n * (self.alpha + np.maximum(bx, by)), shape))
+        moved = np.broadcast_to(bx != by, shape)
+        if moved.any():
+            p, q = (np.broadcast_to(v, W.shape + (2,))[moved] for v in (wx, wy))
+            bp, bq = (np.broadcast_to(b, W.shape)[moved] for b in (bx, by))
+            d1 = self._power(q, bq, n) - self._power(p, bp, n)
+            W[moved] += wrap_to_pi(angles_of(d1) - angles_of(q - p) - TWOPI * W[moved]) / TWOPI
+        return W
 
     def windings_closed_form(self, X, Y, ns):
         """Windings (len(ns), ...) of the pairs (X, Y) under f^n, one row
-        per n in ns, without a time grid; None for the deformed variant,
-        whose g_t moves with t.
+        per n in ns, without a time grid; None for the deformed variant.
 
-        The square (s, t) -> g_s R_t w, t in [0, n], winds zero times
-        around its boundary, and its s = 0 side is the rigid rotation.  So
+        The square (s, t) -> g_s T_p^t w, t in [0, n], winds zero times
+        around its boundary, and its s = 0 side is the radial twist.  So
         with w = g^{-1}(.) and D the conjugacy's `ramp_winding`,
-        W_{f^n} = n alpha + D(R^n w_X, R^n w_Y) - D(w_X, w_Y): len(ns) + 1
-        evaluations of D and no map call.
+        W_{f^n} = W_{T_p^n}(w_X, w_Y) + D(T_p^n w_X, T_p^n w_Y) - D(w_X, w_Y):
+        len(ns) + 1 evaluations of D and no map call.
         """
         if self.deform:
             return None
-        wx, wy = self.g.inverse(as_xy(X)), self.g.inverse(as_xy(Y))
-        D0, *D = (
-            self.g.ramp_winding(rotate(wx, a), rotate(wy, a))
-            for a in self._rotation_angles((0, *ns))
-        )
-        return np.array([n * self.alpha + (d - D0) for n, d in zip(ns, D)])
+        wx, wy = (self._conj(as_xy(V), inverse=True) for V in (X, Y))
+        bx, by = self._band(wx), self._band(wy)
+        shape = np.broadcast_shapes(wx.shape, wy.shape)[:-1]
+
+        def D(n):
+            if self.g is None:
+                return 0.0
+            return self.g.ramp_winding(self._power(wx, bx, n), self._power(wy, by, n))
+
+        D0 = D(0)
+        return np.array([
+            np.broadcast_to(self._twist_windings(wx, wy, bx, by, n) + (D(n) - D0), shape)
+            for n in ns
+        ])
 
     def orbit_windings_closed_form(self, x, y, n):
         """W[i, j] = W(f^i x, f^j y), i, j < n, by the square of
-        `windings_closed_form` on the orbits in g^{-1} coordinates, where
-        f^i x is R^i w_x: W[i, j] = alpha + M[i+1, j+1] - M[i, j] with
-        M[i, j] = D(R^i w_x, R^j w_y), one (n + 1)^2 matrix of D and no
-        map call; None for the deformed variant."""
+        `windings_closed_form` on the orbits T_p^i w_x, T_p^j w_y in g^{-1}
+        coordinates: W_T[i, j] + M[i+1, j+1] - M[i, j], with W_T the twist
+        windings of the pairs and M[i, j] = D(T_p^i w_x, T_p^j w_y), one
+        (n + 1)^2 matrix of D and no map call; None for the deformed
+        variant."""
         if self.deform:
             return None
-        a = self._rotation_angles(range(n + 1))
-        wx = rotate(np.broadcast_to(self.g.inverse(as_xy(x)), (n + 1, 2)), a)
-        wy = rotate(np.broadcast_to(self.g.inverse(as_xy(y)), (n + 1, 2)), a)
-        M = self.g.ramp_winding(wx[:, None], wy[None, :])
-        return self.alpha + (M[1:, 1:] - M[:-1, :-1])
+        wx, wy = (self._conj(as_xy(v), inverse=True) for v in (x, y))
+        bx, by = self._band(wx), self._band(wy)
+        TX, TY = (
+            rotate(np.broadcast_to(w, (n + 1, 2)), self._turns(w, b, range(n + 1)))
+            for w, b in ((wx, bx), (wy, by))
+        )
+        # T_p keeps radii, so one band per orbit serves its axis of the grid
+        W = self._twist_windings(TX[:-1, None], TY[None, :-1], bx, by, 1)
+        if self.g is None:
+            return W + np.zeros((n, n))
+        M = self.g.ramp_winding(TX[:, None], TY[None, :])
+        return W + (M[1:, 1:] - M[:-1, :-1])
 
     def tangent_windings_closed_form(self, base, dirs):
         """Windings of t -> Df_t(base) . dirs by the same square of tangent
-        vectors: alpha + D'(R w, R u) - D'(w, u), with w = g^{-1}(base),
+        vectors: W_T + D'(T_p w, DT_p u) - D'(w, u), with w = g^{-1}(base),
         u = Dg^{-1}(base) . dirs and D' the conjugacy's
-        `ramp_tangent_winding`; None for the deformed variant."""
+        `ramp_tangent_winding`.  DT_p u = R(psi)[u + (psi'/r)(w.u) i w], a
+        bracket that turns u by less than pi, as `_move`'s: W_T is p plus the
+        wrapped remainder on the band, p elsewhere.  None for the deformed
+        variant."""
         if self.deform:
             return None
-        b = as_xy(base)
-        w, Ji, _ = self.g._walk(b, 1.0, inverse=True, jac=True)
-        u = as_xy(dirs) @ Ji.T
-        a = TWOPI * self.alpha
+        w, Ji, _ = self._unwalk(as_xy(base), jac=True)
+        u = as_xy(dirs) if Ji is None else as_xy(dirs) @ Ji.T
+        b = self._band(w)
+        a, W = self._turns(w, b, (1,))[0], self.alpha + b
+        tu = rotate(u, a)
+        if self.beta is not None and 1.0 < radii_of(w) < self.domain_radius:
+            tu = rotate(u + (TWOPI / radii_of(w)) * (u @ w)[:, None] * rot90(w), a)
+            W = W + wrap_to_pi(angles_of(tu) - angles_of(u) - TWOPI * W) / TWOPI
+        if self.g is None:
+            return W + np.zeros(len(u))
         ramp = self.g.ramp_tangent_winding
-        return self.alpha + ramp(rotate(w, a), rotate(u, a)) - ramp(w, u)
+        return W + ramp(rotate(w, a), tu) - ramp(w, u)
 
     def config(self):
-        return {
-            "family": "conjugated",
-            "alpha": self.alpha,
-            "g": {
-                "hamiltonian": self.g.h_tag,
-                "steps": self.g.repeats,
-                "support_radius": self.g.support_radius,
-            },
-            "deform": self.deform,
-        }
+        cfg = {"family": "rigid", "alpha": self.alpha}
+        if self.g is not None:
+            g = {"hamiltonian": self.g.h_tag, "steps": self.g.repeats,
+                 "support_radius": self.g.support_radius}
+            cfg = {"family": "conjugated", "alpha": self.alpha, "g": g, "deform": self.deform}
+        if self.beta is None:
+            return cfg
+        plane = {"family": "plane-extension", "alpha": self.alpha, "beta": self.beta}
+        return plane if self.g is None else {**plane, "core": cfg}
 
 
-class PlaneExtension(Isotopy):
-    """Radial-profile extension of a pseudo-rotation to a larger disk.
+class RigidRotation(ConjugatedRotation):
+    """f_t = rotation by 2 pi t alpha: the identity conjugacy, constant p."""
 
-    The angular profile is alpha for r <= 1, alpha + r - 1 on the linear
-    band 1 <= r <= 1 + beta - alpha, and beta beyond.  With a core isotopy
-    the unit disk evolves under the core instead (the core must coincide
-    with R_alpha on the boundary circle).
-    """
+    def __init__(self, alpha):
+        super().__init__(alpha, None)
 
-    family_tag = "plane-extension"
+
+class PlaneExtension(ConjugatedRotation):
+    """Radial-profile extension of a pseudo-rotation to the disk of radius
+    1 + beta - alpha: p(r) is alpha for r <= 1, alpha + r - 1 on the linear
+    band 1 <= r <= 1 + beta - alpha, and beta beyond.  A core, rigid or
+    conjugated with the plane's alpha, lends the plane its g and deform."""
 
     def __init__(self, alpha, beta, core=None):
-        if beta <= alpha:
-            raise BadInterval(f"need beta > alpha, got alpha={alpha}, beta={beta}")
-        check_irrational(alpha, "alpha")
-        if math.floor(beta) > math.floor(alpha):
-            warnings.warn(
-                f"(alpha, beta)=({alpha}, {beta}) straddles an integer",
-                NearRationalWarning,
-                stacklevel=2,
-            )
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.core = core
-        self.boundary_rot = self.alpha
-        self.domain_radius = 1.0 + self.beta - self.alpha
-
-    def profile(self, r):
-        return self.alpha + np.clip(r - 1.0, 0.0, self.beta - self.alpha)
-
-    def dprofile(self, r):
-        r = np.asarray(r, dtype=float)
-        return ((r > 1.0) & (r < 1.0 + self.beta - self.alpha)).astype(float)
-
-    def eval(self, t, pts):
-        pts = as_xy(pts)
-        r = radii_of(pts)
-        out = rotate(pts, TWOPI * t * self.profile(r))
-        if self.core is not None:
-            inside = r <= 1.0
-            if np.any(inside):
-                out = np.where(
-                    inside[..., None], self.core.eval(t, pts), out
-                )
-        return out
-
-    def jac(self, t, pts):
-        pts = as_xy(pts)
-        r = radii_of(pts)
-        psi = TWOPI * t * self.profile(r)
-        J = rotation_matrices(psi, shape=r.shape)
-        k = np.zeros_like(r)
-        np.divide(TWOPI * t * self.dprofile(r), r, out=k, where=r > 0)
-        rw = rot90(rotate(pts, psi))
-        J = J + rw[..., :, None] * (k[..., None, None] * pts[..., None, :])
-        if self.core is not None:
-            inside = r <= 1.0
-            if np.any(inside):
-                J = np.where(inside[..., None, None], self.core.jac(t, pts), J)
-        return J
-
-    def velocity(self, t, pts):
-        pts = as_xy(pts)
-        r = radii_of(pts)
-        v = TWOPI * self.profile(r)[..., None] * rot90(self.eval(t, pts))
-        if self.core is not None:
-            inside = r <= 1.0
-            if np.any(inside):
-                v = np.where(inside[..., None], self.core.velocity(t, pts), v)
-        return v
-
-    def angle_displacement_exact(self, pts, n=1):
-        """Exact lifted-angle displacement of n iterates (profile zone only)."""
-        if self.core is not None:
-            raise NotImplementedError("exact displacement needs a radial profile")
-        pts = as_xy(pts)
-        return TWOPI * n * self.profile(radii_of(pts))
-
-    def config(self):
-        cfg = {"family": "plane-extension", "alpha": self.alpha, "beta": self.beta}
-        if self.core is not None:
-            cfg["core"] = self.core.config()
-        return cfg
+        g, deform = getattr(core, "g", None), getattr(core, "deform", False)
+        super().__init__(alpha, g, deform, beta=beta)
 
 
 def _finite(value):
@@ -809,7 +804,8 @@ def from_config(cfg):
       {"family": "conjugated", "alpha": ..., "deform": <true | false, optional>,
        "g": {"hamiltonian": <name>, "steps": <int>, "support_radius": <real>}}
       {"family": "plane-extension", "alpha": ..., "beta": <real>,
-       "core": <optional nested config>}
+       "core": <optional rigid or conjugated config with the same alpha>}
+    A rigid core loads as no core.
     """
     if not isinstance(cfg, dict):
         raise SchemaError("", f"config must be an object, got {type(cfg).__name__}")
@@ -843,5 +839,11 @@ def from_config(cfg):
         if not _finite(beta):
             raise SchemaError("/beta", f"must be a finite number, got {beta!r}")
         core = from_config(cfg["core"]) if "core" in cfg else None
+        # the core must meet the band where p = alpha: a core turning the
+        # unit circle by another alpha would make the map jump at r = 1
+        if core is not None and core.beta is not None:
+            raise SchemaError("/core/family", "must be rigid or conjugated, got a plane extension")
+        if core is not None and core.alpha != alpha:
+            raise SchemaError("/core/alpha", f"must equal the plane's alpha {alpha}, got {core.alpha}")
         return PlaneExtension(alpha, float(beta), core=core)
     raise SchemaError("/family", f"unknown family {family!r}")

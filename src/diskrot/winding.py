@@ -3,22 +3,22 @@
 `pair_windings_iterated` (with `pair_windings` its n = 1 row, whose
 broadcast point arrays also give cross matrices) and `winding_tangent`
 first ask the isotopy for its closed form (`Isotopy.windings_closed_form`,
-`tangent_windings_closed_form`); only the conjugated family
-f_t = g R_t g^{-1} without `deform` has one, and its windings are exact,
-with no time grid.  Iterated windings are the cumulative W_{f^n}, n in ns,
-and give every integer-time winding, the origin windings behind m too.
-Every other angle is unwrapped by one engine, `track`: tracked pair
-windings (`_pair_track`, whose bisection depth is the `refinements` column
-of the `winding` command) and `OrbitTrack`, the grid of f_t z over
-t in [0, n] behind the lambda and tau lifts.  The angle of a batch of
-vectors is sampled on a uniform time grid and continued against the
-previous sample, a block of grid rows at a time: `OrbitTrack` evaluates
-up to BLOCK points of grid rows per trajectory call, a column of times,
-and unwraps them with array operations.  Every tracked result carries a
-no-aliasing check: each unwrapped step moves the angle by less than pi/2.
-A grid step that fails is bisected for its entry alone, and each failing
-half again, until every sub-step passes (up to a depth cap), so a few
-fast-swinging entries do not force the whole batch onto a finer grid.
+`tangent_windings_closed_form`): every family g T_p g^{-1} but the
+deformed variant has one, exact and with no time grid.  Iterated windings
+are the cumulative W_{f^n}, n in ns, and give every integer-time winding,
+the origin windings behind m too.  Every other angle is unwrapped by one
+engine, `track`: tracked pair windings (`_pair_track`, whose bisection
+depth is the `refinements` column of the `winding` command) and
+`OrbitTrack`, the grid of f_t z over t in [0, n] behind the lambda and tau
+lifts.  The angle of a batch of vectors is sampled on a uniform time grid
+and continued against the previous sample, a block of grid rows at a time:
+`OrbitTrack` evaluates up to BLOCK points of grid rows per trajectory
+call, a column of times, and unwraps them with array operations.  Every
+tracked result carries a no-aliasing check: each unwrapped step moves the
+angle by less than pi/2.  A grid step that fails is bisected for its entry
+alone, and each failing half again, until every sub-step passes (up to a
+depth cap), so a few fast-swinging entries do not force the whole batch
+onto a finer grid.
 """
 from __future__ import annotations
 
@@ -217,8 +217,8 @@ def pair_windings_iterated(iso, X, Y, ns):
     """Windings (len(ns), ...) of paired arrays under f^n (n >= 1), one row
     per n in ns; the tracked route sums each iterate's `_pair_track`.  A
     single point (2,) stays one point through the iterates.  The closed
-    form checks only the start pairs against MERGE_EPS: it works in g^{-1}
-    coordinates, where R keeps every iterate pair as far apart."""
+    form checks only the start pairs against MERGE_EPS: it tracks nothing,
+    and f^n keeps distinct points distinct."""
     X, Y = _separated(X, Y)
     exact = iso.windings_closed_form(X, Y, ns)
     if exact is not None:

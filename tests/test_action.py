@@ -8,7 +8,7 @@ import pytest
 from diskrot.action import PATH_TOL, ActionField, action_winding_gap, beta, calabi
 from diskrot.geometry import GOLDEN, TWOPI, as_xy, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
-from test_maps import Concatenation
+from test_maps import PLANES, Concatenation, plane_points
 
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
 
@@ -58,6 +58,22 @@ def test_closed_form_action_matches_path_integrals():
         assert np.max(np.abs(a_cf - a_path)) < 1e-7
 
 
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_radial_closed_form_action_matches_path_integrals(name):
+    # a_T varies with r on the band, so the path route checks the radial
+    # part too: points on both sides of r = 1, within the domain r <= R
+    # (a radial path past R meets the jump of p' there, which the adaptive
+    # panels cannot certify)
+    iso = PLANES[name]
+    pts = plane_points(iso, np.random.default_rng(9), 40)
+    pts = pts[np.hypot(*pts.T) <= iso.domain_radius]
+    a_cf = ActionField(iso).action(pts)
+    assert np.ptp(a_cf) > 0.1
+    # the path route is certified to PATH_TOL only; on these points it
+    # lies within 2.5e-10 of the closed form (within 1e-15 without a core)
+    assert np.max(np.abs(a_cf - ActionField(iso, method="path").action(pts))) < 1e-9
+
+
 def test_action_is_anchor_independent():
     # the action from a chord to a different boundary anchor is the same
     field = ActionField(CONJ, method="path")
@@ -98,7 +114,9 @@ class _FaultyClosedForm(RigidRotation):
 
 
 def test_closed_form_hook_none_takes_the_path_route_and_errors_propagate():
-    plane = PlaneExtension(GOLDEN, 0.75)
+    # every family of the package answers the hook, so a reference isotopy
+    # without one stands in: the plane extension run as a Concatenation
+    plane = Concatenation(PlaneExtension(GOLDEN, 0.75), 1)
     pts = uniform_disk(np.random.default_rng(7), 5, 0.9)
     assert plane.action_closed_form(pts) is None
     auto = ActionField(plane).action(pts)

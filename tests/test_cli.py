@@ -175,6 +175,12 @@ def test_schema_error_exits_2_with_pointer(tmp_path):
         ({"family": "rigid", "alpha": math.nan}, "/alpha"),
         ({"family": "plane-extension", "beta": math.inf}, "/beta"),
         ({"family": "conjugated", "g": {"hamiltonian": []}}, "/g/hamiltonian"),
+        # a core turning the unit circle by another alpha would jump at r = 1
+        (
+            {"family": "plane-extension", "alpha": 0.3, "beta": 0.9,
+             "core": {"family": "conjugated", "alpha": "golden"}},
+            "/core/alpha",
+        ),
     ]:
         cfg = _write_config(tmp_path, cfg)
         res = _run(["action", "--config", cfg, "--out", "o"], tmp_path)

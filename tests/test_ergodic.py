@@ -20,7 +20,7 @@ from diskrot.ergodic import (
 from diskrot.action import ActionField
 from diskrot.errors import OrbitCollision, ResampleExhausted
 from diskrot.geometry import GOLDEN, uniform_disk
-from diskrot.maps import ConjugacyMap, ConjugatedRotation, RigidRotation
+from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
 from diskrot.winding import pair_windings
 
 RIGID = RigidRotation(GOLDEN)
@@ -103,7 +103,6 @@ def test_linking_average_tracks_where_there_is_no_closed_form():
     x, y = np.array([0.55, 0.1]), np.array([-0.32, 0.41])
     deformed = ConjugatedRotation(GOLDEN, CONJ.g, deform=True)
     assert deformed.orbit_windings_closed_form(x, y, 16) is None
-    assert RIGID.orbit_windings_closed_form(x, y, 16) is None
     X, Y = deformed.orbit(x, 16), deformed.orbit(y, 16)
     W = pair_windings(deformed, X[:, None], Y[None, :])
     want = double_sum_incremental(W, pow2_schedule(16))
@@ -111,6 +110,19 @@ def test_linking_average_tracks_where_there_is_no_closed_form():
     # and the closed form's averages agree with the tracked ones
     closed = linking_average(CONJ, x, y, 16).partial_averages
     assert np.max(np.abs(np.subtract(closed, want))) < 1e-12
+
+
+@pytest.mark.parametrize("radii", [(0.5, 1.14), (1.05, 1.2)])
+def test_linking_average_on_a_plane_band_matches_the_tracked_deformed_plane(radii):
+    # one orbit inside r = 1 and one on the band, then two on the band at
+    # different radii: the radial closed form against the tracked isotopy
+    plane = PlaneExtension(GOLDEN, 0.9, core=CONJ)
+    deformed = PlaneExtension(GOLDEN, 0.9, core=ConjugatedRotation(GOLDEN, CONJ.g, deform=True))
+    assert 1.0 < radii[1] < plane.domain_radius
+    x, y = radii[0] * np.array([1.0, 0.0]), radii[1] * np.array([-0.6, 0.8])
+    closed = linking_average(plane, x, y, 16).partial_averages
+    tracked = linking_average(deformed, x, y, 16).partial_averages
+    assert np.max(np.abs(np.subtract(closed, tracked))) < 1e-9
 
 
 def test_linearized_rotation_average_rigid():

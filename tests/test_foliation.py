@@ -151,12 +151,15 @@ def test_lift_path_slow_rejects_unresolved_jumps():
 
 
 def test_rigid_displacement_matches_floor_formula():
+    # through the deformed variant, which tracks, and the closed form
+    tracked = ConjugatedRotation(GOLDEN, None, deform=True)
     thetas = np.array([0.1, 1.5, 3.0, 4.4, 6.1])
     pts = 0.6 * np.column_stack([np.cos(thetas), np.sin(thetas)])
     for n in (1, 3, 7):
-        _, (m,) = displacements(RIGID, pts, (n,))
         want = np.floor((thetas % TWOPI + TWOPI * n * GOLDEN) / TWOPI).astype(int)
-        assert np.array_equal(m, want)
+        for iso in (tracked, RIGID):
+            _, (m,) = displacements(iso, pts, (n,))
+            assert np.array_equal(m, want)
 
 
 def test_displacement_birkhoff_identity():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from diskrot.errors import BadInterval, NearRationalWarning, SchemaError
+from diskrot.foliation import displacements
 from diskrot.geometry import (
     GOLDEN,
     TWOPI,
@@ -576,12 +577,54 @@ def test_closed_form_orbit_makes_one_conjugacy_pass(monkeypatch):
 def test_plane_extension_profile_bands():
     iso = PlaneExtension(GOLDEN, 0.75)
     r = np.array([0.2, 1.0, 1.05, 1.0 + 0.75 - GOLDEN, 1.2])
-    prof = iso.profile(r)
+    pts = np.column_stack([r, np.zeros(5)])
+    prof = GOLDEN + iso._band(pts)
     assert prof[0] == GOLDEN and prof[1] == GOLDEN
     assert abs(prof[2] - (GOLDEN + 0.05)) < 1e-15
     assert prof[3] == 0.75 and prof[4] == 0.75
-    disp = iso.angle_displacement_exact(np.column_stack([r, np.zeros(5)]), n=3)
-    assert np.max(np.abs(disp - TWOPI * 3 * prof)) < 1e-12
+    # T_p^3 turns each point about the fixed origin by 3 p(r)
+    (w,), _ = displacements(iso, pts, (3,))
+    assert np.max(np.abs(w - 3 * prof)) < 1e-12
+
+
+# planes without a core and with a twist-a core: p bends at r = 1 and at
+# R = 1 + beta - alpha
+PLANES = {
+    f"{beta}{'-cored' if core else ''}": PlaneExtension(
+        GOLDEN, beta, core=ConjugatedRotation(GOLDEN, _g()) if core else None
+    )
+    for beta in (0.75, 0.9)
+    for core in (False, True)
+}
+
+
+def plane_points(iso, rng, count):
+    """count points whose radii spread over [0, 1.1 R], four of them just
+    inside and just outside r = 1 and r = R."""
+    R = iso.domain_radius
+    edges = [1.0 - 1e-3, 1.0 + 1e-3, R - 1e-3, R + 1e-3]
+    r = np.concatenate([edges, 1.1 * R * np.sqrt(rng.random(count - 4))])
+    return r[:, None] * _unit(rng, count)
+
+
+def test_every_family_answers_the_closed_form_hooks():
+    # the deformed variant tracks its windings, and shares the action; the
+    # points spread over each domain, and x, y are the two farthest out,
+    # on a plane's band at different radii
+    families = [RigidRotation(GOLDEN), ConjugatedRotation(GOLDEN, _g()), *PLANES.values(),
+                PlaneExtension(GOLDEN, 0.9, core=RigidRotation(GOLDEN))]
+    for iso in families:
+        pts = uniform_disk(np.random.default_rng(12), 20, 0.95 * iso.domain_radius)
+        x, y = pts[np.argsort(np.hypot(*pts.T))[-2:]]
+        alt = ConjugatedRotation(iso.alpha, iso.g, deform=True, beta=iso.beta)
+        windings = (
+            lambda f: f.windings_closed_form(pts[:10], pts[10:], (1, 2)),
+            lambda f: f.orbit_windings_closed_form(x, y, 4),
+            lambda f: f.tangent_windings_closed_form(x, np.eye(2)),
+        )
+        for hook in windings:
+            assert hook(iso) is not None and hook(alt) is None
+        assert np.array_equal(alt.action_closed_form(pts, 2), iso.action_closed_form(pts, 2))
 
 
 def test_plane_extension_needs_wider_interval():
@@ -655,16 +698,30 @@ def test_named_hamiltonians_fit_in_the_disk():
 
 
 def test_from_config_roundtrip():
-    iso = from_config(
-        {
-            "family": "conjugated",
-            "alpha": "golden",
-            "g": {"hamiltonian": "twist-b", "steps": 3, "support_radius": 0.8},
-        }
-    )
-    again = from_config(iso.config())
-    pts = uniform_disk(np.random.default_rng(11), 50, 0.9)
-    assert np.max(np.abs(iso.map(pts) - again.map(pts))) == 0.0
+    conjugated = {
+        "family": "conjugated",
+        "alpha": GOLDEN,
+        "g": {"hamiltonian": "twist-b", "steps": 3, "support_radius": 0.8},
+        "deform": False,
+    }
+    plane = {"family": "plane-extension", "alpha": GOLDEN, "beta": 0.9}
+    configs = [
+        conjugated,
+        {"family": "rigid", "alpha": GOLDEN / 2},
+        plane,
+        {**plane, "core": conjugated},
+        {**plane, "core": {**conjugated, "deform": True}},
+    ]
+    rng = np.random.default_rng(11)
+    for cfg in configs:
+        iso = from_config(cfg)
+        assert iso.config() == cfg
+        again = from_config(iso.config())
+        pts = uniform_disk(rng, 50, 0.98 * iso.domain_radius)
+        assert np.array_equal(iso.map(pts), again.map(pts)), cfg["family"]
+    # a rigid core loads as no core
+    rigid_core = from_config({**plane, "core": {"family": "rigid", "alpha": GOLDEN}})
+    assert rigid_core.config() == plane
 
 
 def test_from_config_schema_pointers():
@@ -688,6 +745,17 @@ def test_from_config_schema_pointers():
         ({"family": "plane-extension", "beta": 10**400}, "/beta"),
         ({"family": "conjugated", "deform": "false"}, "/deform"),
         ({"family": "conjugated", "deform": 0}, "/deform"),
+        # a core turns the unit circle by the plane's alpha, and is no plane
+        (
+            {"family": "plane-extension", "alpha": 0.3, "beta": 0.9,
+             "core": {"family": "conjugated", "alpha": "golden"}},
+            "/core/alpha",
+        ),
+        (
+            {"family": "plane-extension", "beta": 0.9,
+             "core": {"family": "plane-extension", "beta": 0.8}},
+            "/core/family",
+        ),
     ]
     for cfg, pointer in cases:
         with pytest.raises(SchemaError) as err:

@@ -22,7 +22,7 @@ CONJ = ConjugatedRotation(GOLDEN, G)
 # exact windings, and the same map's tracked second isotopy
 TWIST_A = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
 TWIST_A_TRACKED = ConjugatedRotation(GOLDEN, TWIST_A.g, deform=True)
-# no closed form: its actions run through the path integrals
+# a cored plane, whose closed-form actions the path route checks
 CORED = PlaneExtension(GOLDEN, 0.75, core=CONJ)
 
 FEW = settings(max_examples=10, deadline=None)
@@ -144,7 +144,8 @@ def test_action_cocycle_closed_form(pts, n):
 @settings(max_examples=3, deadline=None)
 @given(_disk_points(2, r_max=1.05), st.integers(1, 3))
 def test_action_cocycle_path_route(pts, n):
-    # each of the n + 1 path integrals is certified to PATH_TOL
+    # the path integral of f^n is certified to PATH_TOL, and the closed
+    # forms summed along the orbit lie well within n PATH_TOL
     a_n = ActionField(Concatenation(CORED, n)).action(pts)
     assert _action_cocycle_defect(a_n, CORED, pts, n) < (n + 1) * PATH_TOL
 

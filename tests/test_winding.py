@@ -11,6 +11,7 @@ from diskrot.geometry import GOLDEN, TWOPI, uniform_disk, wrap_to_pi
 from diskrot.maps import (
     ConjugacyMap,
     ConjugatedRotation,
+    Isotopy,
     RigidRotation,
     TwistStep,
 )
@@ -25,7 +26,7 @@ from diskrot.winding import (
     track,
     winding_tangent,
 )
-from test_maps import Concatenation
+from test_maps import PLANES, Concatenation, plane_points
 
 RIGID = RigidRotation(GOLDEN)
 CONJ = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
@@ -68,9 +69,11 @@ def _dense_windings(iso, X, Y, steps=4096):
 
 
 def test_rigid_windings_equal_alpha_exactly():
+    # the tracker's: the closed form gives alpha by construction
     X, Y = _pairs(np.random.default_rng(0), 500)
-    w = pair_windings(RIGID, X, Y)
+    w = _pair_track(RIGID, X, Y)[0]
     assert np.max(np.abs(w - GOLDEN)) < 1e-12
+    assert np.all(pair_windings(RIGID, X, Y) == GOLDEN)
 
 
 def _dense_tangent_windings(iso, bases, dirs, steps=4096):
@@ -395,17 +398,22 @@ def test_orbit_track_evaluates_rows_in_blocks(monkeypatch):
     assert calls == [(40, 200, 2)] * 4 + [(33, 200, 2)]
 
 
-@pytest.mark.parametrize("iso", [RIGID, FAST], ids=["rigid", "conjugated"])
-def test_orbit_track_makes_one_trajectory_call_per_batch(monkeypatch, iso):
-    # the generic trajectory and the conjugated family's own
+@pytest.mark.parametrize(
+    "iso, owner",
+    [(CONJ_TRACKED, Isotopy), (FAST, ConjugatedRotation)],
+    ids=["deformed", "conjugated"],
+)
+def test_orbit_track_makes_one_trajectory_call_per_batch(monkeypatch, iso, owner):
+    # the generic trajectory, which serves the deformed variant alone, and
+    # the closed-form family's own
     calls = []
-    trajectory = type(iso).trajectory
+    trajectory = owner.trajectory
 
     def counted(self, pts):
         calls.append(len(pts))
         return trajectory(self, pts)
 
-    monkeypatch.setattr(type(iso), "trajectory", counted)
+    monkeypatch.setattr(owner, "trajectory", counted)
     pts = uniform_disk(np.random.default_rng(15), 40, 0.6)
     trk = OrbitTrack(iso, pts, 5)
     trk.refine(np.arange(0, 40, 2))
@@ -452,3 +460,56 @@ def test_tracked_iterated_windings_sum_each_iterates_pair_track(monkeypatch):
         turns.append(turn)
         X, Y = FAST_TRACKED.map(X), FAST_TRACKED.map(Y)
     assert np.array_equal(cumulative, np.cumsum(turns, axis=0))
+
+
+def _plane_pairs(iso, rng, count):
+    X, Y = plane_points(iso, rng, count), plane_points(iso, rng, count)
+    keep = np.hypot(*(Y - X).T) > 1e-3
+    return X[keep], Y[keep]
+
+
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_radial_closed_form_windings_match_a_fine_track(name):
+    # pairs on both sides of r = 1 and of R, under f and f^3
+    iso = PLANES[name]
+    X, Y = _plane_pairs(iso, np.random.default_rng(23), 40)
+    exact = pair_windings_iterated(iso, X, Y, (1, 3))
+    # one fine track of the three iterates' pairs, summed
+    fine, _ = _pair_track(iso, iso.orbit(X, 3), iso.orbit(Y, 3), init_steps=4096)
+    assert np.max(np.abs(exact - np.cumsum(fine, axis=0)[[0, 2]])) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_radial_closed_form_tangent_windings_match_the_dense_oracle(name):
+    # base points on the band, where DT_p shears, and one on either side
+    iso = PLANES[name]
+    R = iso.domain_radius
+    ang = np.linspace(0.0, TWOPI, 9)[:-1]
+    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    r = np.array([0.5, 1.0 + 0.3 * (R - 1.0), 1.0 + 0.8 * (R - 1.0), R + 0.1])
+    bases = r[:, None] * np.array([np.cos(1.0), np.sin(1.0)])
+    # one dense pass for every base
+    dense = _dense_tangent_windings(
+        iso, np.repeat(bases, len(dirs), axis=0), np.tile(dirs, (len(r), 1))
+    ).reshape(len(r), -1)
+    for base, want in zip(bases, dense):
+        assert np.max(np.abs(winding_tangent(iso, base, dirs) - want)) < 1e-9
+
+
+# orbit radii as fractions s of the band, r = 1 + s (R - 1): one orbit inside
+# the unit circle and one on the band, two on the band at different radii,
+# and one on the band against one beyond R
+ORBIT_PAIRS = {"inside-band": (-0.45, 0.5), "band-band": (0.3, 0.8), "band-beyond": (0.5, 1.2)}
+
+
+@pytest.mark.parametrize("pair", sorted(ORBIT_PAIRS))
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_radial_closed_form_orbit_windings_match_the_tracked_cross_matrix(name, pair):
+    iso = PLANES[name]
+    r = 1.0 + np.array(ORBIT_PAIRS[pair]) * (iso.domain_radius - 1.0)
+    x, y = r[0] * np.array([np.cos(0.2), np.sin(0.2)]), r[1] * np.array([np.cos(2.0), np.sin(2.0)])
+    W = iso.orbit_windings_closed_form(x, y, 16)
+    X, Y = iso.orbit(x, 16), iso.orbit(y, 16)
+    tracked = _pair_track(iso, X[:, None], Y[None, :])[0]
+    assert W.shape == (16, 16)
+    assert np.max(np.abs(W - tracked)) < 1e-9
