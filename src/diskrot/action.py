@@ -90,24 +90,26 @@ class ActionField:
         return val
 
     def action(self, pts):
-        """Action values at a batch of points (any shape with trailing 2)."""
+        """Action values at a batch of points (any shape with trailing 2),
+        _CHUNK points at a time, which bounds the temporaries.  The closed
+        form works point by point, so its chunks change no bit."""
         pts = as_xy(pts)
-        single = pts.ndim == 1
-        # the closed form where the isotopy has one, unless the path is asked for
-        cf = self.iso.action_closed_form(pts) if self.method == "auto" else None
-        if cf is not None:
-            return float(cf) if single else cf
         flat = pts.reshape(-1, 2)
         out = np.empty(len(flat))
         for lo in range(0, len(flat), _CHUNK):
-            chunk = flat[lo : lo + _CHUNK]
-            theta = angles_of(chunk)
-            x0 = np.column_stack([np.cos(theta), np.sin(theta)])
-            seg = self._segment_integral(x0, chunk)
-            out[lo : lo + _CHUNK] = self.boundary_value(theta) + seg
-        if single:
+            out[lo : lo + _CHUNK] = self._chunk_action(flat[lo : lo + _CHUNK])
+        if pts.ndim == 1:
             return float(out[0])
         return out.reshape(pts.shape[:-1])
+
+    def _chunk_action(self, chunk):
+        # the closed form where the isotopy has one, unless the path is asked for
+        cf = self.iso.action_closed_form(chunk) if self.method == "auto" else None
+        if cf is not None:
+            return cf
+        theta = angles_of(chunk)
+        x0 = np.column_stack([np.cos(theta), np.sin(theta)])
+        return self.boundary_value(theta) + self._segment_integral(x0, chunk)
 
 
 @dataclass(frozen=True)

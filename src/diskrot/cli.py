@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .farey import Convergent, convergents, strip_measure
 from .foliation import annulus_table, winding_gaps
 from .geometry import GOLDEN, resample, uniform_disk
 from .maps import ConjugatedRotation, PlaneExtension, from_config
-from .report import ReportBundle, write_csv, write_json
+from .report import ReportBundle, peak_rss_mb, run_metadata, write_csv, write_json
 from .verify import run_all
 from .winding import _pair_track, pair_windings
 
@@ -371,7 +372,15 @@ def cmd_thm41_bound(args):
 
 
 def cmd_verify_all(args):
+    # each criterion's seconds and the process's peak after it, for run.json
+    marks, runs = [time.perf_counter()], []
+
     def progress(res):
+        marks.append(time.perf_counter())
+        runs.append(
+            {"criterion": res["criterion"], "seconds": marks[-1] - marks[-2],
+             "peak_rss_mb": peak_rss_mb()}
+        )
         status = "PASS" if res["passed"] else "FAIL"
         print(f"[{status}] criterion {res['criterion']:2d}: {res['name']}")
 
@@ -385,6 +394,19 @@ def cmd_verify_all(args):
             "fast": args.fast,
             "passed": passed,
             "criteria": results,
+        },
+    )
+    # the run's telemetry goes to a sidecar, so verify-all.json stays comparable
+    write_json(
+        os.path.join(args.out, "run.json"),
+        {
+            **run_metadata(),
+            "argv": args.argv,
+            "seed": args.seed,
+            "fast": args.fast,
+            "seconds": time.perf_counter() - marks[0],
+            "peak_rss_mb": peak_rss_mb(),
+            "criteria": runs,
         },
     )
     print(f"{'all criteria passed' if passed else 'FAILURES present'} -> {path}")
@@ -408,7 +430,9 @@ _COMMANDS = {
 
 def main(argv=None):
     # argparse exits 2 on usage errors
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return _COMMANDS[args.command](args)
     except SchemaError as e:

@@ -8,9 +8,12 @@ lifted leaf, 1: leaf strictly to the left, 2: behind on the same leaf,
 through the digital-line covering Z -> Z/4Z.  The paths are read off one
 orbit track of each pair batch over t in [0, n], its integer times at
 rows kT, and `_lift_table` lifts every pair at every deck copy in one
-array pass over that grid: a table of integer lifts (pair, deck, integer
-time).  `annulus_table` gives each pair's tau and lambda integers, summed
-over deck copies, and `lambda_prefixes` the lambda of f^n, as array
+array pass over that grid's angles: a table of integer lifts (pair, deck,
+integer time).  The track keeps angles only; the radii that decide a
+crossing are read from positions evaluated again at the few steps near a
+level of the leaf-coordinate difference, and at the rows of tie decks.
+`annulus_table` gives each pair's tau and lambda integers, summed over
+deck copies, and `lambda_prefixes` the lambda of f^n, as array
 expressions over the table.  Every isotopy here fixes the origin, so the leaf
 coordinate of f^n z changes by 2 pi W_{f^n}(0, z): `displacements` reads
 the displacement m of integer times off that winding, and `winding_gaps`
@@ -113,8 +116,9 @@ def _lift_table(track):
     where a tie needs finer steps.  Sign flips are tested only at the grid
     steps within LEVEL_EPS turns of a level of d, found a block of rows at a
     time; decks with a tie (|d + 2 pi k| <= TIE_TOL) take the state machine.
+    Radii are read through `track.positions` at those steps and decks only.
     """
-    K, T, M, ang, pos = K_MAX, track.steps, len(track.pts) // 2, track.ang, track.pos
+    K, T, M, ang = K_MAX, track.steps, len(track.pts) // 2, track.ang
     # each entry's branch at t = 0 is that of its angle in [0, 2 pi)
     shift = np.round((angles_of(track.pts) % TWOPI - ang[0]) / TWOPI) * TWOPI
     off = shift[M:] - shift[:M]
@@ -143,7 +147,10 @@ def _lift_table(track):
         return ang[rows, M + i] - ang[rows, i] + off[i]
 
     def gaps(rows, i):
-        return radii_of(pos[rows, M + i]) - radii_of(pos[rows, i])
+        # both points of each pair in one evaluation
+        rows, i = np.broadcast_arrays(rows, i)
+        r = radii_of(track.positions(np.stack([rows, rows]), np.stack([M + i, i])))
+        return r[0] - r[1]
 
     # every deck at the steps near a level; a step that bisection made
     # longer than pi may cross several
@@ -154,7 +161,7 @@ def _lift_table(track):
     r, i = r[c], i[c]
     L = np.zeros((M, len(ks), (len(ang) - 1) // T + 1), dtype=int)
     # the step into row r + 1 shows from the first integer time at or after it
-    step = _crossing_step(d0[c, k], d1[c, k], gaps(r, i), gaps(r + 1, i))
+    step = _crossing_step(d0[c, k], d1[c, k], *gaps(np.stack([r, r + 1]), i))
     np.add.at(L, (i, k, -(-(r + 1) // T)), step)
     np.cumsum(L, axis=2, out=L)
     L += np.where(d_at(0, np.arange(M))[:, None] + TWOPI * ks > 0, 1, 3)[..., None]

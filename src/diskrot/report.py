@@ -1,7 +1,11 @@
-"""Report bundles: atomic JSON/CSV emission and minimal SVG line charts.
+"""Report bundles: atomic JSON/CSV emission and minimal SVG line charts,
+and the run metadata of a sidecar file.
 
 Charts are a pure function of the CSV series, so regenerating one from
-its data file reproduces it byte for byte.
+its data file reproduces it byte for byte.  Run metadata (version, git
+revision, numpy and BLAS, thread variables, peak memory) goes to a
+sidecar next to a report, never into it, so reports stay comparable
+byte for byte between runs.
 """
 from __future__ import annotations
 
@@ -9,7 +13,11 @@ import csv
 import io
 import json
 import os
+import platform
+import resource
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +49,55 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def git_revision(root=None):
+    """The commit checked out at `root` (by default the checkout holding
+    src/diskrot, when the package runs from one), read from .git/HEAD and
+    the ref it names, loose or in packed-refs; "unknown" outside a
+    checkout.  Reading the files takes a fraction of the milliseconds a git
+    process would."""
+    root = Path(__file__).resolve().parents[2] if root is None else Path(root)
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD holds the commit itself
+        ref = head[len("ref: "):]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return "unknown"
+
+
+def peak_rss_mb():
+    """The process's peak resident set so far (ru_maxrss), in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def run_metadata():
+    """What a run ran on: package version, git revision, Python, numpy and
+    its BLAS, and the *_THREADS variables."""
+    from . import __version__
+
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        blas = {}
+    return {
+        "diskrot_version": __version__,
+        "git_revision": git_revision(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "threads": {k: v for k, v in os.environ.items() if k.endswith("_THREADS")},
+    }
 
 
 def write_json(path, obj):

@@ -13,12 +13,14 @@ depth is the `refinements` column of the `winding` command) and
 lifts.  The angle of a batch of vectors is sampled on a uniform time grid
 and continued against the previous sample, a block of grid rows at a time:
 `OrbitTrack` evaluates up to BLOCK points of grid rows per trajectory
-call, a column of times, and unwraps them with array operations.  Every
-tracked result carries a no-aliasing check: each unwrapped step moves the
-angle by less than pi/2.  A grid step that fails is bisected for its entry
-alone, and each failing half again, until every sub-step passes (up to a
-depth cap), so a few fast-swinging entries do not force the whole batch
-onto a finer grid.
+call, a column of times, keeps only their principal angles, and unwraps
+them with array operations; the few positions its readers need are
+evaluated again on demand (`OrbitTrack.positions`).  Every tracked result
+carries a no-aliasing check: each unwrapped step moves the angle by less
+than pi/2.  A grid step that fails is bisected for its entry alone, and
+each failing half again, until every sub-step passes (up to a depth cap),
+so a few fast-swinging entries do not force the whole batch onto a finer
+grid.
 """
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ def track(vec_at, n, steps):
     deepest bisection of each entry, both (n,).
     """
     times = np.linspace(0.0, 1.0, steps + 1)
-    return _track((vec_at(t, ALL)[None] for t in times), vec_at, n, times)
+    return _track((_angles(vec_at(t, ALL))[None] for t in times), vec_at, n, times)
 
 
 def _row_blocks(rows, width):
@@ -72,11 +74,11 @@ def _row_blocks(rows, width):
 
 
 def _track(blocks, vec_at, n, times, grid=False):
-    """`track` of the vectors at the grid `times`, given as blocks (B, n, 2)
-    of consecutive rows from the first time to the last, so a grid already
-    evaluated is not evaluated again; vec_at serves bisections.  With
-    grid=True returns (theta, depth) instead: the unwrapped angles
-    (len(times), n) at the grid times."""
+    """`track` of the vectors at the grid `times`, given by their principal
+    angles in blocks (B, n) of consecutive rows from the first time to the
+    last, so a grid already evaluated is not evaluated again; vec_at serves
+    bisections.  With grid=True returns (theta, depth) instead: the
+    unwrapped angles (len(times), n) at the grid times."""
     if grid:
         # row 0 holds the start angles, so the cumulative sum unwraps
         dtheta = np.empty((len(times), n))
@@ -84,8 +86,7 @@ def _track(blocks, vec_at, n, times, grid=False):
         total = np.zeros(n)
     failed = []
     prev, k = None, 1  # the angles of the last row unwrapped, the next step
-    for v in blocks:
-        a = _angles(v)
+    for a in blocks:
         if prev is None:
             prev, a = a[0], a[1:]
             if grid:
@@ -237,9 +238,10 @@ class OrbitTrack:
     digital-line lifts of lambda and tau are read from.  T is a power of
     two, so row kT is time k exactly and holds f^k z.
 
-    pos (nT+1, N, 2): the positions.  ang (nT+1, N): the unwrapped angles
-    from each entry's principal start angle.  depth (N,): each entry's
-    deepest bisection.
+    phi (nT+1, N): the principal angles of the positions.  ang (nT+1, N):
+    the unwrapped angles from each entry's principal start angle.  depth
+    (N,): each entry's deepest bisection.  The positions themselves are not
+    kept: `positions` evaluates them again where they are read.
     """
 
     def __init__(self, iso, pts, n, steps=INIT_STEPS):
@@ -252,34 +254,47 @@ class OrbitTrack:
     def _alloc(self, steps, ent):
         # ent maps the entries into the batch the trajectory was built for
         self.steps, self._ent = steps, ent
-        self.pos = np.empty((self.n * steps + 1, len(ent), 2))
+        self.phi = np.empty((self.n * steps + 1, len(ent)))
         self.ang = None  # at most one grid of angles alive
 
+    def _times(self):
+        return np.linspace(0.0, self.n, self.n * self.steps + 1)
+
     def _track(self, rows):
-        """Evaluate the grid rows `rows` (a slice; pos holds the others
+        """Evaluate the grid rows `rows` (a slice; phi holds the others
         already), a column of times per trajectory call, and unwrap the
         grid."""
-        at, ent, P = self._at, self._ent, self.pos
-        times = np.linspace(0.0, self.n, len(P))
-        column, new = times[rows, None], P[rows]
+        at, ent, phi = self._at, self._ent, self.phi
+        times = self._times()
+        column, new = times[rows, None], phi[rows]
         for b in _row_blocks(len(column), len(ent)):
-            new[b] = at(column[b], ent)
+            new[b] = _angles(at(column[b], ent))
         self.ang, self.depth = _track(
-            (P[b] for b in _row_blocks(len(P), len(ent))),
+            (phi[b] for b in _row_blocks(len(phi), len(ent))),
             lambda t, idx: at(t, ent[idx]),
             len(ent),
             times,
             grid=True,
         )
 
+    def positions(self, rows, idx):
+        """f_t z at the grid rows `rows` of the entries `idx`, integer arrays
+        that broadcast: (..., 2) in their broadcast shape.  One time per
+        entry from the grid's own times, so they equal the positions the
+        grid's angles were taken of, bit for bit."""
+        rows, idx = np.broadcast_arrays(rows, idx)
+        t = self._times()[rows.ravel()]
+        return self._at(t, self._ent[idx.ravel()]).reshape(rows.shape + (2,))
+
     def refine(self, idx):
         """Keep the entries idx and double their steps, in place.  The even
         rows are the current grid and only the midpoint times are
         evaluated, so the result equals a fresh track bit for bit."""
-        old = self.pos
+        old = self.phi
         self.pts = self.pts[idx]
         self._alloc(2 * self.steps, self._ent[idx])
-        even = self.pos[::2]
+        even = self.phi[::2]
         for b in _row_blocks(len(old), len(idx)):  # no full-grid temporary
             even[b] = old[b, idx]
+        del old  # the old grid goes before the new one is unwrapped
         self._track(slice(1, None, 2))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diskrot import action
 from diskrot.action import PATH_TOL, ActionField, action_winding_gap, beta, calabi
 from diskrot.geometry import GOLDEN, TWOPI, as_xy, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
@@ -194,3 +195,32 @@ def test_pullback_defect_writes_out_the_jacobian_vector_product(iso):
     stacked = (J @ np.broadcast_to(v, pts.shape)[..., None])[..., 0]
     scale = np.maximum(1.0, np.hypot(stacked[..., 0], stacked[..., 1]))
     assert np.all(np.abs(got - (beta(f, stacked) - beta(pts, v))) <= 1e-15 * scale)
+
+
+def test_chunked_actions_equal_one_batch(monkeypatch):
+    # both routes go through one _CHUNK loop; the closed form works point by
+    # point, so a chunk boundary inside the batch changes no bit
+    pts = uniform_disk(np.random.default_rng(19), 10, 0.95)
+    whole = CONJ.action_closed_form(pts)
+    path = ActionField(CONJ, method="path")
+    one_batch = path.action(pts)
+    per_chunk = np.concatenate([path.action(pts[lo : lo + 4]) for lo in (0, 4, 8)])
+    monkeypatch.setattr(action, "_CHUNK", 4)
+    sizes = []
+    closed_form = CONJ.action_closed_form
+
+    def counted(z):
+        sizes.append(len(z))
+        return closed_form(z)
+
+    monkeypatch.setattr(CONJ, "action_closed_form", counted)
+    field = ActionField(CONJ)
+    assert np.array_equal(field.action(pts), whole)
+    assert sizes == [4, 4, 2]
+    assert np.array_equal(field.action(pts.reshape(5, 2, 2)), whole.reshape(5, 2))
+    assert field.action(pts[9]) == whole[9]
+    # the boundary integrals of a chunk share one Gauss-Legendre reduction
+    # (a BLAS product over the chunk), whose last bit depends on the chunk's
+    # width: the path route equals its chunks and the one batch to an ulp
+    assert np.array_equal(path.action(pts), per_chunk)
+    assert np.max(np.abs(per_chunk - one_batch)) <= 1e-15

@@ -246,6 +246,20 @@ def test_verify_all_fast_smoke(tmp_path):
         doc = json.load(f)
     assert doc["passed"] and doc["fast"]
     assert [c["criterion"] for c in doc["criteria"]] == list(range(1, 11))
+    # the run's telemetry lives in a sidecar: seconds and a peak per criterion
+    with open(tmp_path / "o" / "run.json") as f:
+        run = json.load(f)
+    assert [c["criterion"] for c in run["criteria"]] == list(range(1, 11))
+    for c in run["criteria"]:
+        assert c["seconds"] > 0 and c["peak_rss_mb"] > 0
+    peaks = [c["peak_rss_mb"] for c in run["criteria"]]
+    assert peaks == sorted(peaks) and run["peak_rss_mb"] >= peaks[-1]
+    assert run["seconds"] >= sum(c["seconds"] for c in run["criteria"])
+    assert run["argv"] == ["verify-all", "--fast", "--out", "o"]
+    assert run["seed"] == 0 and run["fast"] is True
+    assert run["diskrot_version"] and run["numpy"] and run["blas"]
+    assert isinstance(run["threads"], dict) and run["git_revision"]
+    assert "seconds" not in json.dumps(doc) and "peak_rss_mb" not in json.dumps(doc)
 
 
 def _usage_error(argv, capsys):

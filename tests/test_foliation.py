@@ -69,12 +69,15 @@ def _track_of(d, ds, steps):
     """A stand-in orbit track whose pairs have the leaf-coordinate and
     along-leaf differences d and ds ((R,) for one pair, (R, M) for M) at
     its grid rows, `steps` rows per unit time: the first points of the
-    pairs stay at radius 1 on the ray at angle pi."""
+    pairs stay at radius 1 on the ray at angle pi.  Its positions are read
+    from the stored points, with OrbitTrack.positions' broadcast indices."""
     d, ds = d.reshape(len(d), -1), ds.reshape(len(ds), -1)
     ang = np.concatenate([np.full(d.shape, np.pi), np.pi + d], axis=1)
     r = np.concatenate([np.ones(d.shape), 1.0 + ds], axis=1)
     pos = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    return SimpleNamespace(steps=steps, pts=pos[0], ang=ang, pos=pos)
+    return SimpleNamespace(
+        steps=steps, pts=pos[0], ang=ang, positions=lambda rows, idx: pos[rows, idx]
+    )
 
 
 def _reference_lifts(track, i, k):
@@ -82,7 +85,8 @@ def _reference_lifts(track, i, k):
     M = len(track.pts) // 2
     shift = np.round((angles_of(track.pts) % TWOPI - track.ang[0]) / TWOPI) * TWOPI
     d = track.ang[:, M + i] - track.ang[:, i] + (shift[M + i] - shift[i])
-    ds = radii_of(track.pos[:, M + i]) - radii_of(track.pos[:, i])
+    rows = np.arange(len(track.ang))
+    ds = radii_of(track.positions(rows, M + i)) - radii_of(track.positions(rows, i))
     return _lift_path_slow(d + TWOPI * k, ds)[:: track.steps]
 
 

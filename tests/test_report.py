@@ -8,6 +8,7 @@ import os
 from diskrot.ergodic import ConvergenceReport
 from diskrot.report import (
     ReportBundle,
+    git_revision,
     read_csv,
     svg_line_chart,
     write_chart,
@@ -84,3 +85,21 @@ def test_reports_take_the_mode_the_umask_gives(tmp_path):
             os.umask(old)
         for name in ("r.json", "r.csv", "r.svg"):
             assert os.stat(tmp_path / name).st_mode & 0o777 == mode, (name, oct(mask))
+
+
+def test_git_revision_reads_head_and_its_ref(tmp_path):
+    sha, other = "1" * 40, "2" * 40
+    git = tmp_path / ".git"
+    assert git_revision(tmp_path) == "unknown"  # not a checkout
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert git_revision(tmp_path) == "unknown"  # a branch with no commit yet
+    (git / "packed-refs").write_text(
+        f"# pack-refs with: peeled fully-peeled sorted\n{other} refs/heads/dev\n"
+        f"{sha} refs/heads/main\n^{other}\n"
+    )
+    assert git_revision(tmp_path) == sha
+    (git / "refs" / "heads" / "main").write_text(f"{other}\n")  # a loose ref wins
+    assert git_revision(tmp_path) == other
+    (git / "HEAD").write_text(f"{sha}\n")  # detached
+    assert git_revision(tmp_path) == sha

@@ -290,9 +290,10 @@ def test_bisected_position_tracks_stay_on_the_requested_grid():
     _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4)
     assert depth.max() > 0
     coarse = OrbitTrack(CONJ, pts, 3, 4)
-    assert coarse.pos.shape == (13, 50, 2) and coarse.ang.shape == (13, 50)
+    assert coarse.phi.shape == (13, 50) and coarse.ang.shape == (13, 50)
     fine = OrbitTrack(CONJ, pts, 3, 1024)
-    assert np.array_equal(coarse.pos, fine.pos[::256])
+    assert np.array_equal(coarse.phi, fine.phi[::256])
+    assert np.array_equal(_grid_positions(coarse), _grid_positions(fine)[::256])
     assert np.max(np.abs(coarse.ang - fine.ang[::256])) < 1e-9
 
 
@@ -350,19 +351,26 @@ def test_refined_track_equals_a_fresh_track():
         fresh = OrbitTrack(FAST, pts[idx], 2, steps)
         assert trk.steps == steps and fresh.depth.max() > 0
         assert np.array_equal(trk.pts, fresh.pts)
-        assert np.array_equal(trk.pos, fresh.pos)
+        assert np.array_equal(trk.phi, fresh.phi)
+        assert np.array_equal(_grid_positions(trk), _grid_positions(fresh))
         assert np.array_equal(trk.ang, fresh.ang)
         assert np.array_equal(trk.depth, fresh.depth)
 
 
+def _grid_positions(trk):
+    """The positions (nT+1, N, 2) of every grid row and entry of a track."""
+    return trk.positions(np.arange(len(trk.phi))[:, None], np.arange(len(trk.pts)))
+
+
 def _row_by_row(iso, pts, n, steps):
-    """Reference orbit track (pos, ang, depth): one grid over [0, n], one
-    trajectory call and one unwrapped row per grid time."""
+    """Reference orbit track (positions, phi, ang, depth): one grid over
+    [0, n], one trajectory call and one unwrapped row per grid time."""
     times = np.linspace(0.0, n, n * steps + 1)
     at = iso.trajectory(pts)
     pos = np.stack([at(t, ALL) for t in times])
-    ang, depth = _track((r[None] for r in pos), at, len(pts), times, grid=True)
-    return pos, ang, depth
+    phi = np.arctan2(pos[..., 1], pos[..., 0])
+    ang, depth = _track((r[None] for r in phi), at, len(pts), times, grid=True)
+    return pos, phi, ang, depth
 
 
 @pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
@@ -378,8 +386,9 @@ def test_block_evaluated_orbit_track_equals_row_by_row(iso):
         if steps == 128:
             trk.refine(idx)
         assert trk.depth.max() > 0
-        for got, want in zip((trk.pos, trk.ang, trk.depth), _row_by_row(iso, kept, 2, steps)):
-            assert np.array_equal(got, want)
+        got = (_grid_positions(trk), trk.phi, trk.ang, trk.depth)
+        for g, want in zip(got, _row_by_row(iso, kept, 2, steps)):
+            assert np.array_equal(g, want)
 
 
 def test_orbit_track_evaluates_rows_in_blocks(monkeypatch):
@@ -426,8 +435,44 @@ def test_deformed_orbit_track_meets_the_plain_one_at_integer_times():
     pts = uniform_disk(np.random.default_rng(16), 60, 0.95)
     plain, deformed = OrbitTrack(CONJ, pts, 4), OrbitTrack(CONJ_TRACKED, pts, 4)
     T = plain.steps
+    every = np.arange(len(pts))
     for k in range(1, 5):
-        assert np.array_equal(deformed.pos[k * T], plain.pos[k * T])
+        assert np.array_equal(deformed.phi[k * T], plain.phi[k * T])
+        assert np.array_equal(deformed.positions(k * T, every), plain.positions(k * T, every))
+
+
+@pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
+def test_positions_equal_the_trajectory_at_the_grid_times(iso):
+    # through two refines, whole grids and scattered (row, entry) pairs alike
+    rng = np.random.default_rng(17)
+    pts = uniform_disk(rng, 60, 0.6)
+    trk = OrbitTrack(iso, pts, 2)
+    kept = pts
+    for idx in (None, np.arange(0, 60, 3), np.array([0, 4, 5, 11, 19])):
+        if idx is not None:
+            trk.refine(idx)
+            kept = kept[idx]
+        assert trk.depth.max() > 0
+        times = np.linspace(0.0, 2, 2 * trk.steps + 1)
+        at = iso.trajectory(kept)
+        want = np.stack([at(t, ALL) for t in times])
+        assert np.array_equal(_grid_positions(trk), want)
+        rows, ent = rng.integers(len(times), size=500), rng.integers(len(kept), size=500)
+        assert np.array_equal(trk.positions(rows, ent), want[rows, ent])
+        assert np.array_equal(trk.phi, np.arctan2(want[..., 1], want[..., 0]))
+
+
+def test_orbit_track_keeps_no_array_beyond_one_grid_of_angles():
+    # phi and ang are (nT+1, N); the positions are evaluated on demand
+    pts = uniform_disk(np.random.default_rng(18), 40, 0.6)
+    trk = OrbitTrack(FAST, pts, 3)
+    for idx in (None, np.arange(0, 40, 2)):
+        if idx is not None:
+            trk.refine(idx)
+        arrays = {k: v for k, v in vars(trk).items() if isinstance(v, np.ndarray)}
+        assert {"phi", "ang"} <= arrays.keys()
+        grid = (trk.n * trk.steps + 1) * len(trk.pts)
+        assert max(v.size for v in arrays.values()) == grid
 
 
 def test_track_grid_times_nest_exactly():
