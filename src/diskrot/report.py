@@ -14,7 +14,6 @@ import io
 import json
 import os
 import platform
-import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -55,7 +54,7 @@ def git_revision(root=None):
     """The commit checked out at `root` (by default the checkout holding
     src/diskrot, when the package runs from one), read from .git/HEAD and
     the ref it names, loose or in packed-refs; "unknown" outside a
-    checkout.  Reading the files takes a fraction of the milliseconds a git
+    checkout, and in a linked worktree or submodule, whose .git is a file.  Reading the files takes a fraction of the milliseconds a git
     process would."""
     root = Path(__file__).resolve().parents[2] if root is None else Path(root)
     git = root / ".git"
@@ -76,7 +75,12 @@ def git_revision(root=None):
 
 
 def peak_rss_mb():
-    """The process's peak resident set so far (ru_maxrss), in MB."""
+    """The process's peak resident set so far (ru_maxrss), in MB; None
+    where the platform has no `resource` module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 

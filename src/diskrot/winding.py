@@ -283,6 +283,8 @@ class OrbitTrack:
         entry from the grid's own times, so they equal the positions the
         grid's angles were taken of, bit for bit."""
         rows, idx = np.broadcast_arrays(rows, idx)
+        if not rows.size:  # a trajectory closure may reduce over its times
+            return np.empty(rows.shape + (2,))
         t = self._times()[rows.ravel()]
         return self._at(t, self._ent[idx.ravel()]).reshape(rows.shape + (2,))
 

@@ -220,6 +220,15 @@ def test_rigid_tau_vanishes_off_shared_leaves():
         annulus_table(RIGID, (0.5, 0.2), (0.5, 0.2))
 
 
+def test_deformed_tau_vanishes_with_no_crossing_step():
+    # outside g's support f_t rotates both points rigidly: d never meets a
+    # level, and the lift table asks the track for no positions at all
+    deformed = ConjugatedRotation(GOLDEN, CONJ.g, deform=True)
+    z, zp = (0.88, 0.0), (0.0, 0.875)
+    assert annulus_table(deformed, z, zp)["tau_bar"] == 0
+    assert annulus_table(deformed, z, zp) == annulus_table(RIGID, z, zp)
+
+
 def test_annulus_sums_crossing_bound():
     rng = np.random.default_rng(1)
     for _ in range(10):

@@ -460,6 +460,8 @@ def test_positions_equal_the_trajectory_at_the_grid_times(iso):
         rows, ent = rng.integers(len(times), size=500), rng.integers(len(kept), size=500)
         assert np.array_equal(trk.positions(rows, ent), want[rows, ent])
         assert np.array_equal(trk.phi, np.arctan2(want[..., 1], want[..., 0]))
+        none = np.zeros((2, 0), dtype=int)  # a lift table with no crossing step
+        assert trk.positions(none, none).shape == (2, 0, 2)
 
 
 def test_orbit_track_keeps_no_array_beyond_one_grid_of_angles():
