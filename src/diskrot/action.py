@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import TWOPI, as_xy, angles_of, resample, uniform_disk
+from .errors import OutsideDomain
+from .geometry import TWOPI, as_xy, angles_of, radii_of, resample, uniform_disk
 from .quadrature import adaptive_gl, adaptive_segments
 from .winding import pair_windings_iterated
 
@@ -92,12 +93,22 @@ class ActionField:
     def action(self, pts):
         """Action values at a batch of points (any shape with trailing 2),
         _CHUNK points at a time, which bounds the temporaries.  The closed
-        form works point by point, so its chunks change no bit."""
+        form works point by point, so its chunks change no bit.  Raises
+        OutsideDomain, naming the first one, for points farther from the
+        origin than the isotopy's domain_radius: neither route is defined
+        there."""
         pts = as_xy(pts)
         flat = pts.reshape(-1, 2)
         out = np.empty(len(flat))
+        R = self.iso.domain_radius
         for lo in range(0, len(flat), _CHUNK):
-            out[lo : lo + _CHUNK] = self._chunk_action(flat[lo : lo + _CHUNK])
+            chunk = flat[lo : lo + _CHUNK]
+            far = np.flatnonzero(radii_of(chunk) > R)
+            if far.size:
+                i = lo + far[0]
+                x, y = flat[i].tolist()
+                raise OutsideDomain(f"point {i} ({x!r}, {y!r}) lies outside the domain r <= {R!r}")
+            out[lo : lo + _CHUNK] = self._chunk_action(chunk)
         if pts.ndim == 1:
             return float(out[0])
         return out.reshape(pts.shape[:-1])

@@ -34,6 +34,10 @@ class OrbitCollision(DiskrotError):
         self.j = j
 
 
+class OutsideDomain(DiskrotError):
+    """A point lies outside the isotopy's domain, the disk of radius domain_radius."""
+
+
 class BadInterval(DiskrotError):
     """Plane extension needs beta > alpha."""
 

@@ -9,9 +9,11 @@ through the digital-line covering Z -> Z/4Z.  The paths are read off one
 orbit track of each pair batch over t in [0, n], its integer times at
 rows kT, and `_lift_table` lifts every pair at every deck copy in one
 array pass over that grid's angles: a table of integer lifts (pair, deck,
-integer time).  The track keeps angles only; the radii that decide a
-crossing are read from positions evaluated again at the few steps near a
-level of the leaf-coordinate difference, and at the rows of tie decks.
+integer time).  The leaf coordinates are exact at each grid time for every
+family but the deformed variant (`Isotopy.leaf_angles`), whose track is
+unwrapped.  The track keeps angles only; the radii that decide a crossing
+are read from positions evaluated again at the few steps near a level of
+the leaf-coordinate difference, and at the rows of tie decks.
 `annulus_table` gives each pair's tau and lambda integers, summed over
 deck copies, and `lambda_prefixes` the lambda of f^n, as array
 expressions over the table.  Every isotopy here fixes the origin, so the leaf

@@ -93,6 +93,11 @@ def _per_entry(scale, shape):
     return np.broadcast_to(scale, shape).reshape(-1) if np.ndim(scale) else scale
 
 
+def _at(p, idx):
+    """p[idx] for an array of per-point values, p itself for a scalar."""
+    return p[idx] if np.ndim(p) else p
+
+
 def _tiles(shape, size):
     """Index tuples of slices that tile an array of `shape` (ndim >= 1) in
     contiguous blocks of at most `size` entries (one entry at least)."""
@@ -166,12 +171,13 @@ class TwistStep:
         hi = (self.outer * (1.0 + _MARGIN)) ** 2
         return (d2 >= lo) & (d2 <= hi)
 
-    def _move(self, px, py, scale, jac=False, gen=False):
+    def _move(self, px, py, scale, jac=False, gen=False, turn=None):
         """The step's one kernel: moves the points of the flat coordinate
         arrays px, py in place at `scale`, a scalar or one per entry, and
         returns (J, S): the step's Jacobian stack (N, 2, 2) if jac and its
-        generating function (N,) if gen, else None.  The window, rho and
-        psi are found once and serve all three."""
+        generating function (N,) if gen, else None, and carries turn, flat
+        lifted angles of the points about the origin, along in place.  The
+        window, rho and psi are found once and serve all of them."""
         cx, cy = self.center
         x, y = px - cx, py - cy
         d2 = x * x + y * y
@@ -212,7 +218,16 @@ class TwistStep:
             kx, ky = k * x, k * y
             J[idx, 0, 0], J[idx, 0, 1] = c - ry * kx, -s - ry * ky
             J[idx, 1, 0], J[idx, 1, 1] = s + rx * kx, c + rx * ky
-        px[idx], py[idx] = rx + cx, ry + cy
+        qx, qy = rx + cx, ry + cy
+        px[idx], py[idx] = qx, qy
+        if turn is not None:
+            # with the origin inside the inner circle, it is the near point
+            # of each pair (0, p), so the step turns p about it by psi plus
+            # a remainder in (-pi, pi) (`ConjugacyMap.ramp_winding`): d less
+            # its whole turns, which wrap_to_pi's slow branch would remove
+            cur = turn[idx] + psi
+            d = np.arctan2(qy, qx) - cur
+            turn[idx] = cur + (d - TWOPI * np.round(d / TWOPI))
         return J, S
 
     def potential(self, rho, scale=1.0):
@@ -285,16 +300,17 @@ class ConjugacyMap:
         seq = list(self.steps) * self.repeats
         return seq[::-1] if inverse else seq
 
-    def _walk(self, pts, scale, inverse=False, jac=False, gen=False):
+    def _walk(self, pts, scale, inverse=False, jac=False, gen=False, turn=None):
         """One pass of the sub-step kernels of g (g^{-1} with inverse) over
         split coordinates: (image, Jacobian if jac, S if gen), the Jacobian
-        as the full-stack product of the sub-steps' Jacobians."""
+        as the full-stack product of the sub-steps' Jacobians; turn as in
+        `TwistStep._move`."""
         px, py, shape = _split(pts)
         s = _per_entry((-scale if inverse else scale) / self.repeats, shape)
         J = np.broadcast_to(np.eye(2), px.shape + (2, 2)).copy() if jac else None
         S = np.zeros(px.shape) if gen else None
         for st in self._sequence(inverse):
-            Js, dS = st._move(px, py, s, jac, gen)
+            Js, dS = st._move(px, py, s, jac, gen, turn)
             if jac:
                 J = Js @ J
             if gen:
@@ -442,7 +458,8 @@ class Isotopy:
     jac and velocity are asked for t in [0, 1] only.  Instances are
     immutable after construction and all evaluators are pure, so they are
     freely shareable.  The closed-form hooks answer None here: actions then
-    come from path integrals, and windings are tracked.
+    come from path integrals, and windings and orbit tracks' angles are
+    tracked.
     """
 
     boundary_rot = 0.0
@@ -504,6 +521,12 @@ class Isotopy:
 
     def tangent_windings_closed_form(self, base, dirs):
         """Windings of t -> Df_t(base) . dirs."""
+        return None
+
+    def leaf_angles(self, pts):
+        """at(t, idx): the lifted angles about the fixed origin of
+        f_t(pts[idx]), continuous in t from a start branch of the family's
+        choosing; t as in `trajectory`, one time per entry or a column."""
         return None
 
 
@@ -579,26 +602,70 @@ class ConjugatedRotation(Isotopy):
         fk = self._conj(self._twist(self._conj(pts, inverse=True), k))
         return t - k, np.where((k > 0)[..., None], fk, pts), k
 
+    def _ramp(self, t, pts):
+        """g_t T_p^t g_t^{-1}(pts), the deformed ramp at t <= 1, scalar or
+        one per point."""
+        return self._conj(self._twist(self._conj(pts, t, inverse=True), t), t)
+
     def eval(self, t, pts):
         pts = as_xy(pts)
-        if self.deform and np.max(t) > 1.0:
+        if not self.deform:
+            return self._conj(self._twist(self._conj(pts, inverse=True), t))
+        if np.max(t) > 1.0:
             t, pts, _ = self._restart(t, pts)
-        s = t if self.deform else 1.0
-        return self._conj(self._twist(self._conj(pts, s, inverse=True), t), s)
+        return self._ramp(t, pts)
 
     def trajectory(self, pts):
-        if self.deform:  # g_t depends on t
-            return super().trajectory(pts)
-        w = self._conj(as_xy(pts), inverse=True)
+        """g^{-1}(pts) and p once, and a column of times in one walk.  The
+        deformed variant's ramp runs at per-entry scales; as eval of one
+        time per row would, it restarts from f^k z past t = 1, walking g for
+        each distinct (k, entry) once, with `_restart`'s expression."""
+        pts = as_xy(pts)
+        w = self._conj(pts, inverse=True)
         p = self.alpha + self._band(w)
 
         def at(t, idx):
-            wi = w[idx]
-            if np.ndim(t) == 2:
-                # broadcast here, not in `rotate`: a broadcasting `rotate`
-                # slows the single-point calls of orbit averages
-                wi = np.broadcast_to(wi, (len(t),) + wi.shape)
-            return self._conj(rotate(wi, TWOPI * t * (p[idx] if np.ndim(p) else p)))
+            src = np.arange(len(pts))[idx]  # each entry's point of the batch
+            shape = np.broadcast_shapes(np.shape(t), src.shape)
+            if not self.deform:
+                wi = np.broadcast_to(w[src], shape + (2,))
+                return self._conj(rotate(wi, TWOPI * t * _at(p, src)))
+            past = t > 1.0 if np.ndim(t) == 2 else np.max(t) > 1.0
+            k = np.broadcast_to(np.where(past, np.floor(t), 0.0), shape)
+            z, mask = np.broadcast_to(pts[src], shape + (2,)), k > 0
+            if mask.any():
+                key = k[mask].astype(np.intp) * len(pts) + np.broadcast_to(src, shape)[mask]
+                key, inv = np.unique(key, return_inverse=True)
+                kk, b = np.divmod(key, len(pts))
+                z = np.array(z)
+                z[mask] = self._conj(rotate(w[b], TWOPI * kk * _at(p, b)))[inv]
+            return self._ramp(t - k, z)
+
+        return at
+
+    def leaf_angles(self, pts):
+        """One walk of g per call: T_p^t turns w = g^{-1}(z) to the lifted
+        angle theta(w) + 2 pi t p(|w|), and `TwistStep._move` carries it
+        through g's sub-steps, so theta(f_t z) - theta(z) = 2 pi [t p(|w|) +
+        D(0, T_p^t w) - D(0, w)], D the conjugacy's `ramp_winding`.  None
+        for the deformed variant, and for a g with a step whose center is
+        not strictly inside its inner circle, where the origin is not the
+        near point of every pair (0, q)."""
+        if self.deform or (
+            self.g is not None and any(math.hypot(*st.center) >= st.inner for st in self.g.steps)
+        ):
+            return None
+        w = self._conj(as_xy(pts), inverse=True)
+        p, theta = self.alpha + self._band(w), angles_of(w)
+
+        def at(t, idx):
+            a = TWOPI * t * _at(p, idx)
+            turn = theta[idx] + a
+            if self.g is None:
+                return turn
+            wi = np.broadcast_to(w[idx], turn.shape + (2,))
+            self.g._walk(rotate(wi, a), 1.0, turn=turn.reshape(-1))
+            return turn
 
         return at
 

@@ -6,21 +6,23 @@ first ask the isotopy for its closed form (`Isotopy.windings_closed_form`,
 `tangent_windings_closed_form`): every family g T_p g^{-1} but the
 deformed variant has one, exact and with no time grid.  Iterated windings
 are the cumulative W_{f^n}, n in ns, and give every integer-time winding,
-the origin windings behind m too.  Every other angle is unwrapped by one
+the origin windings behind m too.  `OrbitTrack`, the grid of f_t z over
+t in [0, n] behind the lambda and tau lifts, takes its lifted angles from
+`Isotopy.leaf_angles` where the family has them (all but the deformed
+variant), exact at each grid time.  Every other angle is unwrapped by one
 engine, `track`: tracked pair windings (`_pair_track`, whose bisection
-depth is the `refinements` column of the `winding` command) and
-`OrbitTrack`, the grid of f_t z over t in [0, n] behind the lambda and tau
-lifts.  The angle of a batch of vectors is sampled on a uniform time grid
-and continued against the previous sample, a block of grid rows at a time:
-`OrbitTrack` evaluates up to BLOCK points of grid rows per trajectory
-call, a column of times, keeps only their principal angles, and unwraps
-them with array operations; the few positions its readers need are
-evaluated again on demand (`OrbitTrack.positions`).  Every tracked result
-carries a no-aliasing check: each unwrapped step moves the angle by less
-than pi/2.  A grid step that fails is bisected for its entry alone, and
-each failing half again, until every sub-step passes (up to a depth cap),
-so a few fast-swinging entries do not force the whole batch onto a finer
-grid.
+depth is the `refinements` column of the `winding` command) and the
+deformed variant's orbit tracks.  The angle of a batch of vectors is
+sampled on a uniform time grid and continued against the previous sample,
+a block of grid rows at a time: `OrbitTrack` evaluates up to BLOCK points
+of grid rows per call, a column of times, and unwraps a tracked grid's
+principal angles with array operations; the few positions its readers
+need are evaluated again on demand (`OrbitTrack.positions`).  Every
+tracked result carries a no-aliasing check: each unwrapped step moves the
+angle by less than pi/2.  A grid step that fails is bisected for its
+entry alone, and each failing half again, until every sub-step passes (up
+to a depth cap), so a few fast-swinging entries do not force the whole
+batch onto a finer grid.
 """
 from __future__ import annotations
 
@@ -233,45 +235,58 @@ def pair_windings_iterated(iso, X, Y, ns):
 
 
 class OrbitTrack:
-    """Certified tracks of f_t z, t in [0, n], of a batch of points on one
-    uniform grid of T steps per unit time: the sampled paths that the
-    digital-line lifts of lambda and tau are read from.  T is a power of
-    two, so row kT is time k exactly and holds f^k z.
+    """Tracks of f_t z, t in [0, n], of a batch of points on one uniform
+    grid of T steps per unit time: the sampled paths that the digital-line
+    lifts of lambda and tau are read from.  T is a power of two, so row kT
+    is time k exactly and holds f^k z.
 
-    phi (nT+1, N): the principal angles of the positions.  ang (nT+1, N):
-    the unwrapped angles from each entry's principal start angle.  depth
-    (N,): each entry's deepest bisection.  The positions themselves are not
-    kept: `positions` evaluates them again where they are read.
+    ang (nT+1, N): lifted angles of the positions, continuous in t from a
+    start branch that differs by whole turns from entry to entry.  A family
+    with `Isotopy.leaf_angles` gives them exactly at each grid time; depth
+    is then zero.  Any other is tracked: phi (nT+1, N) holds the principal
+    angles, ang is unwrapped from each entry's principal start angle, and
+    depth (N,) is each entry's deepest bisection.  The positions themselves
+    are not kept: `positions` evaluates them again where they are read.
     """
 
     def __init__(self, iso, pts, n, steps=INIT_STEPS):
         self.pts = as_xy(pts)
         self.n = n
         self._at = iso.trajectory(self.pts)
+        self._leaf = iso.leaf_angles(self.pts)
         self._alloc(steps, np.arange(len(self.pts)))
         self._track(slice(None))
 
     def _alloc(self, steps, ent):
         # ent maps the entries into the batch the trajectory was built for
         self.steps, self._ent = steps, ent
-        self.phi = np.empty((self.n * steps + 1, len(ent)))
-        self.ang = None  # at most one grid of angles alive
+        grid = np.empty((self.n * steps + 1, len(ent)))
+        if self._leaf is None:
+            self.phi, self.ang = grid, None  # at most one grid of angles alive
+        else:
+            self.ang, self.depth = grid, np.zeros(len(ent), dtype=int)
+
+    def _grid(self):
+        """The grid that the trajectory's evaluations fill."""
+        return self.phi if self._leaf is None else self.ang
 
     def _times(self):
         return np.linspace(0.0, self.n, self.n * self.steps + 1)
 
     def _track(self, rows):
-        """Evaluate the grid rows `rows` (a slice; phi holds the others
-        already), a column of times per trajectory call, and unwrap the
-        grid."""
-        at, ent, phi = self._at, self._ent, self.phi
+        """Evaluate the grid rows `rows` (a slice; the grid holds the others
+        already), a column of times per call, and unwrap a tracked grid."""
+        ent, grid = self._ent, self._grid()
         times = self._times()
-        column, new = times[rows, None], phi[rows]
+        column, new = times[rows, None], grid[rows]
+        angles = self._leaf or (lambda t, idx: _angles(self._at(t, idx)))
         for b in _row_blocks(len(column), len(ent)):
-            new[b] = _angles(at(column[b], ent))
+            new[b] = angles(column[b], ent)
+        if self._leaf is not None:
+            return
         self.ang, self.depth = _track(
-            (phi[b] for b in _row_blocks(len(phi), len(ent))),
-            lambda t, idx: at(t, ent[idx]),
+            (grid[b] for b in _row_blocks(len(grid), len(ent))),
+            lambda t, idx: self._at(t, ent[idx]),
             len(ent),
             times,
             grid=True,
@@ -292,10 +307,10 @@ class OrbitTrack:
         """Keep the entries idx and double their steps, in place.  The even
         rows are the current grid and only the midpoint times are
         evaluated, so the result equals a fresh track bit for bit."""
-        old = self.phi
+        old = self._grid()
         self.pts = self.pts[idx]
         self._alloc(2 * self.steps, self._ent[idx])
-        even = self.phi[::2]
+        even = self._grid()[::2]
         for b in _row_blocks(len(old), len(idx)):  # no full-grid temporary
             even[b] = old[b, idx]
         del old  # the old grid goes before the new one is unwrapped

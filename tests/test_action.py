@@ -7,6 +7,7 @@ import pytest
 
 from diskrot import action
 from diskrot.action import PATH_TOL, ActionField, action_winding_gap, beta, calabi
+from diskrot.errors import OutsideDomain
 from diskrot.geometry import GOLDEN, TWOPI, as_xy, uniform_disk
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
 from test_maps import PLANES, Concatenation, plane_points
@@ -73,6 +74,26 @@ def test_radial_closed_form_action_matches_path_integrals(name):
     # the path route is certified to PATH_TOL only; on these points it
     # lies within 2.5e-10 of the closed form (within 1e-15 without a core)
     assert np.max(np.abs(a_cf - ActionField(iso, method="path").action(pts))) < 1e-9
+
+
+@pytest.mark.parametrize("method", ["auto", "path"])
+def test_points_outside_the_domain_are_rejected(method):
+    # just past a plane's R, where the path route's panels cannot certify the
+    # jump of p', and at r = 5 off the unit disk, where the closed form
+    # answered; the error names the first such point of the batch
+    plane = PlaneExtension(GOLDEN, 0.75)
+    R = plane.domain_radius
+    for iso, far in ((plane, (R + 1e-3, 0.0)), (CONJ, (3.0, -4.0))):
+        pts = np.array([[0.1, 0.2], far, [0.3, 0.0], [0.0, 6.0]])
+        with pytest.raises(OutsideDomain, match=r"point 1 \(") as err:
+            ActionField(iso, method=method).action(pts)
+        assert repr(far[0]) in str(err.value)
+        # the index counts the points of a batch of any shape in flat order
+        with pytest.raises(OutsideDomain, match=r"point 2 \(0\.0, 6\.0\)"):
+            ActionField(iso, method=method).action(pts[[0, 2, 3, 1]].reshape(2, 2, 2))
+    # the boundary itself is in the domain
+    on = np.array([[R, 0.0]])
+    assert np.array_equal(ActionField(plane, method=method).action(on), ActionField(plane).action(on))
 
 
 def test_action_is_anchor_independent():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from diskrot.cli import build_parser, main
-from diskrot.maps import ConjugatedRotation, Isotopy, from_config
+from diskrot.maps import ConjugatedRotation, from_config
 from diskrot.winding import _pair_track, pair_windings
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -107,13 +107,13 @@ def test_winding_command_tracks_pairs_once_without_closed_form(tmp_path, monkeyp
     cfg = {"family": "conjugated", "alpha": "golden", "deform": True}
     path = _write_config(tmp_path, cfg)
     calls = []
-    trajectory = Isotopy.trajectory
+    trajectory = ConjugatedRotation.trajectory
 
     def counted(self, pts):
         calls.append(len(pts))
         return trajectory(self, pts)
 
-    monkeypatch.setattr(Isotopy, "trajectory", counted)
+    monkeypatch.setattr(ConjugatedRotation, "trajectory", counted)
     out = tmp_path / "o"
     argv = ["winding", "--config", path, "--pairs", "7", "--cross-check"]
     assert main(argv + ["--out", str(out)]) == 0

@@ -12,6 +12,7 @@ from diskrot.foliation import displacements
 from diskrot.geometry import (
     GOLDEN,
     TWOPI,
+    angles_of,
     rot90,
     rotate,
     rotation_matrices,
@@ -155,6 +156,7 @@ class Concatenation(Isotopy):
 
     def __init__(self, base, n):
         self.base, self.n = base, n
+        self.domain_radius = base.domain_radius
 
     def _split(self, t, pts):
         """(f^k(pts), sigma, orbit): each point's iterate k < n at time t,
@@ -670,17 +672,65 @@ def test_trajectory_matches_eval(family):
     assert np.array_equal(at(t_arr, idx), iso.eval(t_arr, pts[idx]))
 
 
-@pytest.mark.parametrize("family", sorted(PER_ENTRY_FAMILIES))
+# the families whose orbit tracks are tracked: the deformed variant, alone
+# or as a plane's core
+TRACKED_FAMILIES = {
+    "deformed": PER_ENTRY_FAMILIES["deformed"],
+    "plane-extension-deformed": lambda: PlaneExtension(
+        GOLDEN, GOLDEN + 0.3, core=ConjugatedRotation(GOLDEN, _g(), deform=True)
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted({**PER_ENTRY_FAMILIES, **TRACKED_FAMILIES}))
 def test_trajectory_column_of_times_matches_per_time_calls(family):
-    iso = PER_ENTRY_FAMILIES[family]()
+    # times past 1, where the deformed ramp restarts from f^k z, several k
+    # in one column
+    iso = {**PER_ENTRY_FAMILIES, **TRACKED_FAMILIES}[family]()
     rng = np.random.default_rng(12)
     pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
     at = iso.trajectory(pts)
-    times = np.concatenate([[0.0, 1.0 / 3.0, 1.0], rng.random(14)])[:, None]
+    times = np.concatenate([[0.0, 1.0 / 3.0, 1.0, 2.0, 2.5], 3.0 * rng.random(14)])[:, None]
     for idx in (ALL, rng.integers(0, 40, 25)):
         col = at(times, idx)
-        assert col.shape == (17, len(pts[idx]), 2)
+        assert col.shape == (19, len(pts[idx]), 2)
         assert np.array_equal(col, np.stack([at(t, idx) for t in times[:, 0]]))
+
+
+@pytest.mark.parametrize("family", sorted(TRACKED_FAMILIES))
+def test_deformed_trajectory_matches_eval_past_one(family):
+    # one time for all entries and one per entry, where eval restarts the ramp
+    # from f^k z with k = floor(t)
+    iso = TRACKED_FAMILIES[family]()
+    assert iso.leaf_angles(np.zeros((1, 2))) is None
+    rng = np.random.default_rng(9)
+    pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
+    at = iso.trajectory(pts)
+    for t in (1.0, 1.5, 2.0, 3.25):
+        assert np.array_equal(at(t, ALL), iso.eval(t, pts))
+    idx = rng.integers(0, 40, 25)
+    t_arr = 4.0 * rng.random(25)
+    t_arr[:4] = (0.0, 1.0, 2.0, 2.0)
+    assert np.array_equal(at(t_arr, idx), iso.eval(t_arr, pts[idx]))
+
+
+@pytest.mark.parametrize("family", sorted(set(PER_ENTRY_FAMILIES) - set(TRACKED_FAMILIES)))
+def test_leaf_angles_follow_the_trajectory(family):
+    # principal angles of the positions, continuous over the grid, one time
+    # per entry or a column
+    iso = PER_ENTRY_FAMILIES[family]()
+    rng = np.random.default_rng(13)
+    pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
+    at, leaf = iso.trajectory(pts), iso.leaf_angles(pts)
+    times = np.linspace(0.0, 3.0, 3 * 256 + 1)
+    ang = leaf(times[:, None], ALL)
+    pos = np.stack([at(t, ALL) for t in times])
+    assert ang.shape == (len(times), 40)
+    assert np.max(np.abs(wrap_to_pi(ang - angles_of(pos)))) < 1e-12
+    assert np.max(np.abs(np.diff(ang, axis=0))) < 0.5 * np.pi
+    idx = rng.integers(0, 40, 25)
+    rows = rng.integers(0, len(times), 25)
+    assert np.array_equal(leaf(times[rows], idx), ang[rows, idx])
 
 
 def test_closed_form_action_is_constant_for_rigid():

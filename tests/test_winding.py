@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diskrot import winding
 from diskrot.errors import CoincidentPoints, RefinementExhausted, SingularJacobian
-from diskrot.foliation import displacements
+from diskrot.foliation import annulus_table, displacements, winding_gaps
 from diskrot.geometry import GOLDEN, TWOPI, uniform_disk, wrap_to_pi
 from diskrot.maps import (
     ConjugacyMap,
     ConjugatedRotation,
-    Isotopy,
     RigidRotation,
     TwistStep,
 )
@@ -232,28 +232,40 @@ def test_shared_reference_point_equals_its_broadcast_copies():
         assert np.max(np.abs(pair_windings(FAST, copies, Y) - exact_row)) < 1e-12
 
 
+def _count_closure_calls(monkeypatch, owner, name, calls):
+    """Patch the hook owner.name, which returns a closure at(t, idx), so
+    that every closure call appends (t, len(out)) to calls."""
+    hook = getattr(owner, name)
+
+    def counted(self, pts):
+        at = hook(self, pts)
+
+        def counted_at(t, idx):
+            out = at(t, idx)
+            calls.append((t, len(out) if np.ndim(t) < 2 else out.shape[1]))
+            return out
+
+        return None if at is None else counted_at
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_cross_matrix_evaluates_each_point_once_per_grid_time(monkeypatch):
     # n + m points per grid time, not n * m; the bisections evaluate what
     # they evaluate for the same pairs written out
-    sizes = []
-    evaluate = ConjugatedRotation.eval
-
-    def counted(self, t, pts):
-        sizes.append((np.ndim(t), len(pts)))
-        return evaluate(self, t, pts)
-
-    monkeypatch.setattr(ConjugatedRotation, "eval", counted)
+    calls = []
+    _count_closure_calls(monkeypatch, ConjugatedRotation, "trajectory", calls)
     rng = np.random.default_rng(8)
     xs, ys = uniform_disk(rng, 6, 0.6), uniform_disk(rng, 7, 0.6)
     _, depth = _pair_track(FAST_TRACKED, xs[:, None], ys[None, :])
     assert depth.max() > 0
-    grid = [n for ndim, n in sizes if ndim == 0]
+    grid = [n for t, n in calls if np.ndim(t) == 0]
     assert sorted(set(grid)) == [6, 7] and len(grid) == 2 * 65
-    bisections = [n for ndim, n in sizes if ndim]
-    sizes.clear()
+    bisections = [n for t, n in calls if np.ndim(t)]
+    calls.clear()
     i, j = np.meshgrid(np.arange(6), np.arange(7), indexing="ij")
     _pair_track(FAST_TRACKED, xs[i.ravel()], ys[j.ravel()])
-    assert [n for ndim, n in sizes if ndim] == bisections
+    assert [n for t, n in calls if np.ndim(t)] == bisections
 
 
 @pytest.mark.parametrize("steps", [64, 256])
@@ -287,14 +299,19 @@ def test_conjugacy_inverse_runs_once_per_tracked_side(monkeypatch, steps):
 
 def test_bisected_position_tracks_stay_on_the_requested_grid():
     pts = uniform_disk(np.random.default_rng(9), 50, 0.95)
-    _, depth = track(lambda t, idx: CONJ.eval(t, pts[idx]), len(pts), 4)
+    _, depth = track(lambda t, idx: CONJ_TRACKED.eval(t, pts[idx]), len(pts), 4)
     assert depth.max() > 0
-    coarse = OrbitTrack(CONJ, pts, 3, 4)
+    coarse = OrbitTrack(CONJ_TRACKED, pts, 3, 4)
     assert coarse.phi.shape == (13, 50) and coarse.ang.shape == (13, 50)
-    fine = OrbitTrack(CONJ, pts, 3, 1024)
+    assert coarse.depth.max() > 0
+    fine = OrbitTrack(CONJ_TRACKED, pts, 3, 1024)
     assert np.array_equal(coarse.phi, fine.phi[::256])
     assert np.array_equal(_grid_positions(coarse), _grid_positions(fine)[::256])
     assert np.max(np.abs(coarse.ang - fine.ang[::256])) < 1e-9
+    # the exact angles of the flow's track are the same on any grid, bit for bit
+    coarse, fine = OrbitTrack(CONJ, pts, 3, 4), OrbitTrack(CONJ, pts, 3, 1024)
+    assert np.array_equal(coarse.ang, fine.ang[::256])
+    assert np.array_equal(_grid_positions(coarse), _grid_positions(fine)[::256])
 
 
 def test_discontinuous_vector_exhausts_the_refinement():
@@ -340,15 +357,16 @@ def test_two_isotopies_of_one_map_wind_identically():
 
 
 def test_refined_track_equals_a_fresh_track():
-    # fast-twist orbits bisect at 64 and at 128 steps; refining evaluates only
-    # the midpoints yet reproduces the fresh finer track bit for bit
+    # deformed fast-twist orbits bisect at 64 and at 128 steps; refining
+    # evaluates only the midpoints yet reproduces the fresh finer track bit
+    # for bit
     pts = uniform_disk(np.random.default_rng(3), 40, 0.6)
     idx = np.arange(0, 40, 2)
-    trk = OrbitTrack(FAST, pts, 2)
+    trk = OrbitTrack(FAST_TRACKED, pts, 2)
     assert trk.depth.max() > 0
     for steps in (128, 256):
         trk.refine(idx if steps == 128 else np.arange(len(idx)))
-        fresh = OrbitTrack(FAST, pts[idx], 2, steps)
+        fresh = OrbitTrack(FAST_TRACKED, pts[idx], 2, steps)
         assert trk.steps == steps and fresh.depth.max() > 0
         assert np.array_equal(trk.pts, fresh.pts)
         assert np.array_equal(trk.phi, fresh.phi)
@@ -357,9 +375,29 @@ def test_refined_track_equals_a_fresh_track():
         assert np.array_equal(trk.depth, fresh.depth)
 
 
+def test_refined_exact_track_equals_a_fresh_track(monkeypatch):
+    # the flow's exact angles: refine evaluates the midpoint rows alone, and
+    # the result is a fresh finer track, bit for bit
+    pts = uniform_disk(np.random.default_rng(3), 40, 0.6)
+    idx = np.arange(0, 40, 2)
+    calls = []
+    _count_closure_calls(monkeypatch, ConjugatedRotation, "leaf_angles", calls)
+    trk = OrbitTrack(FAST, pts, 2)
+    for steps in (128, 256):
+        calls.clear()
+        trk.refine(idx if steps == 128 else np.arange(len(idx)))
+        assert np.array_equal(np.concatenate([t[:, 0] for t, _ in calls]), trk._times()[1::2])
+        fresh = OrbitTrack(FAST, pts[idx], 2, steps)
+        assert trk.steps == steps and not hasattr(trk, "phi")
+        assert np.array_equal(trk.pts, fresh.pts)
+        assert np.array_equal(trk.ang, fresh.ang)
+        assert np.array_equal(_grid_positions(trk), _grid_positions(fresh))
+        assert np.array_equal(trk.depth, fresh.depth) and not trk.depth.any()
+
+
 def _grid_positions(trk):
     """The positions (nT+1, N, 2) of every grid row and entry of a track."""
-    return trk.positions(np.arange(len(trk.phi))[:, None], np.arange(len(trk.pts)))
+    return trk.positions(np.arange(len(trk.ang))[:, None], np.arange(len(trk.pts)))
 
 
 def _row_by_row(iso, pts, n, steps):
@@ -373,7 +411,7 @@ def _row_by_row(iso, pts, n, steps):
     return pos, phi, ang, depth
 
 
-@pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
+@pytest.mark.parametrize("iso", [FAST_TRACKED], ids=["deformed"])
 def test_block_evaluated_orbit_track_equals_row_by_row(iso):
     # 300 entries make blocks of 27 rows, which divide neither the 129 rows
     # of 64 steps over two iterates nor, for the 150 refined entries, 54
@@ -391,60 +429,57 @@ def test_block_evaluated_orbit_track_equals_row_by_row(iso):
             assert np.array_equal(g, want)
 
 
-def test_orbit_track_evaluates_rows_in_blocks(monkeypatch):
+@pytest.mark.parametrize(
+    "iso, hook", [(CONJ, "leaf_angles"), (CONJ_TRACKED, "trajectory")], ids=["exact", "deformed"]
+)
+def test_orbit_track_evaluates_rows_in_blocks(monkeypatch, iso, hook):
     calls = []
-    forward = ConjugacyMap.forward
-
-    def counted(self, pts, scale=1.0):
-        calls.append(np.shape(pts))
-        return forward(self, pts, scale)
-
-    monkeypatch.setattr(ConjugacyMap, "forward", counted)
+    _count_closure_calls(monkeypatch, ConjugatedRotation, hook, calls)
     pts = uniform_disk(np.random.default_rng(14), 200, 0.95)
-    trk = OrbitTrack(CONJ, pts, 3)
+    trk = OrbitTrack(iso, pts, 3)
     # 40 rows of 200 points a call: the 193 rows of three iterates take five
     assert trk.depth.max() == 0
-    assert calls == [(40, 200, 2)] * 4 + [(33, 200, 2)]
+    assert [(np.shape(t), n) for t, n in calls] == [((40, 1), 200)] * 4 + [((33, 1), 200)]
 
 
-@pytest.mark.parametrize(
-    "iso, owner",
-    [(CONJ_TRACKED, Isotopy), (FAST, ConjugatedRotation)],
-    ids=["deformed", "conjugated"],
-)
-def test_orbit_track_makes_one_trajectory_call_per_batch(monkeypatch, iso, owner):
-    # the generic trajectory, which serves the deformed variant alone, and
-    # the closed-form family's own
+@pytest.mark.parametrize("iso", [CONJ_TRACKED, FAST], ids=["deformed", "conjugated"])
+def test_orbit_track_makes_one_trajectory_call_per_batch(monkeypatch, iso):
+    # and one leaf_angles call, which the closed-form family answers
     calls = []
-    trajectory = owner.trajectory
+    for name in ("trajectory", "leaf_angles"):
+        hook = getattr(ConjugatedRotation, name)
 
-    def counted(self, pts):
-        calls.append(len(pts))
-        return trajectory(self, pts)
+        def counted(self, pts, hook=hook, name=name):
+            calls.append((name, len(pts)))
+            return hook(self, pts)
 
-    monkeypatch.setattr(owner, "trajectory", counted)
+        monkeypatch.setattr(ConjugatedRotation, name, counted)
     pts = uniform_disk(np.random.default_rng(15), 40, 0.6)
     trk = OrbitTrack(iso, pts, 5)
     trk.refine(np.arange(0, 40, 2))
-    assert calls == [40]
+    assert calls == [("trajectory", 40), ("leaf_angles", 40)]
 
 
 def test_deformed_orbit_track_meets_the_plain_one_at_integer_times():
     # floor(t) = k puts the deformed ramp at scale 0 at t = k, where the
-    # track holds f^k z = g R^k g^{-1} z, as the flow's track does
+    # track holds f^k z = g R^k g^{-1} z, as the flow's track does; two
+    # isotopies of f^k turn each point by the same angle
     pts = uniform_disk(np.random.default_rng(16), 60, 0.95)
     plain, deformed = OrbitTrack(CONJ, pts, 4), OrbitTrack(CONJ_TRACKED, pts, 4)
     T = plain.steps
     every = np.arange(len(pts))
     for k in range(1, 5):
-        assert np.array_equal(deformed.phi[k * T], plain.phi[k * T])
-        assert np.array_equal(deformed.positions(k * T, every), plain.positions(k * T, every))
+        pos = plain.positions(k * T, every)
+        assert np.array_equal(deformed.positions(k * T, every), pos)
+        assert np.array_equal(deformed.phi[k * T], np.arctan2(pos[:, 1], pos[:, 0]))
+        turned = [trk.ang[k * T] - trk.ang[0] for trk in (plain, deformed)]
+        assert np.max(np.abs(turned[0] - turned[1])) < 1e-9
 
 
-@pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
-def test_positions_equal_the_trajectory_at_the_grid_times(iso):
-    # through two refines, whole grids and scattered (row, entry) pairs alike
-    rng = np.random.default_rng(17)
+def _refined_positions(iso, rng):
+    """An orbit track of iso over two iterates, refined twice, with the
+    trajectory's positions at its grid times: (track, positions (nT+1, N,
+    2), points kept) after each refine, and before the first."""
     pts = uniform_disk(rng, 60, 0.6)
     trk = OrbitTrack(iso, pts, 2)
     kept = pts
@@ -452,29 +487,102 @@ def test_positions_equal_the_trajectory_at_the_grid_times(iso):
         if idx is not None:
             trk.refine(idx)
             kept = kept[idx]
-        assert trk.depth.max() > 0
-        times = np.linspace(0.0, 2, 2 * trk.steps + 1)
         at = iso.trajectory(kept)
-        want = np.stack([at(t, ALL) for t in times])
+        yield trk, np.stack([at(t, ALL) for t in np.linspace(0.0, 2, 2 * trk.steps + 1)]), kept
+
+
+@pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
+def test_positions_equal_the_trajectory_at_the_grid_times(iso):
+    # through two refines, whole grids and scattered (row, entry) pairs alike
+    rng = np.random.default_rng(17)
+    for trk, want, kept in _refined_positions(iso, rng):
         assert np.array_equal(_grid_positions(trk), want)
-        rows, ent = rng.integers(len(times), size=500), rng.integers(len(kept), size=500)
+        rows, ent = rng.integers(len(want), size=500), rng.integers(len(kept), size=500)
         assert np.array_equal(trk.positions(rows, ent), want[rows, ent])
-        assert np.array_equal(trk.phi, np.arctan2(want[..., 1], want[..., 0]))
         none = np.zeros((2, 0), dtype=int)  # a lift table with no crossing step
         assert trk.positions(none, none).shape == (2, 0, 2)
 
 
-def test_orbit_track_keeps_no_array_beyond_one_grid_of_angles():
-    # phi and ang are (nT+1, N); the positions are evaluated on demand
+def test_tracked_principal_angles_are_the_positions_angles():
+    # the deformed fast twist bisects; phi is arctan2 of the positions
+    for trk, want, _ in _refined_positions(FAST_TRACKED, np.random.default_rng(17)):
+        assert trk.depth.max() > 0
+        assert np.array_equal(trk.phi, np.arctan2(want[..., 1], want[..., 0]))
+
+
+def test_exact_angles_are_lifts_of_the_positions_angles():
+    # every position's principal angle equals ang mod 2 pi, with no bisection
+    for trk, want, _ in _refined_positions(FAST, np.random.default_rng(17)):
+        assert not trk.depth.any()
+        gap = wrap_to_pi(trk.ang - np.arctan2(want[..., 1], want[..., 0]))
+        assert np.max(np.abs(gap)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "iso, grids", [(FAST, {"ang"}), (FAST_TRACKED, {"phi", "ang"})], ids=["exact", "deformed"]
+)
+def test_orbit_track_keeps_no_array_beyond_one_grid_of_angles(iso, grids):
+    # (nT+1, N) grids: a tracked track keeps its principal angles phi next to
+    # ang, an exact one ang alone; the positions are evaluated on demand
     pts = uniform_disk(np.random.default_rng(18), 40, 0.6)
-    trk = OrbitTrack(FAST, pts, 3)
+    trk = OrbitTrack(iso, pts, 3)
     for idx in (None, np.arange(0, 40, 2)):
         if idx is not None:
             trk.refine(idx)
         arrays = {k: v for k, v in vars(trk).items() if isinstance(v, np.ndarray)}
-        assert {"phi", "ang"} <= arrays.keys()
         grid = (trk.n * trk.steps + 1) * len(trk.pts)
         assert max(v.size for v in arrays.values()) == grid
+        assert {k for k, v in arrays.items() if v.size == grid} == grids
+
+
+def test_exact_leaf_lifts_match_a_fine_track():
+    # the fast twist's lifted angles, against a 4,096-step track of its
+    # trajectory: equal up to each entry's start branch, a whole number of
+    # turns; the 64-step track of the same grid is whole turns off
+    pts = uniform_disk(np.random.default_rng(19), 200, 0.6)
+    exact = OrbitTrack(FAST, pts, 2).ang
+    fine = _row_by_row(FAST, pts, 2, 4096)[2][::64]
+    branch = (exact[0] - fine[0]) / TWOPI
+    assert np.max(np.abs(branch - np.round(branch))) < 1e-12
+    assert np.max(np.abs(exact - fine - TWOPI * np.round(branch))) < 1e-9
+    coarse = _row_by_row(FAST, pts, 2, 64)[2]
+    assert np.max(np.abs(exact - coarse - TWOPI * np.round(branch))) > np.pi
+
+
+def test_a_step_off_the_origin_keeps_the_tracker():
+    # the origin is fixed but lies beyond the step's annulus, not inside its
+    # inner circle: it is no longer the near point of every pair (0, q), so
+    # the family has no exact leaf angles and its orbit track is unwrapped
+    g = ConjugacyMap((TwistStep((0.5, 0.0), 1.5, 0.1, 0.35),), repeats=1)
+    iso = ConjugatedRotation(GOLDEN, g)
+    pts = uniform_disk(np.random.default_rng(21), 50, 0.9)
+    assert iso.leaf_angles(pts) is None
+    trk = OrbitTrack(iso, pts, 2)
+    assert trk.phi.shape == trk.ang.shape == (129, 50)
+    ref = _row_by_row(iso, pts, 2, 64)
+    assert np.array_equal(trk.ang, ref[2]) and np.array_equal(trk.depth, ref[3])
+
+
+def test_exact_orbit_tracks_never_call_the_tracker(monkeypatch):
+    # neither the track nor its refines, nor the lifts read off it, unwrap
+    calls = []
+    unwrap = winding._track
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return unwrap(*args, **kw)
+
+    monkeypatch.setattr(winding, "_track", counted)
+    rng = np.random.default_rng(20)
+    Z, Zp = uniform_disk(rng, 30, 0.9), uniform_disk(rng, 30, 0.9)
+    for iso in (FAST, CONJ, RIGID, *PLANES.values()):
+        trk = OrbitTrack(iso, np.concatenate([Z, Zp]), 2)
+        trk.refine(np.arange(0, 60, 2))
+        annulus_table(iso, Z, Zp, n=2)
+        winding_gaps(iso, Z, Zp, (1, 2))
+    assert not calls
+    OrbitTrack(CONJ_TRACKED, Z, 1)
+    assert calls
 
 
 def test_track_grid_times_nest_exactly():
