@@ -185,32 +185,29 @@ def cmd_winding(args):
         rng = np.random.default_rng(args.seed)
         pairs = np.hstack([uniform_disk(rng, args.pairs, 0.95) for _ in range(2)])
 
-    alt = None
-    if args.cross_check and not iso.deform:
-        alt = ConjugatedRotation(iso.alpha, iso.g, deform=True, beta=iso.beta)
-
-    # W is pair_windings': the closed form, except for the deformed variant,
-    # whose windings are tracked; the refinements column is each pair's
-    # bisection depth on the tracked route, which is tracked once for both
+    # W is the closed form, which has no time grid, except for the deformed
+    # variant, whose windings are tracked; refinements is the bisection
+    # depth behind each pair's W
     X, Y = pairs[:, :2], pairs[:, 2:]
-    w, depth = _pair_track(iso, X, Y)
-    exact = iso.windings_closed_form(X, Y, (1,))
-    if exact is not None:
-        w = exact[0]
+    if iso.deform:
+        w, depth = _pair_track(iso, X, Y)
+    else:
+        w, depth = pair_windings(iso, X, Y), np.zeros(len(pairs), dtype=int)
     header = ["x1", "y1", "x2", "y2", "W", "refinements"]
     cols = [*pairs.T, w, depth.tolist()]
-    if alt is not None:
+    checked = {}
+    if args.cross_check:
+        # the second isotopy of the same map is the other variant
+        alt = ConjugatedRotation(iso.alpha, iso.g, deform=not iso.deform, beta=iso.beta)
         w_alt = pair_windings(alt, X, Y)
-        max_dev = float(np.max(np.abs(w - w_alt)))
         header.append("W_alt_isotopy")
         cols.append(w_alt)
+        checked["cross_check_max_deviation"] = float(np.max(np.abs(w - w_alt)))
     out_rows = [list(row) for row in zip(*cols)]
     path = os.path.join(args.out, "windings.csv")
     write_csv(path, header, out_rows)
     bundle = _bundle(args, "winding", iso)
-    bundle.add(pairs=len(out_rows), csv=path)
-    if alt is not None:
-        bundle.add(cross_check_max_deviation=max_dev)
+    bundle.add(pairs=len(out_rows), csv=path, **checked)
     bundle.write()
     print(f"wrote {path} ({len(out_rows)} pairs)")
     return 0

@@ -34,6 +34,10 @@ class OrbitCollision(DiskrotError):
         self.j = j
 
 
+class OriginMoved(DiskrotError):
+    """A conjugacy step's annulus holds the origin, which every isotopy here keeps fixed."""
+
+
 class OutsideDomain(DiskrotError):
     """A point lies outside the isotopy's domain, the disk of radius domain_radius."""
 

@@ -13,7 +13,8 @@ integer time).  The leaf coordinates are exact at each grid time for every
 family but the deformed variant (`Isotopy.leaf_angles`), whose track is
 unwrapped.  The track keeps angles only; the radii that decide a crossing
 are read from positions evaluated again at the few steps near a level of
-the leaf-coordinate difference, and at the rows of tie decks.
+the leaf-coordinate difference, and at the rows of tie decks: by the leaf
+walk where the family has one, by `Isotopy.eval` for the deformed variant.
 `annulus_table` gives each pair's tau and lambda integers, summed over
 deck copies, and `lambda_prefixes` the lambda of f^n, as array
 expressions over the table.  Every isotopy here fixes the origin, so the leaf

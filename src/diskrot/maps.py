@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInterval, NearRationalWarning, SchemaError
+from .errors import BadInterval, NearRationalWarning, OriginMoved, SchemaError
 from .geometry import (
     GOLDEN,
     TWOPI,
@@ -221,11 +221,13 @@ class TwistStep:
         qx, qy = rx + cx, ry + cy
         px[idx], py[idx] = qx, qy
         if turn is not None:
-            # with the origin inside the inner circle, it is the near point
-            # of each pair (0, p), so the step turns p about it by psi plus
-            # a remainder in (-pi, pi) (`ConjugacyMap.ramp_winding`): d less
-            # its whole turns, which wrap_to_pi's slow branch would remove
-            cur = turn[idx] + psi
+            # the step turns p about the origin by the psi of the farther
+            # point of the pair (0, p) plus a remainder in (-pi, pi)
+            # (`ConjugacyMap.ramp_winding`): p's psi with the origin inside
+            # the inner circle, the fixed origin's 0 beyond the outer one;
+            # the remainder is d less its whole turns, which wrap_to_pi's
+            # slow branch would remove
+            cur = turn[idx] + (psi if math.hypot(cx, cy) < self.inner else 0.0)
             d = np.arctan2(qy, qx) - cur
             turn[idx] = cur + (d - TWOPI * np.round(d / TWOPI))
         return J, S
@@ -246,8 +248,8 @@ class TwistStep:
         return scale * self.amp * (half * (mid * b0 + half * b1))
 
 # Named Hamiltonians: geometry given for support_radius = 1, scaled at build
-# time.  Each step needs |center| < inner (origin fixed) and
-# |center| + outer <= 1 (compact support).
+# time.  Each step needs |center| < inner or |center| > outer (origin fixed,
+# which `ConjugacyMap` checks) and |center| + outer <= 1 (compact support).
 HAMILTONIANS = {
     "twist-a": (
         dict(center=(0.25, 0.10), amp=1.2, inner=0.30, outer=0.58),
@@ -279,6 +281,13 @@ class ConjugacyMap:
     repeats: int = 2
     h_tag: str = "custom"
     support_radius: float = 0.85
+
+    def __post_init__(self):
+        # the leaf coordinates, displacements and windings about 0 all
+        # assume that g fixes the origin
+        for st in self.steps:
+            if st._window(st.center[0] ** 2 + st.center[1] ** 2):
+                raise OriginMoved(f"{st} moves the origin")
 
     @classmethod
     def from_named(cls, name, repeats=2, support_radius=0.85):
@@ -455,11 +464,13 @@ class Isotopy:
     Subclasses provide eval/jac (and velocity where the action module needs
     it).  eval(t) with t in [0, n] is the isotopy of f^n: n copies of the
     isotopy of f run one after another, so f_k = f^k at every integer k;
-    jac and velocity are asked for t in [0, 1] only.  Instances are
-    immutable after construction and all evaluators are pure, so they are
-    freely shareable.  The closed-form hooks answer None here: actions then
-    come from path integrals, and windings and orbit tracks' angles are
-    tracked.
+    jac and velocity are asked for t in [0, 1] only.  eval takes one time
+    for every point, one time per point, or a column of S times (S, 1)
+    against a batch (N, 2), which gives the batch at each time, (S, N, 2).
+    Instances are immutable after construction and all evaluators are pure,
+    so they are freely shareable.  The closed-form hooks answer None here:
+    actions then come from path integrals, and windings and orbit tracks'
+    angles are tracked.
     """
 
     boundary_rot = 0.0
@@ -473,26 +484,6 @@ class Isotopy:
 
     def velocity(self, t, pts):
         raise NotImplementedError(f"{type(self).__name__} has no analytic velocity")
-
-    def trajectory(self, pts):
-        """at(t, idx) = f_t(pts[idx]), for tracking a fixed batch over time;
-        t in [0, n] follows the isotopy of f^n, as eval does.
-
-        t is a scalar (with idx a slice, usually all entries), one time per
-        entry of an index array, or a column of S times (S, 1), which gives
-        (S, len(idx), 2): the entries at each of the S times.  Families
-        whose evaluation has a time-independent part compute it once here
-        and answer a column in one evaluation; the others evaluate it one
-        time at a time.
-        """
-        pts = as_xy(pts)
-
-        def at(t, idx):
-            if np.ndim(t) == 2:
-                return np.stack([self.eval(s, pts[idx]) for s in t[:, 0]])
-            return self.eval(t, pts[idx])
-
-        return at
 
     def map(self, pts):
         return self.eval(1.0, pts)
@@ -524,9 +515,11 @@ class Isotopy:
         return None
 
     def leaf_angles(self, pts):
-        """at(t, idx): the lifted angles about the fixed origin of
+        """(angles, positions), two closures (t, idx) that share the batch's
+        time-independent part: the lifted angles about the fixed origin of
         f_t(pts[idx]), continuous in t from a start branch of the family's
-        choosing; t as in `trajectory`, one time per entry or a column."""
+        choosing, and f_t(pts[idx]) as eval gives it; t as in eval, idx a
+        slice or an index array."""
         return None
 
 
@@ -544,7 +537,7 @@ class ConjugatedRotation(Isotopy):
     (g_t T_p^t g_t^{-1}), a second isotopy of the same map for winding
     cross-checks, whose windings have no closed form.  It is not a flow,
     so past t = 1 it runs the ramp again over t - k from f^k z,
-    k = floor(t).
+    k = floor(t), entry by entry.
     """
 
     def __init__(self, alpha, g, deform=False, beta=None):
@@ -592,15 +585,30 @@ class ConjugatedRotation(Isotopy):
         return rotate(w, self._turns(w, b, (n,))[0])
 
     def _twist(self, w, t):
-        """T_p^t w at a time t, scalar or one per point."""
-        return rotate(w, TWOPI * t * (self.alpha + self._band(w)))
+        """T_p^t w at times t as eval takes them; w is broadcast to a column
+        of times."""
+        a = TWOPI * t * (self.alpha + self._band(w))
+        if np.ndim(a) >= w.ndim:  # more time axes than the batch has
+            w = np.broadcast_to(w, np.broadcast_shapes(np.shape(a), w.shape[:-1]) + (2,))
+        return rotate(w, a)
 
     def _restart(self, t, pts):
-        """(t - k, f^k z, k), k = floor(t), where the deformed ramp restarts;
-        at k = 0 the point itself, whose bits g g^{-1} would not keep."""
-        k = np.floor(t)
-        fk = self._conj(self._twist(self._conj(pts, inverse=True), k))
-        return t - k, np.where((k > 0)[..., None], fk, pts), k
+        """(t - k, z, k) where the deformed ramp restarts: k = floor(t) where
+        t > 1 and 0 elsewhere, and z the points broadcast against t, f^k
+        applied where k > 0, once for each distinct (k, point).  At k = 0 z
+        is the point itself, whose bits g g^{-1} would not keep."""
+        k = np.where(t > 1.0, np.floor(t), 0.0)
+        shape = np.broadcast_shapes(k.shape, pts.shape[:-1])
+        z, mask = np.broadcast_to(pts, shape + (2,)), np.broadcast_to(k > 0, shape)
+        if mask.any():
+            flat = pts.reshape(-1, 2)
+            src = np.broadcast_to(np.arange(len(flat)).reshape(pts.shape[:-1]), shape)
+            key = np.broadcast_to(k, shape)[mask].astype(np.intp) * len(flat) + src[mask]
+            key, inv = np.unique(key, return_inverse=True)
+            kk, b = np.divmod(key, len(flat))
+            z = np.array(z)
+            z[mask] = self._conj(self._twist(self._conj(flat[b], inverse=True), kk))[inv]
+        return t - k, z, k
 
     def _ramp(self, t, pts):
         """g_t T_p^t g_t^{-1}(pts), the deformed ramp at t <= 1, scalar or
@@ -608,66 +616,34 @@ class ConjugatedRotation(Isotopy):
         return self._conj(self._twist(self._conj(pts, t, inverse=True), t), t)
 
     def eval(self, t, pts):
+        """f_t(pts), t as `Isotopy` describes; without deform g^{-1} is
+        walked once over pts, whatever the number of times."""
         pts = as_xy(pts)
-        if not self.deform:
-            return self._conj(self._twist(self._conj(pts, inverse=True), t))
-        if np.max(t) > 1.0:
-            t, pts, _ = self._restart(t, pts)
-        return self._ramp(t, pts)
-
-    def trajectory(self, pts):
-        """g^{-1}(pts) and p once, and a column of times in one walk.  The
-        deformed variant's ramp runs at per-entry scales; as eval of one
-        time per row would, it restarts from f^k z past t = 1, walking g for
-        each distinct (k, entry) once, with `_restart`'s expression."""
-        pts = as_xy(pts)
-        w = self._conj(pts, inverse=True)
-        p = self.alpha + self._band(w)
-
-        def at(t, idx):
-            src = np.arange(len(pts))[idx]  # each entry's point of the batch
-            shape = np.broadcast_shapes(np.shape(t), src.shape)
-            if not self.deform:
-                wi = np.broadcast_to(w[src], shape + (2,))
-                return self._conj(rotate(wi, TWOPI * t * _at(p, src)))
-            past = t > 1.0 if np.ndim(t) == 2 else np.max(t) > 1.0
-            k = np.broadcast_to(np.where(past, np.floor(t), 0.0), shape)
-            z, mask = np.broadcast_to(pts[src], shape + (2,)), k > 0
-            if mask.any():
-                key = k[mask].astype(np.intp) * len(pts) + np.broadcast_to(src, shape)[mask]
-                key, inv = np.unique(key, return_inverse=True)
-                kk, b = np.divmod(key, len(pts))
-                z = np.array(z)
-                z[mask] = self._conj(rotate(w[b], TWOPI * kk * _at(p, b)))[inv]
-            return self._ramp(t - k, z)
-
-        return at
+        if self.deform:
+            return self._ramp(*self._restart(t, pts)[:2])
+        return self._conj(self._twist(self._conj(pts, inverse=True), t))
 
     def leaf_angles(self, pts):
         """One walk of g per call: T_p^t turns w = g^{-1}(z) to the lifted
         angle theta(w) + 2 pi t p(|w|), and `TwistStep._move` carries it
         through g's sub-steps, so theta(f_t z) - theta(z) = 2 pi [t p(|w|) +
-        D(0, T_p^t w) - D(0, w)], D the conjugacy's `ramp_winding`.  None
-        for the deformed variant, and for a g with a step whose center is
-        not strictly inside its inner circle, where the origin is not the
-        near point of every pair (0, q)."""
-        if self.deform or (
-            self.g is not None and any(math.hypot(*st.center) >= st.inner for st in self.g.steps)
-        ):
+        D(0, T_p^t w) - D(0, w)], D the conjugacy's `ramp_winding`.  The
+        positions walk g over the same T_p^t w, which is eval less its walk
+        of g^{-1}.  None for the deformed variant."""
+        if self.deform:
             return None
         w = self._conj(as_xy(pts), inverse=True)
         p, theta = self.alpha + self._band(w), angles_of(w)
 
-        def at(t, idx):
+        def angles(t, idx):
             a = TWOPI * t * _at(p, idx)
             turn = theta[idx] + a
-            if self.g is None:
-                return turn
-            wi = np.broadcast_to(w[idx], turn.shape + (2,))
-            self.g._walk(rotate(wi, a), 1.0, turn=turn.reshape(-1))
+            if self.g is not None:
+                wi = np.broadcast_to(w[idx], turn.shape + (2,))
+                self.g._walk(rotate(wi, a), 1.0, turn=turn.reshape(-1))
             return turn
 
-        return at
+        return angles, lambda t, idx: self._conj(self._twist(w[idx], t))
 
     def orbit(self, pts, n):
         """g T_p^k g^{-1} in one conjugacy pass."""

@@ -7,22 +7,24 @@ first ask the isotopy for its closed form (`Isotopy.windings_closed_form`,
 deformed variant has one, exact and with no time grid.  Iterated windings
 are the cumulative W_{f^n}, n in ns, and give every integer-time winding,
 the origin windings behind m too.  `OrbitTrack`, the grid of f_t z over
-t in [0, n] behind the lambda and tau lifts, takes its lifted angles from
-`Isotopy.leaf_angles` where the family has them (all but the deformed
-variant), exact at each grid time.  Every other angle is unwrapped by one
-engine, `track`: tracked pair windings (`_pair_track`, whose bisection
-depth is the `refinements` column of the `winding` command) and the
-deformed variant's orbit tracks.  The angle of a batch of vectors is
-sampled on a uniform time grid and continued against the previous sample,
-a block of grid rows at a time: `OrbitTrack` evaluates up to BLOCK points
-of grid rows per call, a column of times, and unwraps a tracked grid's
-principal angles with array operations; the few positions its readers
-need are evaluated again on demand (`OrbitTrack.positions`).  Every
-tracked result carries a no-aliasing check: each unwrapped step moves the
-angle by less than pi/2.  A grid step that fails is bisected for its
-entry alone, and each failing half again, until every sub-step passes (up
-to a depth cap), so a few fast-swinging entries do not force the whole
-batch onto a finer grid.
+t in [0, n] behind the lambda and tau lifts, takes its lifted angles, and
+the few positions its readers need, from `Isotopy.leaf_angles` where the
+family has them (all but the deformed variant), exact at each grid time.
+Every other angle is unwrapped by one engine, `track`, from positions
+that `Isotopy.eval` gives: the deformed variant's pair windings
+(`_pair_track`, whose bisection depth is the `refinements` column of the
+`winding` command) and orbit tracks, and the cross-checks that take the
+tracker on purpose.  The angle of a batch of vectors is sampled on a
+uniform time grid and continued against the previous sample, a block of
+grid rows at a time: `OrbitTrack` evaluates up to BLOCK points of grid
+rows per call, a column of times, and unwraps a tracked grid's principal
+angles with array operations; the positions its readers need are
+evaluated again on demand (`OrbitTrack.positions`).  Every tracked result
+carries a no-aliasing check: each unwrapped step moves the angle by less
+than pi/2.  A grid step that fails is bisected for its entry alone, and
+each failing half again, until every sub-step passes (up to a depth cap),
+so a few fast-swinging entries do not force the whole batch onto a finer
+grid.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ ALIAS_BOUND = 0.5 * math.pi
 MERGE_EPS = 1e-9
 INIT_STEPS = 64
 MAX_REFINEMENTS = 24
-# points per trajectory call and per unwrapped block of an orbit track's
-# grid rows; a batch wider than this goes one row at a time, so the block
+# points per eval call and per unwrapped block of an orbit track's grid
+# rows; a batch wider than this goes one row at a time, so the block
 # adds no memory there
 BLOCK = 8192
 _TINY = 1e-13
@@ -145,17 +147,16 @@ def _track(blocks, vec_at, n, times, grid=False):
     return total, depth
 
 
-def _entry_trajectory(iso, P, shape):
-    """Trajectory of the pair entries' points P broadcast to `shape`: each
-    distinct point of P is evaluated once per grid time.  With idx = ALL it
-    returns them in P's shape padded to len(shape) axes, which broadcasts
-    against the other side; an index array of entries is mapped to P's
-    points through the flat broadcast index."""
+def _entry_positions(iso, P, shape):
+    """f_t of the pair entries' points P broadcast to `shape`: each distinct
+    point of P is evaluated once per grid time.  With idx = ALL it returns
+    them in P's shape padded to len(shape) axes, which broadcasts against
+    the other side; an index array of entries is mapped to P's points
+    through the flat broadcast index."""
     P = P.reshape((1,) * (len(shape) - P.ndim) + P.shape)
-    at = iso.trajectory(P.reshape(-1, 2))
-    points = np.arange(math.prod(P.shape[:-1])).reshape(P.shape[:-1])
-    flat = np.broadcast_to(points, shape[:-1]).ravel()
-    return lambda t, idx: at(t, ALL).reshape(P.shape) if idx is ALL else at(t, flat[idx])
+    pts = P.reshape(-1, 2)
+    flat = np.broadcast_to(np.arange(len(pts)).reshape(P.shape[:-1]), shape[:-1]).ravel()
+    return lambda t, idx: iso.eval(t, P) if idx is ALL else iso.eval(t, pts[flat[idx]])
 
 
 def _separated(X, Y):
@@ -174,8 +175,8 @@ def _pair_track(iso, X, Y, init_steps=INIT_STEPS):
     matrix of two point sets."""
     X, Y = _separated(X, Y)
     shape = np.broadcast_shapes(X.shape, Y.shape)
-    fx = _entry_trajectory(iso, X, shape)
-    fy = _entry_trajectory(iso, Y, shape)
+    fx = _entry_positions(iso, X, shape)
+    fy = _entry_positions(iso, Y, shape)
     turn, depth = track(
         lambda t, idx: (fy(t, idx) - fx(t, idx)).reshape(-1, 2),
         math.prod(shape[:-1]),
@@ -250,46 +251,48 @@ class OrbitTrack:
     """
 
     def __init__(self, iso, pts, n, steps=INIT_STEPS):
-        self.pts = as_xy(pts)
-        self.n = n
-        self._at = iso.trajectory(self.pts)
-        self._leaf = iso.leaf_angles(self.pts)
-        self._alloc(steps, np.arange(len(self.pts)))
-        self._track(slice(None))
+        self.iso, self.n = iso, n
+        self._start(as_xy(pts), steps)
+        self._track(ALL)
 
-    def _alloc(self, steps, ent):
-        # ent maps the entries into the batch the trajectory was built for
-        self.steps, self._ent = steps, ent
-        grid = np.empty((self.n * steps + 1, len(ent)))
+    def _start(self, pts, steps):
+        """Take the batch pts on `steps` steps per unit time: an empty grid
+        and, where the family has them, its leaf-angle closures, which walk
+        g^{-1} over pts once."""
+        self.pts, self.steps = pts, steps
+        self._leaf = self.iso.leaf_angles(pts)
+        grid = np.empty((self.n * steps + 1, len(pts)))
         if self._leaf is None:
             self.phi, self.ang = grid, None  # at most one grid of angles alive
         else:
-            self.ang, self.depth = grid, np.zeros(len(ent), dtype=int)
+            self.ang, self.depth = grid, np.zeros(len(pts), dtype=int)
 
     def _grid(self):
-        """The grid that the trajectory's evaluations fill."""
+        """The grid that the evaluations fill."""
         return self.phi if self._leaf is None else self.ang
 
     def _times(self):
         return np.linspace(0.0, self.n, self.n * self.steps + 1)
 
+    def _at(self, t, idx):
+        """f_t of the entries idx (ALL or an index array), from the leaf
+        angles' batch where the family has them."""
+        if self._leaf is None:
+            return self.iso.eval(t, self.pts[idx])
+        return self._leaf[1](t, idx)
+
     def _track(self, rows):
         """Evaluate the grid rows `rows` (a slice; the grid holds the others
         already), a column of times per call, and unwrap a tracked grid."""
-        ent, grid = self._ent, self._grid()
-        times = self._times()
+        grid, times, N = self._grid(), self._times(), len(self.pts)
         column, new = times[rows, None], grid[rows]
-        angles = self._leaf or (lambda t, idx: _angles(self._at(t, idx)))
-        for b in _row_blocks(len(column), len(ent)):
-            new[b] = angles(column[b], ent)
+        angles = self._leaf[0] if self._leaf else lambda t, idx: _angles(self._at(t, idx))
+        for b in _row_blocks(len(column), N):
+            new[b] = angles(column[b], ALL)
         if self._leaf is not None:
             return
         self.ang, self.depth = _track(
-            (grid[b] for b in _row_blocks(len(grid), len(ent))),
-            lambda t, idx: self._at(t, ent[idx]),
-            len(ent),
-            times,
-            grid=True,
+            (grid[b] for b in _row_blocks(len(grid), N)), self._at, N, times, grid=True
         )
 
     def positions(self, rows, idx):
@@ -298,18 +301,14 @@ class OrbitTrack:
         entry from the grid's own times, so they equal the positions the
         grid's angles were taken of, bit for bit."""
         rows, idx = np.broadcast_arrays(rows, idx)
-        if not rows.size:  # a trajectory closure may reduce over its times
-            return np.empty(rows.shape + (2,))
-        t = self._times()[rows.ravel()]
-        return self._at(t, self._ent[idx.ravel()]).reshape(rows.shape + (2,))
+        return self._at(self._times()[rows.ravel()], idx.ravel()).reshape(rows.shape + (2,))
 
     def refine(self, idx):
         """Keep the entries idx and double their steps, in place.  The even
         rows are the current grid and only the midpoint times are
         evaluated, so the result equals a fresh track bit for bit."""
         old = self._grid()
-        self.pts = self.pts[idx]
-        self._alloc(2 * self.steps, self._ent[idx])
+        self._start(self.pts[idx], 2 * self.steps)
         even = self._grid()[::2]
         for b in _row_blocks(len(old), len(idx)):  # no full-grid temporary
             even[b] = old[b, idx]

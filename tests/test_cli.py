@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diskrot import cli, winding
 from diskrot.cli import build_parser, main
 from diskrot.maps import ConjugatedRotation, from_config
 from diskrot.winding import _pair_track, pair_windings
@@ -92,38 +93,100 @@ def test_winding_command_pairs_file_and_cross_check(tmp_path):
         doc = json.load(f)
     assert doc["pairs"] == 2
     assert doc["cross_check_max_deviation"] < 1e-6
-    # W is the exact winding, refinements the tracked route's depth, and the
+    # W is the exact winding, with no time grid to refine, and the
     # cross-check compares W with the tracked deformed isotopy
     iso = from_config(json.loads(Path(cfg).read_text()))
     X, Y = np.array([[0.5, 0.1], [0.3, -0.3]]), np.array([[-0.2, 0.4], [0.1, 0.6]])
     rows = np.loadtxt(tmp_path / "o" / "windings.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 4], pair_windings(iso, X, Y))
-    assert np.array_equal(rows[:, 5], _pair_track(iso, X, Y)[1])
+    assert not rows[:, 5].any()
     alt = ConjugatedRotation(iso.alpha, iso.g, deform=True)
     assert np.array_equal(rows[:, 6], pair_windings(alt, X, Y))
 
 
 def test_winding_command_tracks_pairs_once_without_closed_form(tmp_path, monkeypatch):
+    # the deformed W and its refinements come from one pair track, and the
+    # cross-check against the closed form tracks nothing
     cfg = {"family": "conjugated", "alpha": "golden", "deform": True}
     path = _write_config(tmp_path, cfg)
     calls = []
-    trajectory = ConjugatedRotation.trajectory
 
-    def counted(self, pts):
-        calls.append(len(pts))
-        return trajectory(self, pts)
+    def counted(iso, X, Y, *args):
+        calls.append((iso.deform, len(X)))
+        return _pair_track(iso, X, Y, *args)
 
-    monkeypatch.setattr(ConjugatedRotation, "trajectory", counted)
+    monkeypatch.setattr(cli, "_pair_track", counted)
+    monkeypatch.setattr(winding, "_pair_track", counted)
     out = tmp_path / "o"
     argv = ["winding", "--config", path, "--pairs", "7", "--cross-check"]
     assert main(argv + ["--out", str(out)]) == 0
-    assert calls == [7, 7]  # one trajectory per side of the pairs
+    assert calls == [(True, 7)]
     monkeypatch.undo()
     rows = np.loadtxt(out / "windings.csv", delimiter=",", skiprows=1)
     iso = from_config(cfg)
     X, Y = rows[:, :2], rows[:, 2:4]
     assert np.array_equal(rows[:, 4], pair_windings(iso, X, Y))
     assert np.array_equal(rows[:, 5], _pair_track(iso, X, Y)[1])
+
+
+def test_cross_check_of_a_deformed_config_is_the_closed_form(tmp_path):
+    # the second isotopy of the deformed variant is the plain one
+    cfg = {"family": "plane-extension", "alpha": "golden", "beta": 0.9,
+           "core": {"family": "conjugated", "alpha": "golden", "deform": True}}
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["winding", "--config", path, "--pairs", "5", "--cross-check", "--out", str(out)]) == 0
+    with open(out / "windings.csv") as f:
+        assert f.readline().strip() == "x1,y1,x2,y2,W,refinements,W_alt_isotopy"
+    rows = np.loadtxt(out / "windings.csv", delimiter=",", skiprows=1)
+    iso = from_config(cfg)
+    plain = ConjugatedRotation(iso.alpha, iso.g, beta=iso.beta)
+    X, Y = rows[:, :2], rows[:, 2:4]
+    assert np.array_equal(rows[:, 6], plain.windings_closed_form(X, Y, (1,))[0])
+    with open(out / "winding.json") as f:
+        dev = json.load(f)["cross_check_max_deviation"]
+    assert dev == np.max(np.abs(rows[:, 4] - rows[:, 6])) and dev < 1e-8
+
+
+class TrackerCalled(AssertionError):
+    pass
+
+
+def _untracked(*args, **kw):
+    raise TrackerCalled
+
+
+CONFIGS = {
+    "default": None,
+    "rigid": {"family": "rigid", "alpha": "golden"},
+    "plane": {"family": "plane-extension", "alpha": "golden", "beta": 0.75},
+    "cored": {"family": "plane-extension", "alpha": "golden", "beta": 0.9,
+              "core": {"family": "conjugated", "alpha": "golden"}},
+}
+# each command that takes a config, at a small size
+SMALL_RUNS = {
+    "winding": ["--pairs", "5"],
+    "foliation-check": ["--pairs", "5", "--nmax", "2"],
+    "linking": ["--n", "16"],
+    "righthand": ["--pairs", "2", "--n", "16"],
+    "thm41-bound": ["--n", "2", "--samples", "200"],
+    "action": ["--samples", "20"],
+    "calabi": ["--samples", "2000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_only_the_deformed_variant_reaches_the_tracker(tmp_path, monkeypatch, name):
+    # every family with closed forms runs each command with the tracker gone
+    monkeypatch.setattr(winding, "track", _untracked)
+    monkeypatch.setattr(winding, "_track", _untracked)
+    config = [] if CONFIGS[name] is None else ["--config", _write_config(tmp_path, CONFIGS[name])]
+    for command, args in SMALL_RUNS.items():
+        out = str(tmp_path / command)
+        assert main([command, *config, *args, "--out", out]) == 0, command
+    deformed = _write_config(tmp_path, {"family": "conjugated", "alpha": "golden", "deform": True})
+    with pytest.raises(TrackerCalled):
+        main(["winding", "--config", deformed, "--pairs", "2", "--out", str(tmp_path / "d")])
 
 
 def test_malformed_pairs_file_exits_2_with_row(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diskrot import winding
 from diskrot.errors import FoliationNotTransverse, RationalInput
 from diskrot.farey import (
     Convergent,
@@ -110,10 +111,10 @@ def test_rotation_of_measure_reads_both_routes_off_one_winding():
 
 
 def test_rotation_of_measure_of_the_conjugated_family_tracks_nothing(monkeypatch):
-    def untracked(self, pts):
-        raise AssertionError("trajectory called")
+    def untracked(*args, **kw):
+        raise AssertionError("tracker called")
 
-    monkeypatch.setattr(ConjugatedRotation, "trajectory", untracked)
+    monkeypatch.setattr(winding, "_track", untracked)
     iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named("twist-a"))
     rot = rotation_of_measure(iso, samples=500, seed=3)
     assert abs(rot["difference"]) <= 3.0 * rot["combined_stderr"]

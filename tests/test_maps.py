@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskrot.errors import BadInterval, NearRationalWarning, SchemaError
+from diskrot.errors import BadInterval, DiskrotError, NearRationalWarning, OriginMoved, SchemaError
 from diskrot.foliation import displacements
 from diskrot.geometry import (
     GOLDEN,
@@ -658,20 +658,6 @@ def test_per_entry_times_match_scalar_calls(family):
     assert np.array_equal(iso.jac(t, pts), jac)
 
 
-@pytest.mark.parametrize("family", sorted(PER_ENTRY_FAMILIES))
-def test_trajectory_matches_eval(family):
-    iso = PER_ENTRY_FAMILIES[family]()
-    rng = np.random.default_rng(8)
-    pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
-    at = iso.trajectory(pts)
-    for t in (0.0, 1.0 / 3.0, 0.7, 1.0):
-        assert np.array_equal(at(t, ALL), iso.eval(t, pts))
-    idx = rng.integers(0, 40, 25)
-    t_arr = rng.random(25)
-    t_arr[:2] = (0.0, 1.0)
-    assert np.array_equal(at(t_arr, idx), iso.eval(t_arr, pts[idx]))
-
-
 # the families whose orbit tracks are tracked: the deformed variant, alone
 # or as a plane's core
 TRACKED_FAMILIES = {
@@ -683,54 +669,65 @@ TRACKED_FAMILIES = {
 
 
 @pytest.mark.parametrize("family", sorted({**PER_ENTRY_FAMILIES, **TRACKED_FAMILIES}))
-def test_trajectory_column_of_times_matches_per_time_calls(family):
+def test_eval_column_of_times_matches_per_time_calls(family):
     # times past 1, where the deformed ramp restarts from f^k z, several k
     # in one column
     iso = {**PER_ENTRY_FAMILIES, **TRACKED_FAMILIES}[family]()
     rng = np.random.default_rng(12)
     pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
-    at = iso.trajectory(pts)
     times = np.concatenate([[0.0, 1.0 / 3.0, 1.0, 2.0, 2.5], 3.0 * rng.random(14)])[:, None]
-    for idx in (ALL, rng.integers(0, 40, 25)):
-        col = at(times, idx)
-        assert col.shape == (19, len(pts[idx]), 2)
-        assert np.array_equal(col, np.stack([at(t, idx) for t in times[:, 0]]))
+    for batch in (pts, pts[rng.integers(0, 40, 25)]):
+        col = iso.eval(times, batch)
+        assert col.shape == (19, len(batch), 2)
+        assert np.array_equal(col, np.stack([iso.eval(t, batch) for t in times[:, 0]]))
 
 
 @pytest.mark.parametrize("family", sorted(TRACKED_FAMILIES))
-def test_deformed_trajectory_matches_eval_past_one(family):
-    # one time for all entries and one per entry, where eval restarts the ramp
-    # from f^k z with k = floor(t)
+def test_deformed_per_entry_times_past_one_match_scalar_calls(family):
+    # entries on either side of t = 1 and at integer times, where the ramp
+    # restarts from f^k z with k = floor(t) for the entries past 1 alone
     iso = TRACKED_FAMILIES[family]()
     assert iso.leaf_angles(np.zeros((1, 2))) is None
     rng = np.random.default_rng(9)
     pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
-    at = iso.trajectory(pts)
-    for t in (1.0, 1.5, 2.0, 3.25):
-        assert np.array_equal(at(t, ALL), iso.eval(t, pts))
-    idx = rng.integers(0, 40, 25)
-    t_arr = 4.0 * rng.random(25)
-    t_arr[:4] = (0.0, 1.0, 2.0, 2.0)
-    assert np.array_equal(at(t_arr, idx), iso.eval(t_arr, pts[idx]))
+    t = 4.0 * rng.random(40)
+    t[:6] = (0.0, 0.5, 1.0, 2.0, 2.0, 3.0)
+    ev = np.stack([iso.eval(ti, p) for ti, p in zip(t, pts)])
+    jac = np.stack([iso.jac(ti, p[None])[0] for ti, p in zip(t, pts)])
+    assert np.array_equal(iso.eval(t, pts), ev)
+    assert np.array_equal(iso.jac(t, pts), jac)
 
 
 @pytest.mark.parametrize("family", sorted(set(PER_ENTRY_FAMILIES) - set(TRACKED_FAMILIES)))
-def test_leaf_angles_follow_the_trajectory(family):
-    # principal angles of the positions, continuous over the grid, one time
-    # per entry or a column
+def test_leaf_angles_follow_eval(family):
+    # the positions are eval's, bit for bit; the angles are lifts of their
+    # principal angles, continuous over the grid, one time per entry or a
+    # column
     iso = PER_ENTRY_FAMILIES[family]()
     rng = np.random.default_rng(13)
     pts = uniform_disk(rng, 40, 0.98 * iso.domain_radius)
-    at, leaf = iso.trajectory(pts), iso.leaf_angles(pts)
+    angles, positions = iso.leaf_angles(pts)
     times = np.linspace(0.0, 3.0, 3 * 256 + 1)
-    ang = leaf(times[:, None], ALL)
-    pos = np.stack([at(t, ALL) for t in times])
+    ang, pos = angles(times[:, None], ALL), positions(times[:, None], ALL)
     assert ang.shape == (len(times), 40)
+    assert np.array_equal(pos, iso.eval(times[:, None], pts))
     assert np.max(np.abs(wrap_to_pi(ang - angles_of(pos)))) < 1e-12
     assert np.max(np.abs(np.diff(ang, axis=0))) < 0.5 * np.pi
     idx = rng.integers(0, 40, 25)
     rows = rng.integers(0, len(times), 25)
-    assert np.array_equal(leaf(times[rows], idx), ang[rows, idx])
+    assert np.array_equal(angles(times[rows], idx), ang[rows, idx])
+    assert np.array_equal(positions(times[rows], idx), pos[rows, idx])
+
+
+def test_a_step_that_moves_the_origin_is_rejected():
+    # the origin inside the annulus, or on its widened inner edge
+    for center, inner in (((0.2, 0.0), 0.1), ((0.3, 0.0), 0.3), ((0.3, 0.0), 0.3 + 1e-12)):
+        with pytest.raises(OriginMoved):
+            ConjugacyMap((STEP, TwistStep(center, 1.0, inner, 0.5)))
+    assert issubclass(OriginMoved, DiskrotError)
+    # inside the inner circle or beyond the outer one the origin stays put
+    for step in (TwistStep((0.2, 0.0), 1.0, 0.25, 0.5), TwistStep((0.6, 0.0), 1.0, 0.1, 0.5)):
+        assert np.array_equal(ConjugacyMap((step,)).forward(np.zeros(2)), np.zeros(2))
 
 
 def test_closed_form_action_is_constant_for_rigid():

@@ -16,7 +16,6 @@ from diskrot.maps import (
     TwistStep,
 )
 from diskrot.winding import (
-    ALL,
     BLOCK,
     OrbitTrack,
     _pair_track,
@@ -232,29 +231,45 @@ def test_shared_reference_point_equals_its_broadcast_copies():
         assert np.max(np.abs(pair_windings(FAST, copies, Y) - exact_row)) < 1e-12
 
 
-def _count_closure_calls(monkeypatch, owner, name, calls):
-    """Patch the hook owner.name, which returns a closure at(t, idx), so
-    that every closure call appends (t, len(out)) to calls."""
-    hook = getattr(owner, name)
+def _count_closure_calls(monkeypatch, calls):
+    """Patch `ConjugatedRotation.leaf_angles`, which returns the closures
+    (angles, positions), so that every angles call appends (t, entries) to
+    calls."""
+    hook = ConjugatedRotation.leaf_angles
 
     def counted(self, pts):
-        at = hook(self, pts)
+        closures = hook(self, pts)
+        if closures is None:
+            return None
+        angles, positions = closures
 
-        def counted_at(t, idx):
-            out = at(t, idx)
-            calls.append((t, len(out) if np.ndim(t) < 2 else out.shape[1]))
+        def counted_angles(t, idx):
+            out = angles(t, idx)
+            calls.append((t, out.shape[-1]))
             return out
 
-        return None if at is None else counted_at
+        return counted_angles, positions
 
-    monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(ConjugatedRotation, "leaf_angles", counted)
+
+
+def _count_eval_calls(monkeypatch, calls):
+    """Patch `ConjugatedRotation.eval` so that every call appends (t, number
+    of points) to calls."""
+    ev = ConjugatedRotation.eval
+
+    def counted(self, t, pts):
+        calls.append((t, np.size(pts) // 2))
+        return ev(self, t, pts)
+
+    monkeypatch.setattr(ConjugatedRotation, "eval", counted)
 
 
 def test_cross_matrix_evaluates_each_point_once_per_grid_time(monkeypatch):
     # n + m points per grid time, not n * m; the bisections evaluate what
     # they evaluate for the same pairs written out
     calls = []
-    _count_closure_calls(monkeypatch, ConjugatedRotation, "trajectory", calls)
+    _count_eval_calls(monkeypatch, calls)
     rng = np.random.default_rng(8)
     xs, ys = uniform_disk(rng, 6, 0.6), uniform_disk(rng, 7, 0.6)
     _, depth = _pair_track(FAST_TRACKED, xs[:, None], ys[None, :])
@@ -269,7 +284,18 @@ def test_cross_matrix_evaluates_each_point_once_per_grid_time(monkeypatch):
 
 
 @pytest.mark.parametrize("steps", [64, 256])
-def test_conjugacy_inverse_runs_once_per_tracked_side(monkeypatch, steps):
+def test_pair_track_tracks_the_differences_of_eval(steps):
+    # the deformed isotopy's g_t depends on t: the pair track is the
+    # tracker run on f_t y - f_t x, bit for bit
+    X, Y = _pairs(np.random.default_rng(11), 300, radius=0.6)
+    turn, depth = track(
+        lambda t, idx: FAST_TRACKED.eval(t, Y[idx]) - FAST_TRACKED.eval(t, X[idx]), len(X), steps
+    )
+    assert depth.max() > 0
+    assert np.array_equal(_pair_track(FAST_TRACKED, X, Y, init_steps=steps)[0], turn / TWOPI)
+
+
+def test_closed_form_windings_walk_the_inverse_once_per_side(monkeypatch):
     calls = []
     inverse = ConjugacyMap.inverse
 
@@ -279,22 +305,10 @@ def test_conjugacy_inverse_runs_once_per_tracked_side(monkeypatch, steps):
 
     monkeypatch.setattr(ConjugacyMap, "inverse", counted)
     X, Y = _pairs(np.random.default_rng(11), 300, radius=0.6)
-    _, depth = _pair_track(FAST, X, Y, init_steps=steps)
-    assert depth.max() > 0 and len(calls) <= 2
-    calls.clear()
-    _pair_track(FAST, X[0], Y, init_steps=steps)
-    assert len(calls) <= 2
-    calls.clear()
-    pair_windings(FAST, X, Y)
-    assert len(calls) <= 2
-    # the deformed isotopy's g_t depends on t: it keeps evaluating f_t
-    calls.clear()
-    deformed = ConjugatedRotation(GOLDEN, FAST.g, deform=True)
-    turn, _ = track(
-        lambda t, idx: deformed.eval(t, Y[idx]) - deformed.eval(t, X[idx]), len(X), steps
-    )
-    assert np.array_equal(_pair_track(deformed, X, Y, init_steps=steps)[0], turn / TWOPI)
-    assert len(calls) > steps
+    for x in (X, X[0]):
+        calls.clear()
+        pair_windings(FAST, x, Y)
+        assert len(calls) == 2
 
 
 def test_bisected_position_tracks_stay_on_the_requested_grid():
@@ -381,7 +395,7 @@ def test_refined_exact_track_equals_a_fresh_track(monkeypatch):
     pts = uniform_disk(np.random.default_rng(3), 40, 0.6)
     idx = np.arange(0, 40, 2)
     calls = []
-    _count_closure_calls(monkeypatch, ConjugatedRotation, "leaf_angles", calls)
+    _count_closure_calls(monkeypatch, calls)
     trk = OrbitTrack(FAST, pts, 2)
     for steps in (128, 256):
         calls.clear()
@@ -402,12 +416,13 @@ def _grid_positions(trk):
 
 def _row_by_row(iso, pts, n, steps):
     """Reference orbit track (positions, phi, ang, depth): one grid over
-    [0, n], one trajectory call and one unwrapped row per grid time."""
+    [0, n], one eval call and one unwrapped row per grid time."""
     times = np.linspace(0.0, n, n * steps + 1)
-    at = iso.trajectory(pts)
-    pos = np.stack([at(t, ALL) for t in times])
+    pos = np.stack([iso.eval(t, pts) for t in times])
     phi = np.arctan2(pos[..., 1], pos[..., 0])
-    ang, depth = _track((r[None] for r in phi), at, len(pts), times, grid=True)
+    ang, depth = _track(
+        (r[None] for r in phi), lambda t, idx: iso.eval(t, pts[idx]), len(pts), times, grid=True
+    )
     return pos, phi, ang, depth
 
 
@@ -429,12 +444,10 @@ def test_block_evaluated_orbit_track_equals_row_by_row(iso):
             assert np.array_equal(g, want)
 
 
-@pytest.mark.parametrize(
-    "iso, hook", [(CONJ, "leaf_angles"), (CONJ_TRACKED, "trajectory")], ids=["exact", "deformed"]
-)
-def test_orbit_track_evaluates_rows_in_blocks(monkeypatch, iso, hook):
+@pytest.mark.parametrize("iso", [CONJ, CONJ_TRACKED], ids=["exact", "deformed"])
+def test_orbit_track_evaluates_rows_in_blocks(monkeypatch, iso):
     calls = []
-    _count_closure_calls(monkeypatch, ConjugatedRotation, hook, calls)
+    (_count_eval_calls if iso.deform else _count_closure_calls)(monkeypatch, calls)
     pts = uniform_disk(np.random.default_rng(14), 200, 0.95)
     trk = OrbitTrack(iso, pts, 3)
     # 40 rows of 200 points a call: the 193 rows of three iterates take five
@@ -443,21 +456,25 @@ def test_orbit_track_evaluates_rows_in_blocks(monkeypatch, iso, hook):
 
 
 @pytest.mark.parametrize("iso", [CONJ_TRACKED, FAST], ids=["deformed", "conjugated"])
-def test_orbit_track_makes_one_trajectory_call_per_batch(monkeypatch, iso):
-    # and one leaf_angles call, which the closed-form family answers
+def test_orbit_track_asks_for_leaf_angles_once_per_batch(monkeypatch, iso):
+    # on the batch and on the points each refine keeps; the exact track
+    # reads its positions from the leaf walk and never calls eval
     calls = []
-    for name in ("trajectory", "leaf_angles"):
-        hook = getattr(ConjugatedRotation, name)
+    hook = ConjugatedRotation.leaf_angles
 
-        def counted(self, pts, hook=hook, name=name):
-            calls.append((name, len(pts)))
-            return hook(self, pts)
+    def counted(self, pts):
+        calls.append(len(pts))
+        return hook(self, pts)
 
-        monkeypatch.setattr(ConjugatedRotation, name, counted)
+    monkeypatch.setattr(ConjugatedRotation, "leaf_angles", counted)
+    evals = []
+    _count_eval_calls(monkeypatch, evals)
     pts = uniform_disk(np.random.default_rng(15), 40, 0.6)
     trk = OrbitTrack(iso, pts, 5)
     trk.refine(np.arange(0, 40, 2))
-    assert calls == [("trajectory", 40), ("leaf_angles", 40)]
+    _grid_positions(trk)
+    assert calls == [40, 20]
+    assert bool(evals) == iso.deform
 
 
 def test_deformed_orbit_track_meets_the_plain_one_at_integer_times():
@@ -477,9 +494,9 @@ def test_deformed_orbit_track_meets_the_plain_one_at_integer_times():
 
 
 def _refined_positions(iso, rng):
-    """An orbit track of iso over two iterates, refined twice, with the
-    trajectory's positions at its grid times: (track, positions (nT+1, N,
-    2), points kept) after each refine, and before the first."""
+    """An orbit track of iso over two iterates, refined twice, with eval's
+    positions at its grid times: (track, positions (nT+1, N, 2), points
+    kept) after each refine, and before the first."""
     pts = uniform_disk(rng, 60, 0.6)
     trk = OrbitTrack(iso, pts, 2)
     kept = pts
@@ -487,12 +504,12 @@ def _refined_positions(iso, rng):
         if idx is not None:
             trk.refine(idx)
             kept = kept[idx]
-        at = iso.trajectory(kept)
-        yield trk, np.stack([at(t, ALL) for t in np.linspace(0.0, 2, 2 * trk.steps + 1)]), kept
+        times = np.linspace(0.0, 2, 2 * trk.steps + 1)
+        yield trk, np.stack([iso.eval(t, kept) for t in times]), kept
 
 
 @pytest.mark.parametrize("iso", [FAST, FAST_TRACKED], ids=["fast-twist", "deformed"])
-def test_positions_equal_the_trajectory_at_the_grid_times(iso):
+def test_positions_equal_eval_at_the_grid_times(iso):
     # through two refines, whole grids and scattered (row, entry) pairs alike
     rng = np.random.default_rng(17)
     for trk, want, kept in _refined_positions(iso, rng):
@@ -537,7 +554,7 @@ def test_orbit_track_keeps_no_array_beyond_one_grid_of_angles(iso, grids):
 
 def test_exact_leaf_lifts_match_a_fine_track():
     # the fast twist's lifted angles, against a 4,096-step track of its
-    # trajectory: equal up to each entry's start branch, a whole number of
+    # positions: equal up to each entry's start branch, a whole number of
     # turns; the 64-step track of the same grid is whole turns off
     pts = uniform_disk(np.random.default_rng(19), 200, 0.6)
     exact = OrbitTrack(FAST, pts, 2).ang
@@ -549,18 +566,23 @@ def test_exact_leaf_lifts_match_a_fine_track():
     assert np.max(np.abs(exact - coarse - TWOPI * np.round(branch))) > np.pi
 
 
-def test_a_step_off_the_origin_keeps_the_tracker():
-    # the origin is fixed but lies beyond the step's annulus, not inside its
-    # inner circle: it is no longer the near point of every pair (0, q), so
-    # the family has no exact leaf angles and its orbit track is unwrapped
-    g = ConjugacyMap((TwistStep((0.5, 0.0), 1.5, 0.1, 0.35),), repeats=1)
-    iso = ConjugatedRotation(GOLDEN, g)
+@pytest.mark.parametrize(
+    "step",
+    [TwistStep((0.5, 0.0), 1.5, 0.1, 0.35), TwistStep((0.55, 0.1), 12.0, 0.05, 0.4)],
+    ids=["slow", "fast"],
+)
+def test_a_step_off_the_origin_has_exact_leaf_angles(step):
+    # the fixed origin lies beyond the step's annulus, so it is the far
+    # point of every pair (0, q) and the step turns q about it by the
+    # remainder alone: the exact track against a 4,096-step tracked grid
+    iso = ConjugatedRotation(GOLDEN, ConjugacyMap((step,), repeats=1))
     pts = uniform_disk(np.random.default_rng(21), 50, 0.9)
-    assert iso.leaf_angles(pts) is None
-    trk = OrbitTrack(iso, pts, 2)
-    assert trk.phi.shape == trk.ang.shape == (129, 50)
-    ref = _row_by_row(iso, pts, 2, 64)
-    assert np.array_equal(trk.ang, ref[2]) and np.array_equal(trk.depth, ref[3])
+    exact = OrbitTrack(iso, pts, 2)
+    assert exact.depth.max() == 0 and not hasattr(exact, "phi")
+    fine = _row_by_row(iso, pts, 2, 4096)[2][::64]
+    turns = (exact.ang - fine) / TWOPI
+    assert np.max(np.abs(turns - np.round(turns))) < 1e-9
+    assert np.all(np.round(turns) == np.round(turns[0]))
 
 
 def test_exact_orbit_tracks_never_call_the_tracker(monkeypatch):
