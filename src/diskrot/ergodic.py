@@ -1,12 +1,15 @@
 """Orbit averages: Birkhoff means of the action, double-orbit linking
 averages, and right-handedness certificates.
 
-Double sums are accumulated with correctly rounded summation (math.fsum),
-so the incremental engine that adds the 2n-1 new pairs per increment
-agrees bit for bit with a naive recomputation of the full square.
+Linking averages divide the family's border sums, `linking_closed_form`,
+one call per sample set.  Where there are none, the tracked windings' double
+sums come from the incremental engine, which adds the 2n-1 new pairs of each
+increment with correctly rounded summation (math.fsum), so it agrees bit for
+bit with a naive recomputation of the full square.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -93,16 +96,17 @@ def mean_action(field, x, n_max):
 
 
 def admissibility_check(X, Y):
-    """min over (i,j) of |f^i(x) - f^j(y)|; OrbitCollision if <= MERGE_EPS."""
-    dx = X[:, None, 0] - Y[None, :, 0]
-    dy = X[:, None, 1] - Y[None, :, 1]
-    d = np.hypot(dx, dy)
-    if d.min() <= MERGE_EPS:
+    """min over (i,j) of |f^i(x) - f^j(y)|, OrbitCollision at its first
+    (i, j) in row-major order if <= MERGE_EPS; X's rows go in blocks of
+    some 1 << 16 distances."""
+    rows, best = max(1, (1 << 16) // max(len(Y), 1)), (math.inf, 0, 0)
+    for lo in range(0, len(X), rows):
+        d = np.hypot(*(X[lo : lo + rows, None, c] - Y[None, :, c] for c in (0, 1)))
         i, j = np.unravel_index(np.argmin(d), d.shape)
-        raise OrbitCollision(
-            f"orbits pass within merge_eps at (i={i}, j={j})", int(i), int(j)
-        )
-    return float(d.min())
+        best = min(best, (d[i, j], lo + i, j))
+    if best[0] <= MERGE_EPS:
+        raise OrbitCollision(f"orbits pass within merge_eps at (i={best[1]}, j={best[2]})", *map(int, best[1:]))
+    return float(best[0])
 
 
 def double_sum_naive(W, n):
@@ -130,38 +134,39 @@ def double_sum_incremental(W, schedule):
 
 
 def linking_average(iso, x, y, n):
-    """Double Birkhoff averages S_n = (1/n^2) sum_ij W(f^i x, f^j y), the
-    windings from the family's closed form where it has one."""
+    """Double Birkhoff averages S_n = (1/n^2) sum_ij W(f^i x, f^j y)."""
+    O = iso.orbit(np.array([as_xy(x), as_xy(y)]), n)
+    admissibility_check(O[:, 0], O[:, 1])
+    return _linking_reports(iso, [O], n)[0]
+
+
+def _linking_reports(iso, orbits, n):
+    """Reports of the pairs whose orbits (n, 2, 2) are given: one call of the
+    family's border sums, else the tracked windings' double sums."""
     schedule = pow2_schedule(n)
-    x, y = as_xy(x), as_xy(y)
-    X, Y = iso.orbit(x, n), iso.orbit(y, n)
-    admissibility_check(X, Y)
-    W = iso.orbit_windings_closed_form(x, y, n)
-    if W is None:
-        W = pair_windings(iso, X[:, None], Y[None, :])
-    avgs = tuple(double_sum_incremental(W, schedule))
-    return ConvergenceReport(
-        n_values=tuple(schedule),
-        partial_averages=avgs,
-        target=iso.boundary_rot,
-        label="linking",
-    )
+    P = np.array([O[0] for O in orbits])
+    sums = iso.linking_closed_form(P[:, 0], P[:, 1], schedule)
+    avgs = (sums / np.square(schedule)[:, None]).T.tolist() if sums is not None else [
+        double_sum_incremental(pair_windings(iso, O[:, None, 0], O[None, :, 1]), schedule) for O in orbits
+    ]
+    return [ConvergenceReport(tuple(schedule), tuple(a), iso.boundary_rot, "linking") for a in avgs]
 
 
 def linking_samples(iso, draw, count, n):
     """`linking_average` reports of count pairs (x, y) = draw(), skipping
-    pairs whose orbits collide; ResampleExhausted after 8 * count draws."""
-    reports = []
-    for _ in range(8 * count):
-        try:
-            reports.append(linking_average(iso, *draw(), n))
-        except OrbitCollision:
-            continue
-        if len(reports) == count:
-            return reports
-    raise ResampleExhausted(
-        f"{count - len(reports)} linking pairs still collide after {8 * count} draws"
-    )
+    pairs whose orbits collide; ResampleExhausted after 8 * count draws.
+    Each round draws the pairs still missing and walks their orbits at once."""
+    orbits, drawn = [], 0
+    while len(orbits) < count and drawn < 8 * count:
+        batch = np.array([draw() for _ in range(min(count - len(orbits), 8 * count - drawn))])
+        drawn, O = drawn + len(batch), iso.orbit(batch, n)
+        for k in range(len(batch)):
+            with contextlib.suppress(OrbitCollision):
+                admissibility_check(O[:, k, 0], O[:, k, 1])
+                orbits.append(O[:, k])
+    if len(orbits) < count:
+        raise ResampleExhausted(f"{count - len(orbits)} linking pairs still collide after {8 * count} draws")
+    return _linking_reports(iso, orbits, n)
 
 
 def linearized_rotation_average(iso, n):

@@ -469,8 +469,8 @@ class Isotopy:
     against a batch (N, 2), which gives the batch at each time, (S, N, 2).
     Instances are immutable after construction and all evaluators are pure,
     so they are freely shareable.  The closed-form hooks answer None here:
-    actions then come from path integrals, and windings and orbit tracks'
-    angles are tracked.
+    actions then come from path integrals, and windings, linking sums and
+    orbit tracks' angles are tracked.
     """
 
     boundary_rot = 0.0
@@ -506,8 +506,9 @@ class Isotopy:
         per n in ns, in the order given."""
         return None
 
-    def orbit_windings_closed_form(self, x, y, n):
-        """Windings W[i, j] of the pairs (f^i x, f^j y), i, j < n."""
+    def linking_closed_form(self, X, Y, ns):
+        """Sums over i, j < N of the windings of the pairs (f^i x, f^j y),
+        (len(ns), K) for the K pairs (X, Y), one row per N in ns."""
         return None
 
     def tangent_windings_closed_form(self, base, dirs):
@@ -584,6 +585,12 @@ class ConjugatedRotation(Isotopy):
         """T_p^n w, for the points w of bands b."""
         return rotate(w, self._turns(w, b, (n,))[0])
 
+    def _twist_orbit(self, z, n):
+        """(T_p^k w, k = 0..n, on a new leading axis, w's bands), w = g^{-1}(z)."""
+        w = self._conj(as_xy(z), inverse=True)
+        b = self._band(w)
+        return rotate(np.broadcast_to(w, (n + 1,) + w.shape), self._turns(w, b, range(n + 1))), b
+
     def _twist(self, w, t):
         """T_p^t w at times t as eval takes them; w is broadcast to a column
         of times."""
@@ -648,10 +655,7 @@ class ConjugatedRotation(Isotopy):
     def orbit(self, pts, n):
         """g T_p^k g^{-1} in one conjugacy pass."""
         pts = as_xy(pts)
-        w = self._conj(pts, inverse=True)
-        a = self._turns(w, self._band(w), range(1, n))
-        rw = rotate(np.broadcast_to(w, (n - 1,) + pts.shape), a)
-        return np.concatenate([pts[None], self._conj(rw)])
+        return np.concatenate([pts[None], self._conj(self._twist_orbit(pts, n - 1)[0][1:])])
 
     def jac(self, t, pts):
         pts = as_xy(pts)
@@ -703,12 +707,12 @@ class ConjugatedRotation(Isotopy):
             return np.full(z.shape[:-1], a)
         return a + self.g.generating(self._power(w, b, n)) + S
 
-    def _twist_windings(self, wx, wy, bx, by, n):
-        """Windings W_{T_p^n} of the pairs (wx, wy) of bands (bx, by), which
-        broadcast against the pairs' shape: n p(r_far) turns, plus the
-        wrapped remainder of `ramp_winding`'s sub-step at centre 0 where the
-        two points have different p, so a pair that T_p turns rigidly keeps
-        its bits."""
+    def _twist_windings(self, wx, wy, tx, ty, bx, by, n):
+        """Windings W_{T_p^n} of the pairs (wx, wy) of bands (bx, by), images
+        (tx, ty), where the bands and n broadcast against the pairs' shape:
+        n p(r_far) turns, plus the wrapped remainder of `ramp_winding`'s
+        sub-step at centre 0 where the two points have different p, so a
+        pair that T_p turns rigidly keeps its bits."""
         if self.beta is None:
             return n * self.alpha
         shape = np.broadcast_shapes(wx.shape, wy.shape)[:-1]
@@ -716,10 +720,8 @@ class ConjugatedRotation(Isotopy):
         W = np.array(np.broadcast_to(n * (self.alpha + np.maximum(bx, by)), shape))
         moved = np.broadcast_to(bx != by, shape)
         if moved.any():
-            p, q = (np.broadcast_to(v, W.shape + (2,))[moved] for v in (wx, wy))
-            bp, bq = (np.broadcast_to(b, W.shape)[moved] for b in (bx, by))
-            d1 = self._power(q, bq, n) - self._power(p, bp, n)
-            W[moved] += wrap_to_pi(angles_of(d1) - angles_of(q - p) - TWOPI * W[moved]) / TWOPI
+            d0, d1 = (np.broadcast_to(q - p, W.shape + (2,))[moved] for p, q in ((wx, wy), (tx, ty)))
+            W[moved] += wrap_to_pi(angles_of(d1) - angles_of(d0) - TWOPI * W[moved]) / TWOPI
         return W
 
     def windings_closed_form(self, X, Y, ns):
@@ -737,17 +739,14 @@ class ConjugatedRotation(Isotopy):
         wx, wy = (self._conj(as_xy(V), inverse=True) for V in (X, Y))
         bx, by = self._band(wx), self._band(wy)
         shape = np.broadcast_shapes(wx.shape, wy.shape)[:-1]
+        D0 = 0.0 if self.g is None else self.g.ramp_winding(wx, wy)
 
-        def D(n):
-            if self.g is None:
-                return 0.0
-            return self.g.ramp_winding(self._power(wx, bx, n), self._power(wy, by, n))
+        def W(n):
+            tx, ty = self._power(wx, bx, n), self._power(wy, by, n)
+            D = 0.0 if self.g is None else self.g.ramp_winding(tx, ty) - D0
+            return np.broadcast_to(self._twist_windings(wx, wy, tx, ty, bx, by, n) + D, shape)
 
-        D0 = D(0)
-        return np.array([
-            np.broadcast_to(self._twist_windings(wx, wy, bx, by, n) + (D(n) - D0), shape)
-            for n in ns
-        ])
+        return np.array([W(n) for n in ns])
 
     def orbit_windings_closed_form(self, x, y, n):
         """W[i, j] = W(f^i x, f^j y), i, j < n, by the square of
@@ -758,18 +757,41 @@ class ConjugatedRotation(Isotopy):
         variant."""
         if self.deform:
             return None
-        wx, wy = (self._conj(as_xy(v), inverse=True) for v in (x, y))
-        bx, by = self._band(wx), self._band(wy)
-        TX, TY = (
-            rotate(np.broadcast_to(w, (n + 1, 2)), self._turns(w, b, range(n + 1)))
-            for w, b in ((wx, bx), (wy, by))
-        )
+        (TX, bx), (TY, by) = self._twist_orbit(x, n), self._twist_orbit(y, n)
         # T_p keeps radii, so one band per orbit serves its axis of the grid
-        W = self._twist_windings(TX[:-1, None], TY[None, :-1], bx, by, 1)
+        W = self._twist_windings(TX[:-1, None], TY[None, :-1], TX[1:, None], TY[None, 1:], bx, by, 1)
         if self.g is None:
             return W + np.zeros((n, n))
         M = self.g.ramp_winding(TX[:, None], TY[None, :])
         return W + (M[1:, 1:] - M[:-1, :-1])
+
+    def linking_closed_form(self, X, Y, ns):
+        """Sums over i, j < N of `orbit_windings_closed_form`'s W_T[i, j] +
+        M[i+1, j+1] - M[i, j], each correctly rounded: M telescopes to its
+        hook (c, c), (c, k), (k, c), 0 < k < N, at c = N less the one at 0,
+        all read in one `ramp_winding` call.  W_T sums to N^2 alpha, or on a
+        plane over the square's diagonals to W_{T_p^L} at each diagonal's
+        first pair, L its length.  None for the deformed variant."""
+        if self.deform:
+            return None
+        n, K, sizes = max(ns), len(X), [2 * N - 1 for N in ns]
+        cuts = np.cumsum(sizes)[:-1]
+        (TX, bx), (TY, by) = self._twist_orbit(X, n), self._twist_orbit(Y, n)
+        # the hooks at (0, 0) up to n and at (N, N) for each N, entry t of
+        # the one at (c, c) being (c, c), (c, 1), (1, c), (c, 2), ...
+        t = np.concatenate([np.arange(2 * N - 1) for N in [n, *ns]])
+        c = np.repeat([0, *ns], [2 * n - 1, *sizes])
+        k = np.where(t == 0, c, (t + 1) // 2)
+        I, J = np.where(t % 2, c, k), np.where(t % 2, k, c)
+        M = np.zeros((len(I), K)) if self.g is None else self.g.ramp_winding(TX[I], TY[J])
+        if self.beta is None:  # N^2 alpha as alpha's power-of-two multiples, each exact
+            T = [np.array([[self.alpha * 2.0**e] * K for e in range(2 * N.bit_length()) if N * N >> e & 1]) for N in ns]
+        else:
+            d = np.concatenate([np.arange(1 - N, N) for N in ns])
+            a, b, L = np.maximum(d, 0), np.maximum(-d, 0), np.repeat(ns, sizes) - abs(d)
+            T = np.split(self._twist_windings(TX[a], TY[b], TX[a + L], TY[b + L], bx, by, L[:, None]), cuts)
+        parts = zip(np.split(M[2 * n - 1 :], cuts), sizes, T)
+        return np.array([[math.fsum(v) for v in np.concatenate((h, -M[:s], w)).T.tolist()] for h, s, w in parts])
 
     def tangent_windings_closed_form(self, base, dirs):
         """Windings of t -> Df_t(base) . dirs by the same square of tangent

@@ -150,7 +150,7 @@ def criterion_3(seed=0, fast=False):
 
 
 def criterion_4(seed=0, fast=False):
-    """Linking averages converge; incremental engine is exact."""
+    """Linking averages converge; incremental engine exact, border sums agree."""
     alpha = GOLDEN
     iso = conjugated_rotation("twist-a")
     rng = np.random.default_rng(seed)
@@ -165,8 +165,10 @@ def criterion_4(seed=0, fast=False):
     ns = list(range(1, 65))
     inc = double_sum_incremental(W, ns)
     exact = all(inc[i] == double_sum_naive(W, n_) for i, n_ in enumerate(ns))
+    border = zip(iso.linking_closed_form(X, Y, pow2_schedule(64))[:, 0], pow2_schedule(64))
+    border_diff = float(max(abs(s / (n_ * n_) - inc[n_ - 1]) for s, n_ in border))
 
-    passed = max_defect < 0.05 and exact
+    passed = max_defect < 0.05 and exact and border_diff < 1e-12
     return {
         "criterion": 4,
         "name": "linking averages + incremental engine",
@@ -177,6 +179,7 @@ def criterion_4(seed=0, fast=False):
             "n": n,
             "pairs": count,
             "incremental_exact": exact,
+            "border_sum_max_diff": border_diff,
         },
     }
 

@@ -13,6 +13,7 @@ from diskrot.ergodic import (
     double_sum_naive,
     linearized_rotation_average,
     linking_average,
+    linking_samples,
     mean_action,
     pow2_schedule,
     right_handedness_certificate,
@@ -60,6 +61,18 @@ def test_admissibility_check_flags_collisions():
         admissibility_check(X, Y)
     assert (err.value.i, err.value.j) == (1, 1)
     assert admissibility_check(X[:1], Y[:1]) > 0.1
+
+
+def test_blocked_admissibility_check_keeps_the_full_square_answers():
+    # 100 columns put X's rows in blocks of 655, so row 2900 lies in the last
+    rng = np.random.default_rng(3)
+    X, Y = uniform_disk(rng, 3000, 0.95), uniform_disk(rng, 100, 0.95)
+    full = np.hypot(X[:, None, 0] - Y[None, :, 0], X[:, None, 1] - Y[None, :, 1])
+    assert admissibility_check(X, Y) == full.min()
+    Y[17] = X[2900] + [1e-13, 0.0]
+    with pytest.raises(OrbitCollision) as err:
+        admissibility_check(X, Y)
+    assert (err.value.i, err.value.j) == (2900, 17)
 
 
 def test_mean_action_of_rigid_rotation_is_constant():
@@ -123,6 +136,36 @@ def test_linking_average_on_a_plane_band_matches_the_tracked_deformed_plane(radi
     closed = linking_average(plane, x, y, 16).partial_averages
     tracked = linking_average(deformed, x, y, 16).partial_averages
     assert np.max(np.abs(np.subtract(closed, tracked))) < 1e-9
+
+
+def _draws(seed):
+    """A seeded draw of pairs whose third draw is a pair of equal points."""
+    rng, calls = np.random.default_rng(seed), []
+
+    def draw():
+        calls.append(1)
+        pair = uniform_disk(rng, 2, 0.95)
+        return pair[[0, 0]] if len(calls) == 3 else pair
+
+    return rng, calls, draw
+
+
+@pytest.mark.parametrize("deform", [False, True])
+def test_batched_linking_samples_equal_the_per_pair_loop(deform):
+    iso = ConjugatedRotation(GOLDEN, CONJ.g, deform=deform)
+    rng, calls, draw = _draws(5)
+    got = linking_samples(iso, draw, 4, 16)
+    ref_rng, ref_calls, ref_draw = _draws(5)
+    want = []
+    while len(want) < 4:
+        try:
+            want.append(linking_average(iso, *ref_draw(), 16))
+        except OrbitCollision:
+            pass
+    # the colliding third draw is skipped, and one more is drawn in its place
+    assert len(calls) == len(ref_calls) == 5
+    assert [r.partial_averages for r in got] == [r.partial_averages for r in want]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_linearized_rotation_average_rigid():

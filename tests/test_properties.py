@@ -11,11 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskrot.action import PATH_TOL, ActionField
+from diskrot.ergodic import double_sum_incremental
 from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
 from diskrot.winding import _pair_track, pair_windings, pair_windings_iterated
-from test_maps import ONE, Concatenation, uncropped
+from test_maps import ONE, PLANES, Concatenation, uncropped
 
 G = ConjugacyMap.from_named("twist-b")
 CONJ = ConjugatedRotation(GOLDEN, G)
@@ -33,6 +34,35 @@ def _disk_points(count, r_min=0.0, r_max=0.95):
     return st.lists(polar, min_size=count, max_size=count).map(
         lambda rt: np.array([[r * np.cos(t), r * np.sin(t)] for r, t in rt])
     )
+
+
+# every family whose linking sums have a closed form: twist cores, and planes
+# with and without one
+LINKING = {
+    "rigid": RigidRotation(GOLDEN),
+    **{h: ConjugatedRotation(GOLDEN, ConjugacyMap.from_named(h)) for h in ("twist-a", "twist-b", "twist-c")},
+    **PLANES,
+    "cored-twist-b": CORED,
+}
+
+
+@FEW
+@given(
+    st.sampled_from(sorted(LINKING)),
+    st.integers(1, 32),
+    _disk_points(1, r_min=0.05, r_max=0.9),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_border_sums_equal_double_sums_of_the_orbit_windings(name, n, x, s, theta):
+    iso = LINKING[name]
+    # y out on a plane's band, x inside the unit disk, where p = alpha
+    R = iso.domain_radius
+    y = (1.0 + s * (R - 1.0) if R > 1.0 else s) * np.array([np.cos(theta), np.sin(theta)])
+    ns = list(range(1, n + 1))
+    sums = iso.linking_closed_form(x, y[None], ns)[:, 0]
+    want = double_sum_incremental(iso.orbit_windings_closed_form(x[0], y, n), ns)
+    assert np.max(np.abs(sums / np.square(ns) - want)) < 1e-12
 
 
 @FEW

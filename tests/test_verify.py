@@ -27,7 +27,7 @@ def test_criterion_4_stops_redrawing_colliding_pairs(monkeypatch):
         draws.append(1)
         raise OrbitCollision("orbits pass within merge_eps")
 
-    monkeypatch.setattr(ergodic, "linking_average", collide)
+    monkeypatch.setattr(ergodic, "admissibility_check", collide)
     with pytest.raises(ResampleExhausted):
         verify.criterion_4(fast=True)
     # fast mode wants 5 pairs and gives up after 8 draws per pair
