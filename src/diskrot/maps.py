@@ -171,17 +171,21 @@ class TwistStep:
         hi = (self.outer * (1.0 + _MARGIN)) ** 2
         return (d2 >= lo) & (d2 <= hi)
 
-    def _move(self, px, py, scale, jac=False, gen=False, turn=None):
-        """The step's one kernel: moves the points of the flat coordinate
-        arrays px, py in place at `scale`, a scalar or one per entry, and
-        returns (J, S): the step's Jacobian stack (N, 2, 2) if jac and its
-        generating function (N,) if gen, else None, and carries turn, flat
-        lifted angles of the points about the origin, along in place.  The
-        window, rho and psi are found once and serve all of them."""
+    def _move(self, px, py, scale, jac=False, gen=False, turn=None, rec=None):
+        """The one kernel of a sub-step's image: moves the points of the
+        flat coordinate arrays px, py in place at `scale`, a scalar or one
+        per entry, and returns (J, S): the step's Jacobian stack (N, 2, 2)
+        if jac and its generating function (N,) if gen, else None.  It
+        carries turn, flat lifted angles of the points about the origin,
+        along in place, and appends the step's psi (0 off the window) and d2
+        at every point to the list rec.  The window, rho and psi are found
+        once and serve all of them."""
         cx, cy = self.center
         x, y = px - cx, py - cy
         d2 = x * x + y * y
         idx = self._window(d2).nonzero()[0]
+        if rec is not None:
+            rec.append((np.zeros(px.shape), d2))
         J = np.broadcast_to(np.eye(2), px.shape + (2, 2)).copy() if jac else None
         S = None
         if gen:
@@ -196,6 +200,8 @@ class TwistStep:
             scale = scale[idx]
         rho = np.hypot(x, y)
         psi = scale * self.angle(rho)
+        if rec is not None:
+            rec[-1][0][idx] = psi
         if gen:
             # the averaged rotation of w over the flow is (sin psi/psi) w +
             # ((1-cos psi)/psi) i w, in forms safe at psi = 0; its dot with c
@@ -339,9 +345,6 @@ class ConjugacyMap:
     def jac_forward(self, pts, scale=1.0):
         return self._walk(pts, scale, jac=True)[1]
 
-    def jac_inverse(self, pts, scale=1.0):
-        return self._walk(pts, scale, inverse=True, jac=True)[1]
-
     def generating(self, pts, scale=1.0):
         """Primitive S with forward*beta - beta = dS, accumulated over the
         step sequence (S of a composition telescopes along partial images)."""
@@ -349,24 +352,18 @@ class ConjugacyMap:
 
     def _chain(self, Z):
         """The sub-step chain of each point of Z (..., 2), flattened, as g
-        is ramped from the identity: its L + 1 positions as complex numbers
-        and, at each of the L sub-steps, its psi and its squared distance
-        to the step's center.  A point the step leaves fixed (psi = 0)
-        keeps its bits."""
-        s = 1.0 / self.repeats
-        z = [(Z[..., 0] + 1j * Z[..., 1]).ravel()]
-        psi, d2 = [], []
-        for st in self._sequence():
-            c = complex(*st.center)
-            a = z[-1] - c
-            d2.append(a.real * a.real + a.imag * a.imag)
-            idx = st._window(d2[-1]).nonzero()[0]
-            psi.append(np.zeros(len(a)))
-            psi[-1][idx] = s * st.angle(np.abs(a[idx]))
-            idx = idx[psi[-1][idx] != 0.0]
-            z.append(z[-1].copy())
-            z[-1][idx] = c + a[idx] * np.exp(1j * psi[-1][idx])
-        return z, psi, d2
+        is ramped from the identity: `forward`'s walk, recorded.  Its L + 1
+        positions (L + 1, N) as complex numbers, and at each of the L
+        sub-steps the psi and d2 that `TwistStep._move` records."""
+        seq, rec = self._sequence(), []
+        # `_move` walks a float buffer's columns in place; the pair loop of
+        # ramp_winding reads its rows as complex numbers
+        z = np.empty((len(seq) + 1, math.prod(Z.shape[:-1]), 2))
+        z[0] = Z.reshape(-1, 2)
+        for k, st in enumerate(seq):
+            z[k + 1] = z[k]
+            st._move(z[k + 1, :, 0], z[k + 1, :, 1], 1.0 / self.repeats, rec=rec)
+        return z.view(complex)[..., 0], [r[0] for r in rec], [r[1] for r in rec]
 
     def ramp_winding(self, P, Q):
         """Winding D(P, Q), in turns, of s -> g_s(Q) - g_s(P) as g is
@@ -430,30 +427,30 @@ class ConjugacyMap:
         return chain + (lambda m: flat[m],)
 
     def ramp_tangent_winding(self, P, V):
-        """Winding, in turns, of s -> Dg_s(P) . V along the same ramp: each
-        base point walks its `_chain`, _CHUNK at a time, and V is carried by
-        the `_move` Jacobian R(psi)[v + (psi'/rho)(w.v) i w] of each
-        sub-step that moves the point, w = p - c.  The bracket keeps v's
-        component along w, so it turns v by less than pi: the sub-step
-        turns v by psi plus the wrapped remainder arg v' - arg v - psi."""
+        """Winding, in turns, of s -> Dg_s(P) . V along the same ramp: the
+        base points walk g's sub-steps, _CHUNK at a time, and V is carried
+        by the Jacobian R(psi)[v + (psi'/rho)(w.v) i w] of each `_move` that
+        moves its point, w = p - c.  The bracket keeps v's component along
+        w, so it turns v by less than pi: the sub-step turns v by psi plus
+        the wrapped remainder arg v' - arg v - psi."""
         P, V = np.broadcast_arrays(as_xy(P), as_xy(V))
         shape = P.shape[:-1]
-        P = P.reshape(-1, 2)
+        px, py, _ = _split(P)
         v = (V[..., 0] + 1j * V[..., 1]).ravel()
-        s = 1.0 / self.repeats
         turn = np.zeros(len(v))
         for lo in range(0, len(v), _CHUNK):
-            z, psi, _ = self._chain(P[lo : lo + _CHUNK])
-            vc, tc = v[lo : lo + _CHUNK], turn[lo : lo + _CHUNK]
-            for k, st in enumerate(self._sequence()):
-                m = psi[k].nonzero()[0]
+            bx, by = px[lo : lo + _CHUNK], py[lo : lo + _CHUNK]
+            vc, tc, rec = v[lo : lo + _CHUNK], turn[lo : lo + _CHUNK], []
+            for st in self._sequence():
+                J = st._move(bx, by, 1.0 / self.repeats, jac=True, rec=rec)[0]
+                psi = rec.pop()[0]
+                m = psi.nonzero()[0]
                 if not m.size:
                     continue
-                J = st._move(z[k][m].real, z[k][m].imag, s, jac=True)[0]
-                v0 = vc[m]
+                v0, J = vc[m], J[m]
                 x, y = v0.real, v0.imag
                 v1 = (J[:, 0, 0] * x + J[:, 0, 1] * y) + 1j * (J[:, 1, 0] * x + J[:, 1, 1] * y)
-                tc[m] += psi[k][m] + wrap_to_pi(np.angle(v1) - np.angle(v0) - psi[k][m])
+                tc[m] += psi[m] + wrap_to_pi(np.angle(v1) - np.angle(v0) - psi[m])
                 vc[m] = v1
         return turn.reshape(shape) / TWOPI
 

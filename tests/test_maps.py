@@ -185,10 +185,10 @@ class Concatenation(Isotopy):
 
 def _ref_pair_turn(st, p, q, scale):
     c = complex(*st.center)
-    a, b = p - c, q - c
-    ra, rb = np.abs(a), np.abs(b)
+    ra, rb = np.abs(p - c), np.abs(q - c)
     pa, pb = scale * st.angle(ra), scale * st.angle(rb)
-    p1, q1 = c + a * np.exp(1j * pa), c + b * np.exp(1j * pb)
+    # the points move by g's own formula
+    p1, q1 = (_ref_apply(st, np.column_stack([z.real, z.imag]), scale) @ (1, 1j) for z in (p, q))
     far = np.where(ra > rb, pa, pb)
     return p1, q1, far + wrap_to_pi(np.angle(q1 - p1) - np.angle(q - p) - far)
 
@@ -241,6 +241,14 @@ def _moved_by_a_write_back(st, pts):
     return edge & (st.angle(rho) == 0.0) & np.any(c + (pts - c) != pts, axis=-1)
 
 
+def _kernel(g, name):
+    """g's evaluator `name`, where jac_inverse is the Jacobian of the
+    inverse walk, which `ConjugatedRotation._unwalk` runs."""
+    if name == "jac_inverse":
+        return lambda pts, s=1.0: g._walk(pts, s, inverse=True, jac=True)[1]
+    return getattr(g, name)
+
+
 GS = {
     "twist-a": ConjugacyMap.from_named("twist-a"),
     "twist-b-3": ConjugacyMap.from_named("twist-b", repeats=3, support_radius=0.6),
@@ -258,13 +266,13 @@ def test_culled_kernels_match_the_uncropped_formulas_bit_for_bit(g):
     per_entry[:3] = 0.0  # the deformed variant at t = 0
     for name in ("forward", "inverse", "jac_forward", "jac_inverse", "generating"):
         for scale in (1.0, 0.37, per_entry):
-            got, want = getattr(g, name)(pts, scale), uncropped(g, name, pts, scale)
+            got, want = _kernel(g, name)(pts, scale), uncropped(g, name, pts, scale)
             assert np.array_equal(got, want), (name, np.ndim(scale))
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
         grid = pts[:600].reshape(3, 200, 2)  # a column of times' batch
-        assert np.array_equal(getattr(g, name)(grid), uncropped(g, name, grid))
+        assert np.array_equal(_kernel(g, name)(grid), uncropped(g, name, grid))
         for p in pts[::97]:  # single points (2,)
-            assert np.array_equal(getattr(g, name)(p, 0.6), uncropped(g, name, p, 0.6))
+            assert np.array_equal(_kernel(g, name)(p, 0.6), uncropped(g, name, p, 0.6))
 
 
 ORACLE_GS = {**{n: _g(n) for n in ("twist-a", "twist-b", "twist-c")}, "twist-b-3": GS["twist-b-3"]}
@@ -334,8 +342,8 @@ def test_conjugacy_kernels_of_a_batch_equal_one_point_at_a_time():
     g = _g("twist-b")
     pts = uniform_disk(np.random.default_rng(18), 300, 1.0)
     for name in ("forward", "inverse", "jac_forward", "jac_inverse", "generating"):
-        batch = getattr(g, name)(pts, 0.6)
-        single = np.array([getattr(g, name)(p[None], 0.6)[0] for p in pts])
+        batch = _kernel(g, name)(pts, 0.6)
+        single = np.array([_kernel(g, name)(p[None], 0.6)[0] for p in pts])
         assert np.array_equal(batch, single), name
 
 
@@ -353,7 +361,7 @@ def test_each_sub_step_finds_its_window_once(monkeypatch):
     pts = uniform_disk(np.random.default_rng(19), 500, 1.0)
     for name in ("forward", "inverse", "jac_forward", "jac_inverse", "generating"):
         calls.clear()
-        getattr(g, name)(pts, 0.6)
+        _kernel(g, name)(pts, 0.6)
         assert calls == [(500,)] * len(g._sequence()), name
 
 
@@ -366,7 +374,7 @@ def test_conjugated_jacobian_equals_the_separate_walks(deform):
     for t in (0.0, 0.3, 1.0):
         s = t if deform else 1.0
         angle = TWOPI * t * GOLDEN
-        Ji, w = g.jac_inverse(pts, s), g.inverse(pts, s)
+        Ji, w = g._walk(pts, s, inverse=True, jac=True)[1], g.inverse(pts, s)
         Jf = g.jac_forward(rotate(w, angle), s)
         want = Jf @ rotation_matrices(angle, shape=(400,)) @ Ji
         assert np.array_equal(iso.jac(t, pts), want), t
@@ -398,6 +406,31 @@ def test_ramp_turns_leave_fixed_pairs_and_base_points_alone():
     t = TWOPI * rng.random(n)
     V = np.column_stack([np.cos(t), np.sin(t)])
     assert np.array_equal(g.ramp_tangent_winding(fixed, V), np.zeros(n))
+
+
+@pytest.mark.parametrize("g", sorted(GS))
+def test_chain_positions_are_the_walks_own(g):
+    # each recorded position is the image of the walk of `_move` so far,
+    # the last one `forward`'s, sign bits included; psi is the step's angle
+    # of the point's distance to its center, 0 off the annulus
+    g = GS[g]
+    rng = np.random.default_rng(22)
+    pts = np.concatenate([_window_edges(g, rng), uniform_disk(rng, 2000, 1.0)])
+    z, psi, d2 = g._chain(pts)
+    chain = np.stack([z.real, z.imag], axis=-1)
+
+    def same(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    px, py = pts[:, 0].copy(), pts[:, 1].copy()
+    assert same(chain[0], pts)
+    for k, st in enumerate(g._sequence()):
+        x, y = px - st.center[0], py - st.center[1]
+        assert np.array_equal(d2[k], x * x + y * y), k
+        assert np.array_equal(psi[k], (1.0 / g.repeats) * st.angle(np.hypot(x, y))), k
+        st._move(px, py, 1.0 / g.repeats)
+        assert same(chain[k + 1], np.column_stack([px, py])), k
+    assert same(chain[-1], g.forward(pts))
 
 
 @pytest.mark.parametrize("g", sorted(GS))
@@ -439,6 +472,32 @@ def test_ramp_windings_match_the_uncropped_turns(name):
     assert np.max(np.abs(g.ramp_tangent_winding(P, V) - tangent)) < 1e-12
 
 
+LEAF_FAMILIES = {
+    **{n: ConjugatedRotation(GOLDEN, g) for n, g in GS.items()},
+    "plane-twist-a": PlaneExtension(GOLDEN, GOLDEN + 0.3, core=ConjugatedRotation(GOLDEN, GS["twist-a"])),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LEAF_FAMILIES))
+def test_fused_leaf_angles_follow_the_pair_rule(family):
+    # the two routes to D: leaf_angles carries theta(w) + 2 pi t p through
+    # g's sub-steps with `_move`'s turn accumulator, which adds
+    # 2 pi D(0, T_p^t w), and ramp_winding reads D pair by pair; so
+    # theta(f_t z) - theta(z) = 2 pi [t p + D(0, T_p^t w) - D(0, w)]
+    iso = LEAF_FAMILIES[family]
+    rng = np.random.default_rng(23)
+    pts = uniform_disk(rng, 1000, 0.98 * iso.domain_radius)
+    w = iso.g.inverse(pts)
+    p = iso.alpha + iso._band(w)
+    D0 = iso.g.ramp_winding(np.zeros(2), w)
+    angles, _ = iso.leaf_angles(pts)
+    start = angles(0.0, ALL)
+    assert np.max(np.abs(start - (angles_of(w) + TWOPI * D0))) < 1e-13
+    for t in (0.3, 1.0, 2.7):
+        D = iso.g.ramp_winding(np.zeros(2), rotate(w, TWOPI * t * p))
+        assert np.max(np.abs(angles(t, ALL) - start - TWOPI * (t * p + D - D0))) < 1e-13, t
+
+
 def test_conjugacy_inverse_is_exact():
     g = _g()
     rng = np.random.default_rng(3)
@@ -453,7 +512,7 @@ def test_conjugacy_jacobians_unit_determinant_and_inverse():
     pts = uniform_disk(rng, 300, 0.95)
     Jf = g.jac_forward(pts)
     assert np.max(np.abs(np.linalg.det(Jf) - 1.0)) < 1e-11
-    Ji = g.jac_inverse(g.forward(pts))
+    Ji = g._walk(g.forward(pts), 1.0, inverse=True, jac=True)[1]
     assert np.max(np.abs(Ji @ Jf - np.eye(2))) < 1e-10
 
 
