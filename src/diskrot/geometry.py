@@ -33,8 +33,8 @@ def radii_of(pts):
     # hypot, not sqrt(x*x + y*y): 2-4x cheaper below ~64 points, as in bisection
     # sub-steps and single-point trajectories (the swap slowed orbit-averages 2.25 ->
     # 2.57 s and raised verify-all --fast peak RSS 86.7 -> 93.1 MB on a 2-vCPU VM).
-    # The twist steps pick their annulus points by squared distance and pass
-    # only those, so large batches no longer reach hypot whole
+    # The twist steps do not call it: they read rho as the root of the
+    # squared distance that picks their annulus points
     pts = np.asarray(pts)
     return np.hypot(pts[..., 0], pts[..., 1])
 

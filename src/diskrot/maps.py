@@ -36,8 +36,8 @@ RATIONAL_TOL = 1e-12
 # 128 KiB; at 1 << 16 a `verify-all --fast` process peaked 1.5 MB higher
 _CHUNK = 1 << 13
 # relative widening of each twist step's annulus when choosing the points
-# a step may move; the roundings of a squared distance and of hypot are
-# some 1e-16 relative
+# a step may move; the roundings of a squared distance and of its square
+# root are some 1e-16 relative
 _MARGIN = 1e-9
 
 
@@ -56,13 +56,9 @@ def check_irrational(value, name):
 
 
 def _bump(xi):
-    """Smooth bump on (-1, 1): exp(1 - 1/(1 - xi^2)), zero outside."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
-    inside = np.abs(xi) < 1.0
-    u = xi[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - u * u))
-    return out
+    """Smooth bump on (-1, 1): exp(1 - 1/(1 - xi^2)), zero outside, where
+    the clipped denominator sends the exponent to -1e300."""
+    return np.exp(1.0 - 1.0 / np.maximum(1.0 - np.square(xi), 1e-300))
 
 
 def _dbump(xi):
@@ -178,8 +174,8 @@ class TwistStep:
         if jac and its generating function (N,) if gen, else None.  It
         carries turn, flat lifted angles of the points about the origin,
         along in place, and appends the step's psi (0 off the window) and d2
-        at every point to the list rec.  The window, rho and psi are found
-        once and serve all of them."""
+        at every point to the list rec.  The window and rho = sqrt(d2) read
+        one squared offset d2; they and psi serve all of them."""
         cx, cy = self.center
         x, y = px - cx, py - cy
         d2 = x * x + y * y
@@ -198,7 +194,7 @@ class TwistStep:
         x, y = x[idx], y[idx]
         if np.ndim(scale):
             scale = scale[idx]
-        rho = np.hypot(x, y)
+        rho = np.sqrt(d2[idx])
         psi = scale * self.angle(rho)
         if rec is not None:
             rec[-1][0][idx] = psi
@@ -212,9 +208,10 @@ class TwistStep:
             circ = rho * rho + ((s1 * x - s2 * y) * cx + (s1 * y + s2 * x) * cy)
             S[idx] = psi * circ / TWOPI - self.potential(rho, scale) / np.pi
         # a window point whose bump underflows stays put: c + (p - c) could
-        # move it by an ulp
+        # move it by an ulp; where none does, the arrays are kept as they are
         m = psi.nonzero()[0]
-        idx, x, y, rho, psi = idx[m], x[m], y[m], rho[m], psi[m]
+        if m.size < idx.size:
+            idx, x, y, rho, psi = idx[m], x[m], y[m], rho[m], psi[m]
         c, s = np.cos(psi), np.sin(psi)
         rx, ry = c * x - s * y, s * x + c * y
         if jac:
@@ -315,17 +312,16 @@ class ConjugacyMap:
         seq = list(self.steps) * self.repeats
         return seq[::-1] if inverse else seq
 
-    def _walk(self, pts, scale, inverse=False, jac=False, gen=False, turn=None):
+    def _walk(self, pts, scale, inverse=False, jac=False, gen=False):
         """One pass of the sub-step kernels of g (g^{-1} with inverse) over
         split coordinates: (image, Jacobian if jac, S if gen), the Jacobian
-        as the full-stack product of the sub-steps' Jacobians; turn as in
-        `TwistStep._move`."""
+        as the full-stack product of the sub-steps' Jacobians."""
         px, py, shape = _split(pts)
         s = _per_entry((-scale if inverse else scale) / self.repeats, shape)
         J = np.broadcast_to(np.eye(2), px.shape + (2, 2)).copy() if jac else None
         S = np.zeros(px.shape) if gen else None
         for st in self._sequence(inverse):
-            Js, dS = st._move(px, py, s, jac, gen, turn)
+            Js, dS = st._move(px, py, s, jac, gen)
             if jac:
                 J = Js @ J
             if gen:
@@ -643,8 +639,11 @@ class ConjugatedRotation(Isotopy):
             a = TWOPI * t * _at(p, idx)
             turn = theta[idx] + a
             if self.g is not None:
-                wi = np.broadcast_to(w[idx], turn.shape + (2,))
-                self.g._walk(rotate(wi, a), 1.0, turn=turn.reshape(-1))
+                # T_p^t w split as `rotate` computes it, walked for its turns
+                c, s, x, y = np.cos(a), np.sin(a), w[idx, ..., 0], w[idx, ..., 1]
+                px, py, flat = (c * x - s * y).ravel(), (s * x + c * y).ravel(), turn.reshape(-1)
+                for st in self.g._sequence():
+                    st._move(px, py, 1.0 / self.g.repeats, turn=flat)
             return turn
 
         return angles, lambda t, idx: self._conj(self._twist(w[idx], t))

@@ -28,6 +28,8 @@ from diskrot.maps import (
     PlaneExtension,
     RigidRotation,
     TwistStep,
+    _bump,
+    _split,
     from_config,
 )
 from diskrot.quadrature import adaptive_segments
@@ -96,10 +98,16 @@ def test_twist_step_generating_differential():
 # roundoff, since a fixed point's c + (p - c) may differ from p by an ulp).
 
 
+def _rho(w):
+    """|w| as the kernels read it: the root of the squared offset that
+    their window test computes."""
+    return np.sqrt(w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1])
+
+
 def _ref_apply(st, pts, scale):
     c = np.asarray(st.center)
     w = pts - c
-    psi = scale * st.angle(np.hypot(w[..., 0], w[..., 1]))
+    psi = scale * st.angle(_rho(w))
     out = pts.copy()
     m = psi != 0.0
     out[m] = c + rotate(w[m], psi[m])
@@ -108,7 +116,7 @@ def _ref_apply(st, pts, scale):
 
 def _ref_jac(st, pts, scale):
     w = pts - np.asarray(st.center)
-    rho = np.hypot(w[..., 0], w[..., 1])
+    rho = _rho(w)
     scale = np.broadcast_to(scale, rho.shape)
     psi = scale * st.angle(rho)
     J = np.broadcast_to(np.eye(2), rho.shape + (2, 2)).copy()
@@ -125,7 +133,7 @@ def _ref_jac(st, pts, scale):
 def _ref_generating(st, pts, scale):
     c = np.asarray(st.center)
     w = pts - c
-    rho = np.hypot(w[..., 0], w[..., 1])
+    rho = _rho(w)
     psi = scale * st.angle(rho)
     s1 = np.sinc(psi / np.pi)
     s2 = 0.5 * psi * np.sinc(0.5 * psi / np.pi) ** 2
@@ -194,15 +202,19 @@ def _ref_pair_turn(st, p, q, scale):
 
 
 def _ref_tangent_turn(st, p, v, scale):
-    c = complex(*st.center)
-    w = p - c
-    rho = np.abs(w)
+    pts = np.column_stack([p.real, p.imag])
+    w = pts - np.asarray(st.center)
+    rho = _rho(w)
     psi = scale * st.angle(rho)
     k = np.zeros_like(rho)
     np.divide(scale * st.dangle(rho), rho, out=k, where=rho > 0)
-    sheared = v + k * (w.real * v.real + w.imag * v.imag) * 1j * w
-    rot = np.exp(1j * psi)
-    return c + rot * w, rot * sheared, psi + wrap_to_pi(np.angle(sheared) - np.angle(v))
+    x, y = w[:, 0], w[:, 1]
+    sheared = v + k * (x * v.real + y * v.imag) * (-y + 1j * x)
+    c, s = np.cos(psi), np.sin(psi)
+    turned = (c * sheared.real - s * sheared.imag) + 1j * (s * sheared.real + c * sheared.imag)
+    # the base point moves by g's own formula
+    p1 = _ref_apply(st, pts, scale) @ (1, 1j)
+    return p1, turned, psi + wrap_to_pi(np.angle(sheared) - np.angle(v))
 
 
 def _ref_ramped(g, turn_of, P, V):
@@ -316,6 +328,35 @@ def test_potential_is_the_integral_of_the_angular_speed(step):
         assert np.array_equal(S, -(st.potential(beyond, scale) / np.pi))
 
 
+def test_bump_equals_the_masked_formula_bit_for_bit():
+    # exp(1 - 1/(1 - xi^2)) evaluated inside (-1, 1) only and +0 elsewhere;
+    # the kernel's clipped denominator gives the same bits, sign bits
+    # included, and neither divides by zero nor overflows
+    def masked(xi):
+        out = np.zeros_like(xi)
+        inside = np.abs(xi) < 1.0
+        u = xi[inside]
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u * u))
+        return out
+
+    ulp = [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    edges = np.array([1.0, -1.0, 0.0, -0.0] + ulp + [-u for u in ulp])
+    rng = np.random.default_rng(32)
+    x4 = np.polynomial.legendre.leggauss(4)[0]
+    # the first and last (2048, 4) node blocks of the bump-moment table
+    tables = [
+        (np.arange(s, s + 2048)[:, None] + 0.5 * (x4 + 1.0)) * (2.0 / _CELLS) - 1.0
+        for s in (0, _CELLS - 2048)
+    ]
+    wide = [rng.uniform(-1.5, 1.5, 100000), rng.uniform(-1e3, 1e3, 10000) * rng.random(10000)]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for xi in [edges, *wide, *tables]:
+            got, want = _bump(xi), masked(xi)
+            assert got.shape == xi.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(_bump(edges), [0.0, 0.0, 1.0, 1.0] + [0.0] * 4)
+
+
 def test_step_potentials_share_one_table():
     # potentials of a new step geometry allocate no table of their own
     steps = [
@@ -427,7 +468,7 @@ def test_chain_positions_are_the_walks_own(g):
     for k, st in enumerate(g._sequence()):
         x, y = px - st.center[0], py - st.center[1]
         assert np.array_equal(d2[k], x * x + y * y), k
-        assert np.array_equal(psi[k], (1.0 / g.repeats) * st.angle(np.hypot(x, y))), k
+        assert np.array_equal(psi[k], (1.0 / g.repeats) * st.angle(np.sqrt(x * x + y * y))), k
         st._move(px, py, 1.0 / g.repeats)
         assert same(chain[k + 1], np.column_stack([px, py])), k
     assert same(chain[-1], g.forward(pts))
@@ -466,10 +507,10 @@ def test_ramp_windings_match_the_uncropped_turns(name):
     P, Q, V = (uniform_disk(rng, 4000, 0.97) for _ in range(3))
     ramp = _ref_ramped(g, _ref_pair_turn, P, Q)
     assert np.max(np.abs(g.ramp_winding(P, Q) - ramp)) < 1e-14
-    # an ulp of the base point moves the steep shear psi'/rho by some 1e3
-    # ulps, so the tangent windings agree less closely
+    # the base points move bit for bit as the kernel moves them; the
+    # tangents differ only in how the Jacobian's product is rounded
     tangent = _ref_ramped(g, _ref_tangent_turn, P, V)
-    assert np.max(np.abs(g.ramp_tangent_winding(P, V) - tangent)) < 1e-12
+    assert np.max(np.abs(g.ramp_tangent_winding(P, V) - tangent)) < 1e-14
 
 
 LEAF_FAMILIES = {
@@ -496,6 +537,34 @@ def test_fused_leaf_angles_follow_the_pair_rule(family):
     for t in (0.3, 1.0, 2.7):
         D = iso.g.ramp_winding(np.zeros(2), rotate(w, TWOPI * t * p))
         assert np.max(np.abs(angles(t, ALL) - start - TWOPI * (t * p + D - D0))) < 1e-13, t
+
+
+@pytest.mark.parametrize("family", sorted(LEAF_FAMILIES))
+def test_fused_leaf_angles_equal_a_walk_of_the_kernel_bit_for_bit(family):
+    # the leaf closure splits T_p^t w itself and walks only the turns: the
+    # same bits as `_move` walked over `_split(rotate(w, a))`, for a column
+    # of times against every point and for one time per entry
+    iso = LEAF_FAMILIES[family]
+    g, rng = iso.g, np.random.default_rng(24)
+    pts = uniform_disk(rng, 600, 0.98 * iso.domain_radius)
+    w = g.inverse(pts)
+    p = iso.alpha + iso._band(w)
+    angles, _ = iso.leaf_angles(pts)
+
+    def walked(t, idx):
+        a = TWOPI * t * (p[idx] if np.ndim(p) else p)
+        turn = angles_of(w)[idx] + a
+        px, py, _ = _split(rotate(np.broadcast_to(w[idx], turn.shape + (2,)), a))
+        for st in g._sequence():
+            st._move(px, py, 1.0 / g.repeats, turn=turn.reshape(-1))
+        return turn
+
+    idx = rng.permutation(len(pts))[:250]
+    column = np.array([[0.0], [0.3], [1.0], [2.7]])
+    for t, i in ((column, ALL), (column, idx), (rng.uniform(0.0, 3.0, 250), idx), (0.7, idx[:40])):
+        got, want = angles(t, i), walked(t, i)
+        assert got.shape == want.shape == np.broadcast_shapes(np.shape(t), (len(pts[i]),))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_conjugacy_inverse_is_exact():
