@@ -744,30 +744,13 @@ class ConjugatedRotation(Isotopy):
 
         return np.array([W(n) for n in ns])
 
-    def orbit_windings_closed_form(self, x, y, n):
-        """W[i, j] = W(f^i x, f^j y), i, j < n, by the square of
-        `windings_closed_form` on the orbits T_p^i w_x, T_p^j w_y in g^{-1}
-        coordinates: W_T[i, j] + M[i+1, j+1] - M[i, j], with W_T the twist
-        windings of the pairs and M[i, j] = D(T_p^i w_x, T_p^j w_y), one
-        (n + 1)^2 matrix of D and no map call; None for the deformed
-        variant."""
-        if self.deform:
-            return None
-        (TX, bx), (TY, by) = self._twist_orbit(x, n), self._twist_orbit(y, n)
-        # T_p keeps radii, so one band per orbit serves its axis of the grid
-        W = self._twist_windings(TX[:-1, None], TY[None, :-1], TX[1:, None], TY[None, 1:], bx, by, 1)
-        if self.g is None:
-            return W + np.zeros((n, n))
-        M = self.g.ramp_winding(TX[:, None], TY[None, :])
-        return W + (M[1:, 1:] - M[:-1, :-1])
-
     def linking_closed_form(self, X, Y, ns):
-        """Sums over i, j < N of `orbit_windings_closed_form`'s W_T[i, j] +
-        M[i+1, j+1] - M[i, j], each correctly rounded: M telescopes to its
-        hook (c, c), (c, k), (k, c), 0 < k < N, at c = N less the one at 0,
-        all read in one `ramp_winding` call.  W_T sums to N^2 alpha, or on a
-        plane over the square's diagonals to W_{T_p^L} at each diagonal's
-        first pair, L its length.  None for the deformed variant."""
+        """Sums over i, j < N of W(f^i x, f^j y) = W_T[i, j] + M[i+1, j+1] - M[i, j]
+        (`windings_closed_form`'s square on the orbits T_p^i w_x, T_p^j w_y; W_T the
+        twist windings, M[i, j] = D(T_p^i w_x, T_p^j w_y)), each correctly rounded: M
+        telescopes to its hook (c, c), (c, k), (k, c), 0 < k < N, at c = N less the
+        one at 0, in one `ramp_winding` call.  W_T sums to N^2 alpha, or on a plane over
+        the diagonals to W_{T_p^L} at each one's first pair, L its length.  None if deformed."""
         if self.deform:
             return None
         n, K, sizes = max(ns), len(X), [2 * N - 1 for N in ns]

@@ -31,7 +31,7 @@ from .farey import (
 from .foliation import annulus_table, lambda_int, winding_gaps
 from .geometry import GOLDEN, resample, uniform_disk
 from .maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
-from .winding import _pair_track
+from .winding import _pair_track, pair_windings
 
 _HAMILTONIANS = ("twist-a", "twist-b", "twist-c")
 
@@ -161,7 +161,7 @@ def criterion_4(seed=0, fast=False):
     max_defect = max(abs(rep.final - alpha) for rep in reports)
 
     X, Y = _admissible_pairs(rng, 1)
-    W = iso.orbit_windings_closed_form(X[0], Y[0], 64)
+    W = pair_windings(iso, iso.orbit(X[0], 64)[:, None], iso.orbit(Y[0], 64)[None, :])
     ns = list(range(1, 65))
     inc = double_sum_incremental(W, ns)
     exact = all(inc[i] == double_sum_naive(W, n_) for i, n_ in enumerate(ns))

@@ -100,22 +100,9 @@ def test_linking_average_conjugated_converges():
     assert abs(rep.final - GOLDEN) < 0.05
 
 
-@pytest.mark.parametrize("name", ["twist-a", "twist-b", "twist-c"])
-def test_orbit_windings_closed_form_match_the_orbit_winding_matrix(name):
-    iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named(name))
-    x, y = np.array([0.55, 0.1]), np.array([-0.32, 0.41])
-    W = iso.orbit_windings_closed_form(x, y, 64)
-    X, Y = iso.orbit(x, 64), iso.orbit(y, 64)
-    want = pair_windings(iso, X[:, None], Y[None, :])
-    assert W.shape == (64, 64)
-    # the matrix route applies g^-1 to the orbit points, which rounds
-    assert np.max(np.abs(W - want)) < 1e-12
-
-
 def test_linking_average_tracks_where_there_is_no_closed_form():
     x, y = np.array([0.55, 0.1]), np.array([-0.32, 0.41])
     deformed = ConjugatedRotation(GOLDEN, CONJ.g, deform=True)
-    assert deformed.orbit_windings_closed_form(x, y, 16) is None
     X, Y = deformed.orbit(x, 16), deformed.orbit(y, 16)
     W = pair_windings(deformed, X[:, None], Y[None, :])
     want = double_sum_incremental(W, pow2_schedule(16))

@@ -749,7 +749,6 @@ def test_every_family_answers_the_closed_form_hooks():
         alt = ConjugatedRotation(iso.alpha, iso.g, deform=True, beta=iso.beta)
         windings = (
             lambda f: f.windings_closed_form(pts[:10], pts[10:], (1, 2)),
-            lambda f: f.orbit_windings_closed_form(x, y, 4),
             lambda f: f.tangent_windings_closed_form(x, np.eye(2)),
             lambda f: f.linking_closed_form(x[None], y[None], (1, 4)),
         )

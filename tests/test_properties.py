@@ -7,15 +7,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskrot.action import PATH_TOL, ActionField
 from diskrot.ergodic import double_sum_incremental
+from diskrot.errors import QuadratureFailure
 from diskrot.foliation import annulus_table, displacements, lambda_int
 from diskrot.geometry import GOLDEN
 from diskrot.maps import ConjugacyMap, ConjugatedRotation, PlaneExtension, RigidRotation
-from diskrot.winding import _pair_track, pair_windings, pair_windings_iterated
+from diskrot.winding import MERGE_EPS, _pair_track, pair_windings, pair_windings_iterated
 from test_maps import ONE, PLANES, Concatenation, _kernel, uncropped
 
 G = ConjugacyMap.from_named("twist-b")
@@ -61,7 +63,10 @@ def test_border_sums_equal_double_sums_of_the_orbit_windings(name, n, x, s, thet
     y = (1.0 + s * (R - 1.0) if R > 1.0 else s) * np.array([np.cos(theta), np.sin(theta)])
     ns = list(range(1, n + 1))
     sums = iso.linking_closed_form(x, y[None], ns)[:, 0]
-    want = double_sum_incremental(iso.orbit_windings_closed_form(x[0], y, n), ns)
+    X, Y = iso.orbit(x[0], n), iso.orbit(y, n)
+    # the windings of the orbit pairs are defined where no two points meet
+    assume(np.hypot(*(Y[None, :] - X[:, None]).T).min() > MERGE_EPS)
+    want = double_sum_incremental(pair_windings(iso, X[:, None], Y[None, :]), ns)
     assert np.max(np.abs(sums / np.square(ns) - want)) < 1e-12
 
 
@@ -178,6 +183,16 @@ def test_action_cocycle_path_route(pts, n):
     # forms summed along the orbit lie well within n PATH_TOL
     a_n = ActionField(Concatenation(CORED, n)).action(pts)
     assert _action_cocycle_defect(a_n, CORED, pts, n) < (n + 1) * PATH_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureFailure, reason="the path integrand is too steep for MAX_DEPTH")
+def test_action_path_route_at_a_steep_point_of_the_cored_plane():
+    # a draw on which the property test above fails, in about one run of ten:
+    # at depth MAX_DEPTH the worst panel defect, 4.2e-17, is still above the
+    # panel budget 0.1 PATH_TOL 2^-30 = 9.3e-18; n = 3 fails the same way
+    pts = np.array([[-0.02600918, 0.05683109]])
+    a_n = ActionField(Concatenation(CORED, 2)).action(pts)
+    assert _action_cocycle_defect(a_n, CORED, pts, 2) < 3 * PATH_TOL
 
 
 @settings(max_examples=200, deadline=None)

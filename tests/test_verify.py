@@ -1,4 +1,5 @@
-"""Sampling and deck-window guards of the verification suite."""
+"""Sampling and deck-window guards of the verification suite, and a planted
+fault that its border check must catch."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from diskrot import ergodic, foliation, verify
 from diskrot.errors import OrbitCollision, ResampleExhausted, TailNotCertified
 from diskrot.foliation import lambda_prefixes
 from diskrot.geometry import GOLDEN
-from diskrot.maps import PlaneExtension
+from diskrot.maps import ConjugatedRotation, PlaneExtension
 from diskrot.verify import _admissible_pairs
 from diskrot.winding import OrbitTrack
 
@@ -32,6 +33,19 @@ def test_criterion_4_stops_redrawing_colliding_pairs(monkeypatch):
         verify.criterion_4(fast=True)
     # fast mode wants 5 pairs and gives up after 8 draws per pair
     assert len(draws) == 40
+
+
+def test_criterion_4_catches_windings_a_turn_off(monkeypatch):
+    # the border sums and the cross matrix share only the sub-step kernel, so
+    # a whole turn planted in every pair winding shows in the difference;
+    # criterion 4 runs alone, as criterion 8 raises on the fault
+    exact = ConjugatedRotation.windings_closed_form
+    monkeypatch.setattr(
+        ConjugatedRotation, "windings_closed_form", lambda self, X, Y, ns: exact(self, X, Y, ns) + 1.0
+    )
+    report = verify.criterion_4(seed=0, fast=True)
+    assert not report["passed"]
+    assert report["details"]["border_sum_max_diff"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lambda_deck_window_beyond_k_max_raises(monkeypatch):

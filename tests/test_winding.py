@@ -685,8 +685,8 @@ def test_radial_closed_form_orbit_windings_match_the_tracked_cross_matrix(name, 
     iso = PLANES[name]
     r = 1.0 + np.array(ORBIT_PAIRS[pair]) * (iso.domain_radius - 1.0)
     x, y = r[0] * np.array([np.cos(0.2), np.sin(0.2)]), r[1] * np.array([np.cos(2.0), np.sin(2.0)])
-    W = iso.orbit_windings_closed_form(x, y, 16)
     X, Y = iso.orbit(x, 16), iso.orbit(y, 16)
+    W = pair_windings(iso, X[:, None], Y[None, :])
     tracked = _pair_track(iso, X[:, None], Y[None, :])[0]
     assert W.shape == (16, 16)
     assert np.max(np.abs(W - tracked)) < 1e-9
