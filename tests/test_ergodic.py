@@ -100,6 +100,21 @@ def test_linking_average_conjugated_converges():
     assert abs(rep.final - GOLDEN) < 0.05
 
 
+@pytest.mark.parametrize("name", ["twist-a", "twist-b", "twist-c"])
+def test_border_sums_match_double_sums_of_the_orbit_winding_matrix(name):
+    # criterion 4's two routes at 64 iterates: the sums telescoped from M's
+    # border against the cross matrix of the orbit points mapped back by g^-1
+    iso = ConjugatedRotation(GOLDEN, ConjugacyMap.from_named(name))
+    x, y = np.array([0.55, 0.1]), np.array([-0.32, 0.41])
+    ns = list(range(1, 65))
+    sums = iso.linking_closed_form(x[None], y[None], ns)[:, 0]
+    X, Y = iso.orbit(x, 64), iso.orbit(y, 64)
+    W = pair_windings(iso, X[:, None], Y[None, :])
+    assert W.shape == (64, 64)
+    want = double_sum_incremental(W, ns)
+    assert np.max(np.abs(sums / np.square(ns) - want)) < 1e-12
+
+
 def test_linking_average_tracks_where_there_is_no_closed_form():
     x, y = np.array([0.55, 0.1]), np.array([-0.32, 0.41])
     deformed = ConjugatedRotation(GOLDEN, CONJ.g, deform=True)
